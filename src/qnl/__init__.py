@@ -28,8 +28,7 @@ from .fidelity import (FidelityReport, critical_fidelity, fidelity,
                        werner_gap)
 from .gellmann import (GellMannBasis, bloch_vector, from_bloch_vector,
                        gellmann_basis, normalized_bloch_vector)
-from .reports import (RunConfig, emit_surface, reproduce_tables,
-                      write_tables)
+from .reports import RunConfig, reproduce_tables, write_tables
 from .states import (SchmidtState, TwoQuditState, max_entangled, nmax_state,
                      qutrit_family, rank_k_state, schmidt_state, to_density)
 from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
@@ -57,7 +56,7 @@ __all__ = [
     "FidelityReport", "critical_fidelity", "fidelity", "werner_gap",
     "GellMannBasis", "bloch_vector", "from_bloch_vector", "gellmann_basis",
     "normalized_bloch_vector",
-    "RunConfig", "emit_surface", "reproduce_tables", "write_tables",
+    "RunConfig", "reproduce_tables", "write_tables",
     "SchmidtState", "TwoQuditState", "max_entangled", "nmax_state",
     "qutrit_family", "rank_k_state", "schmidt_state", "to_density",
     "CorrelationTensor", "Metric", "c_factor", "colored_metric",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bell import cglmp_value, critical_lr, optimize_settings
-from .channels import ChannelKind, ChannelSpec, channel_output
+from .channels import ChannelSpec, channel_output
 from .criteria import (critical_analytic, critical_bisection, default_metric,
                        is_entangled, scan_surface)
 from .errors import QnlError
@@ -27,6 +27,13 @@ from .tensor import (Metric, colored_metric, correlation_tensor,
                      damping_metric, identity_metric)
 
 
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise QnlError(f"malformed number {text!r}") from None
+
+
 def parse_state(d: int, text: str) -> SchmidtState:
     """Parse mes | qutrit:A,B | rank:K:C1,.. | coeffs:C0,.. specifiers."""
     if text == "mes":
@@ -37,7 +44,7 @@ def parse_state(d: int, text: str) -> SchmidtState:
     if name == "qutrit":
         if d != 3:
             raise QnlError("qutrit states require --d 3")
-        parts = [float(x) for x in rest.split(",")]
+        parts = [_number(x) for x in rest.split(",")]
         if len(parts) != 2:
             raise QnlError("qutrit specifier needs two angles: qutrit:ALPHA,BETA")
         return qutrit_family(parts[0], parts[1])
@@ -45,10 +52,10 @@ def parse_state(d: int, text: str) -> SchmidtState:
         k_text, sep2, coeff_text = rest.partition(":")
         if not sep2:
             raise QnlError("rank specifier needs rank:K:C1,C2,...")
-        coeffs = np.array([float(x) for x in coeff_text.split(",")])
-        return rank_k_state(d, int(k_text), coeffs)
+        coeffs = np.array([_number(x) for x in coeff_text.split(",")])
+        return rank_k_state(d, _number(k_text, int), coeffs)
     if name == "coeffs":
-        coeffs = np.array([float(x) for x in rest.split(",")])
+        coeffs = np.array([_number(x) for x in rest.split(",")])
         if len(coeffs) != d:
             raise QnlError(f"coeffs specifier needs {d} values for --d {d}")
         return schmidt_state(d, coeffs)
@@ -170,13 +177,15 @@ def cmd_crit(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    spec = ChannelSpec.parse(args.channel) if ":" in args.channel \
-        else ChannelSpec(ChannelKind(args.channel), 0.0)
+    spec = ChannelSpec.parse(args.channel if ":" in args.channel
+                             else args.channel + ":0")
+    if args.grid < 2:
+        raise QnlError("--grid needs at least 2 points per axis")
     alphas = np.linspace(0.0, np.pi / 2.0, args.grid)
     betas = np.linspace(0.0, np.pi / 2.0, args.grid)
     scan = scan_surface(spec.kind, alphas, betas, quantity=args.quantity)
     if args.fmt == "json":
-        value, alpha, beta = scan.minimum()
+        alpha, beta, value = scan.minimum()
         payload = {
             "channel": spec.kind.value,
             "quantity": scan.quantity,

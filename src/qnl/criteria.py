@@ -6,41 +6,29 @@ norm_sq > spectral_norm + tol.  The rule is sufficient only; a false
 verdict means "not detected".
 
 Solvers sweep the noise-free fraction p in [0, 1] (p = v for mixing
-channels, p = 1 - r for Kraus channels).  Closed-form margin curves exist
-for every channel on Schmidt inputs; anything else falls back to building
-the state and taking traces.
+channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
+evaluates a batch of Schmidt inputs at once, in closed form for every
+channel where one exists and by building the state and taking traces
+otherwise.  One bisection brackets every input of a batch together;
+critical_bisection and xi are the single-input case, scan_surface batches
+one alpha-row of the qutrit family at a time.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, channel_output
-from .errors import (
-    NoDetectionInRange,
-    NonMonotonic,
-    QnlError,
-    UnsupportedChannel,
-)
-from .gellmann import bloch_vector, gellmann_basis
-from .linalg import largest_singular_value
-from .states import SchmidtState, max_entangled, qutrit_family
-from .tensor import (
-    CorrelationTensor,
-    Metric,
-    c_factor,
-    colored_metric,
-    correlation_tensor,
-    damping_metric,
-    identity_metric,
-    norm_sq,
-    schmidt_correlation_tensor,
-    spectral_norm,
-)
+from .errors import (NoDetectionInRange, NonMonotonic, QnlError,
+                     UnsupportedChannel)
+from .gellmann import gellmann_basis
+from .states import SchmidtState, max_entangled, qutrit_family_coeffs
+from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
+                     correlation_tensor, damping_metric, identity_metric,
+                     norm_sq, norm_sqs, schmidt_correlation_tensors,
+                     spectral_norm, spectral_norms)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
@@ -91,145 +79,172 @@ def default_metric(kind: ChannelKind, d: int, p: float) -> Metric:
     return identity_metric(d)
 
 
+class MarginBatch:
+    """Weighted tensor scalars of N noisy Schmidt inputs as functions of p.
+
+    coeffs holds one coefficient row per input, (N, d).  Methods take p as a
+    scalar or one value per input and return one value per input.  The
+    metric is built once; only colored noise without an explicit metric
+    reweights it with p.  `path` is "scaling" (white, local depolarizing),
+    "product", "colored", "damping" or "generic" (build rho, take traces).
+    """
+
+    def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
+                 g: Metric | None = None):
+        self.d, self.kind, self.size = d, kind, len(coeffs)
+        if g is None and kind is not ChannelKind.COLORED:
+            g = default_metric(kind, d, 1.0)
+        self._g = g
+        if kind is ChannelKind.PRODUCT:
+            # marginals of a Schmidt state are diagonal, entries c_i^2
+            rho = (coeffs * coeffs)[:, :, None] * np.eye(d, dtype=complex)
+            r = np.einsum("aij,nji->na", gellmann_basis(d).matrices, rho).real
+            self._t0 = schmidt_correlation_tensors(d, coeffs)
+            self._tprod = c_factor(d) * (r[:, :, None] * r[:, None, :])
+            self.path = "product"
+        elif kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
+            t0 = schmidt_correlation_tensors(d, coeffs)
+            self._l0, self._n0 = spectral_norms(t0, g.g), norm_sqs(t0, g.g)
+            # tensor scales as p (white) or p^2 (local depolarizing)
+            self._power = 1 if kind is ChannelKind.WHITE else 2
+            self.path = "scaling"
+        elif kind is ChannelKind.COLORED:
+            if np.any(np.abs(coeffs - 1.0 / np.sqrt(d)) > 1e-9):
+                raise UnsupportedChannel(
+                    "colored noise is defined only for the max-entangled input")
+            half = d * (d - 1) // 2
+            self._tmes_diag = np.full(d * d - 1, 1.0 / (d - 1.0))
+            self._tmes_diag[half: 2 * half] *= -1.0
+            self._tlast_diag = np.eye(d * d - 1)[-1]
+            self.path = "colored"
+        elif kind is ChannelKind.AMPLITUDE_DAMPING \
+                and np.all(g.g[d * (d - 1):] == 0.0):
+            # the closed path needs the metric to ignore the diagonal-
+            # generator block, where damping acts affinely
+            js, ks = np.triu_indices(d, 1)
+            self._pair_vals = 2.0 * coeffs[:, js] * coeffs[:, ks] * c_factor(d)
+            # tensor entries scale as p for pairs touching the ground level,
+            # p^2 otherwise (both subsystems damped)
+            self._pair_pow = np.where(js == 0, 1.0, 2.0)
+            self.path = "damping"
+        else:
+            self._states = [SchmidtState(d=d, coeffs=c) for c in coeffs]
+            self.path = "generic"
+
+    def scalars(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(spectral norms, squared norms) at noise-free fractions p."""
+        p = np.broadcast_to(np.asarray(p, dtype=float), (self.size,))
+        if self.path == "scaling":
+            # float_power rounds as Python's scalar power does
+            s = np.float_power(p, self._power)
+            return s * self._l0, s * s * self._n0
+        if self.path == "product":
+            w = self._g.g
+            t = p[:, None, None] * self._t0 \
+                + (1.0 - p)[:, None, None] * self._tprod
+            n = np.sum((w * t * t).reshape(self.size, -1), axis=1)
+            return spectral_norms(t, w), n
+        if self.path == "colored":
+            # colored_metric(d, p) unless a metric was given
+            w = np.concatenate([np.ones((self.size, self.d * self.d - 2)),
+                                p[:, None]], axis=1) \
+                if self._g is None else self._g.g
+            diag = p[:, None] * self._tmes_diag \
+                + (1.0 - p)[:, None] * self._tlast_diag
+            return np.max(np.abs(diag * w), axis=1), \
+                np.sum(w * diag * diag, axis=1)
+        if self.path == "damping":
+            half = self.d * (self.d - 1) // 2
+            gs, ga = self._g.g[:half], self._g.g[half: 2 * half]
+            vals = self._pair_vals * p[:, None] ** self._pair_pow
+            return np.max(np.abs(vals) * np.maximum(gs, ga), axis=1), \
+                np.sum((gs + ga) * vals * vals, axis=1)
+        l, n = np.empty(self.size), np.empty(self.size)
+        for k, psi in enumerate(self._states):
+            spec = ChannelSpec.from_noise_free_fraction(self.kind, p[k])
+            t = correlation_tensor(channel_output(psi, spec))
+            l[k], n[k] = spectral_norm(t, self._g), norm_sq(t, self._g)
+        return l, n
+
+    def entangled(self, p) -> np.ndarray:
+        l, n = self.scalars(p)
+        return n - l > VERDICT_TOL
+
+    def scaling_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(critical p, never-fired flag) in closed form; scaling path only."""
+        fired = (self._n0 > 0.0) & (self._l0 < self._n0 - VERDICT_TOL)
+        ratio = np.divide(self._l0, self._n0, out=np.ones(self.size),
+                          where=fired)
+        return np.float_power(ratio, 1.0 / self._power), ~fired
+
+
 class MarginCurve:
-    """Weighted tensor scalars of a noisy state as functions of p."""
+    """Scalars of one noisy state as functions of p: a MarginBatch of one."""
 
     def __init__(self, psi: SchmidtState, kind: ChannelKind,
                  g: Metric | None = None):
-        self.psi = psi
-        self.kind = kind
-        self.d = psi.d
-        self.metric_is_default = g is None
-        self.g = g
-        self._setup()
+        self.psi, self.kind = psi, kind
+        self._batch = MarginBatch(psi.d, psi.coeffs[None, :], kind, g)
 
-    def _metric(self, p: float) -> Metric:
-        if self.metric_is_default:
-            return default_metric(self.kind, self.d, p)
-        return self.g
-
-    def _setup(self):
-        d = self.d
-        kind = self.kind
-        self._mode = "generic"
-        if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING,
-                    ChannelKind.PRODUCT):
-            t0 = schmidt_correlation_tensor(self.psi)
-            self._t0 = t0
-            if kind is ChannelKind.PRODUCT:
-                basis = gellmann_basis(d)
-                r = bloch_vector(np.diag(self.psi.coeffs ** 2).astype(complex),
-                                 basis)
-                self._tprod = c_factor(d) * np.outer(r, r)
-                self._mode = "product"
-            else:
-                g = self._metric(1.0)
-                self._l0 = spectral_norm(t0, g)
-                self._n0 = norm_sq(t0, g)
-                self._mode = "scaling"
-                # tensor scales as p (white) or p^2 (local depolarizing)
-                self._power = 1 if kind is ChannelKind.WHITE else 2
-        elif kind is ChannelKind.COLORED:
-            if not self.psi.is_max_entangled(1e-9):
-                raise UnsupportedChannel(
-                    "colored noise is defined only for the max-entangled input")
-            n = d * d - 1
-            tmes = np.full(n, 1.0 / (d - 1.0))
-            half = d * (d - 1) // 2
-            tmes[half: 2 * half] *= -1.0
-            tlast = np.zeros(n)
-            tlast[-1] = 1.0
-            self._tmes_diag = tmes
-            self._tlast_diag = tlast
-            self._mode = "colored"
-        elif kind is ChannelKind.AMPLITUDE_DAMPING and self._damping_ok():
-            c = self.psi.coeffs
-            pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-            self._pair_vals = np.array(
-                [2.0 * c[j] * c[k] * c_factor(d) for j, k in pairs])
-            # tensor entries scale as p for pairs touching the ground level,
-            # p^2 otherwise (both subsystems damped)
-            self._pair_pow = np.array(
-                [1.0 if j == 0 else 2.0 for j, _ in pairs])
-            self._mode = "damping"
-
-    def _damping_ok(self) -> bool:
-        # closed path needs the metric to ignore the diagonal-generator
-        # block, where damping acts affinely
-        g = self._metric(0.5)
-        return bool(np.all(g.g[self.d * (self.d - 1):] == 0.0))
+    @property
+    def path(self) -> str:
+        return self._batch.path
 
     def scalars(self, p: float) -> tuple[float, float]:
         """(spectral_norm, norm_sq) at noise-free fraction p."""
-        if self._mode == "scaling":
-            s = p ** self._power
-            return s * self._l0, s * s * self._n0
-        if self._mode == "product":
-            g = self._metric(p)
-            t = p * self._t0.t + (1.0 - p) * self._tprod
-            return largest_singular_value(t * g.g[None, :]), \
-                float(np.sum(g.g[None, :] * t * t))
-        if self._mode == "colored":
-            g = self._metric(p)
-            diag = p * self._tmes_diag + (1.0 - p) * self._tlast_diag
-            wd = diag * g.g
-            return float(np.max(np.abs(wd))), float(np.sum(g.g * diag * diag))
-        if self._mode == "damping":
-            g = self._metric(p)
-            half = self.d * (self.d - 1) // 2
-            gs = g.g[:half]
-            ga = g.g[half: 2 * half]
-            vals = self._pair_vals * p ** self._pair_pow
-            l = float(np.max(np.abs(vals) * np.maximum(gs, ga))) \
-                if half else 0.0
-            n = float(np.sum((gs + ga) * vals * vals))
-            return l, n
-        spec = ChannelSpec.from_noise_free_fraction(self.kind, p)
-        t = correlation_tensor(channel_output(self.psi, spec))
-        g = self._metric(p)
-        return spectral_norm(t, g), norm_sq(t, g)
-
-    def margin(self, p: float) -> float:
-        l, n = self.scalars(p)
-        return n - l
-
-    def entangled(self, p: float) -> bool:
-        return self.margin(p) > VERDICT_TOL
-
-    def norm_at(self, p: float) -> float:
-        return self.scalars(p)[1]
+        l, n = self._batch.scalars(p)
+        return float(l[0]), float(n[0])
 
 
-def _verdict_grid_check(curve: MarginCurve, points: int) -> None:
-    flags = [curve.entangled(p) for p in np.linspace(0.0, 1.0, points)]
-    switches = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
-    if switches > 1:
+def _verdict_grid_check(curve, points: int, cells=True) -> None:
+    """Raise NonMonotonic if a verdict switches more than once on a p grid.
+
+    curve.entangled(p) gives one verdict or one per input of a batch; cells
+    masks the inputs that are checked."""
+    flags = np.array([curve.entangled(p)
+                      for p in np.linspace(0.0, 1.0, points)])
+    switches = np.count_nonzero(flags[1:] != flags[:-1], axis=0)
+    if np.any((switches > 1) & cells):
         raise NonMonotonic(
             "detection verdict switches more than once over the sweep")
+
+
+def _bisect(batch: MarginBatch) -> np.ndarray:
+    """Bisect every input on [0, 1] together; midpoints of the brackets."""
+    lo, hi = np.zeros(batch.size), np.ones(batch.size)
+    for _ in range(BISECTION_MAX_ITER):
+        open_ = hi - lo > BISECTION_WIDTH
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fired = batch.entangled(mid)
+        hi = np.where(open_ & fired, mid, hi)
+        lo = np.where(open_ & ~fired, mid, lo)
+    return 0.5 * (lo + hi)
+
+
+def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
+    """sqrt(norm(p_crit)/norm(1)) per input, capped at 1 (1 if norm(1) = 0)."""
+    n1 = batch.scalars(1.0)[1]
+    ratio = np.divide(batch.scalars(p_crit)[1], n1, out=np.ones(batch.size),
+                      where=n1 > 0.0)
+    return np.minimum(np.sqrt(ratio), 1.0)
 
 
 def critical_bisection(state: SchmidtState, kind: ChannelKind,
                        g: Metric | None = None,
                        grid_points: int = GRID_POINTS) -> CriticalResult:
-    curve = MarginCurve(state, kind, g)
-    if not curve.entangled(1.0):
+    batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
+    if not batch.entangled(1.0)[0]:
         raise NoDetectionInRange(
             "criterion does not fire anywhere in the strength range")
-    if curve.entangled(0.0):
+    if batch.entangled(0.0)[0]:
         raise NoDetectionInRange(
             "criterion fires at zero noise-free fraction; nothing to bracket")
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if curve.entangled(mid):
-            hi = mid
-        else:
-            lo = mid
-    _verdict_grid_check(curve, grid_points)
+    value = float(_bisect(batch)[0])
+    _verdict_grid_check(batch, grid_points)
     return CriticalResult(parameter_name=kind.parameter_name,
-                          value=0.5 * (lo + hi), method="bisection",
+                          value=value, method="bisection",
                           channel=kind, state=describe_state(state))
 
 
@@ -268,21 +283,17 @@ def _damping_cubic_root(d: int) -> float:
 
 def colored_always_entangled(d: int, v_samples) -> bool:
     """Criterion fires at every sample; closed forms must agree to 1e-8."""
-    psi = max_entangled(d)
-    curve = MarginCurve(psi, ChannelKind.COLORED)
-    ok = True
-    for v in v_samples:
-        if not (0.0 < v <= 1.0):
-            raise ValueError("samples must lie in (0, 1]")
-        l, n = curve.scalars(v)
-        l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
-        n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d
-                                   + v * (d - 2.0) ** 2) / (d - 1.0) ** 2)
-        if abs(l - l_closed) > 1e-8 or abs(n - n_closed) > 1e-8:
-            ok = False
-        if not n - l > VERDICT_TOL:
-            ok = False
-    return ok
+    v = np.asarray(v_samples, dtype=float)
+    if not np.all((0.0 < v) & (v <= 1.0)):
+        raise ValueError("samples must lie in (0, 1]")
+    mes = np.tile(max_entangled(d).coeffs, (len(v), 1))
+    l, n = MarginBatch(d, mes, ChannelKind.COLORED).scalars(v)
+    l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
+    n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d
+                               + v * (d - 2.0) ** 2) / (d - 1.0) ** 2)
+    return bool(np.all((np.abs(l - l_closed) <= 1e-8)
+                       & (np.abs(n - n_closed) <= 1e-8)
+                       & (n - l > VERDICT_TOL)))
 
 
 def xi(state: SchmidtState, kind: ChannelKind, p_crit: float,
@@ -290,11 +301,8 @@ def xi(state: SchmidtState, kind: ChannelKind, p_crit: float,
     """Surviving correlation fraction sqrt(norm(p_crit)/norm(1)), capped at 1."""
     if g is None and kind is ChannelKind.COLORED:
         g = colored_metric(state.d, p_crit)
-    curve = MarginCurve(state, kind, g)
-    n1 = curve.norm_at(1.0)
-    if n1 <= 0.0:
-        return 1.0
-    return float(min(np.sqrt(curve.norm_at(p_crit) / n1), 1.0))
+    batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
+    return float(_surviving_fraction(batch, p_crit)[0])
 
 
 @dataclass(frozen=True)
@@ -314,37 +322,15 @@ class SurfaceScan:
             float(self.values[i, j])
 
 
-def _cell_critical(curve: MarginCurve) -> tuple[float, bool]:
-    """(critical p, never-fired flag) for one scan cell."""
-    if curve._mode == "scaling":
-        if curve._n0 <= 0.0 or curve._l0 >= curve._n0 - VERDICT_TOL:
-            return 1.0, True
-        return (curve._l0 / curve._n0) ** (1.0 / curve._power), False
-    if not curve.entangled(1.0):
-        return 1.0, True
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if curve.entangled(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), False
-
-
-def worker_count() -> int:
-    cap = os.environ.get("QNL_THREADS", "")
-    if cap.strip():
-        return max(1, int(cap))
-    return min(os.cpu_count() or 1, 8)
-
-
 def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
                  quantity: str = "crit",
                  g: Metric | None = None) -> SurfaceScan:
-    """Critical parameter (or xi) over the two-angle qutrit family."""
+    """Critical parameter (or xi) over the two-angle qutrit family.
+
+    Each alpha-row is one batch: scaling cells take the closed-form root,
+    the others are bisected and grid-checked as in critical_bisection.
+    Cells where the criterion does not fire at p = 1 are flagged, value 1.
+    """
     if quantity not in ("crit", "xi"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
     alphas = np.linspace(0.0, np.pi / 2.0, 101) if alpha_grid is None \
@@ -353,20 +339,18 @@ def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
         else np.asarray(beta_grid, dtype=float)
     values = np.empty((len(alphas), len(betas)))
     flags = np.zeros((len(alphas), len(betas)), dtype=bool)
-
-    def run_row(i: int):
-        a = alphas[i]
-        for j, b in enumerate(betas):
-            curve = MarginCurve(qutrit_family(a, b), kind, g)
-            crit, flagged = _cell_critical(curve)
-            if quantity == "xi" and not flagged:
-                n1 = curve.norm_at(1.0)
-                crit = float(min(np.sqrt(curve.norm_at(crit) / n1), 1.0)) \
-                    if n1 > 0 else 1.0
-            values[i, j] = 1.0 if flagged else crit
-            flags[i, j] = flagged
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        list(pool.map(run_row, range(len(alphas))))
+    for i, a in enumerate(alphas):
+        batch = MarginBatch(3, qutrit_family_coeffs(a, betas), kind, g)
+        if batch.path == "scaling":
+            crit, flagged = batch.scaling_roots()
+        else:
+            fired = batch.entangled(1.0)
+            crit = _bisect(batch)
+            _verdict_grid_check(batch, GRID_POINTS, fired)
+            flagged = ~fired
+        if quantity == "xi":
+            crit = _surviving_fraction(batch, crit)
+        values[i] = np.where(flagged, 1.0, crit)
+        flags[i] = flagged
     return SurfaceScan(kind=kind, quantity=quantity, alphas=alphas,
                        betas=betas, values=values, flags=flags)

@@ -9,14 +9,14 @@ flags, and flagged cells never fail a run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bell import critical_lr, infinite_threshold
 from .channels import ChannelKind
-from .criteria import SurfaceScan, critical_bisection, scan_surface, xi
+from .criteria import SurfaceScan, critical_bisection, xi
 from .fidelity import critical_fidelity, werner_gap
 from .states import (SchmidtState, max_entangled, nmax_state, qutrit_family,
                      rank_k_state)
@@ -33,10 +33,8 @@ STATE_COLUMNS = ("max_entangled", "rank_2", "rank_3", "nonmax")
 
 @dataclass
 class RunConfig:
-    """Defaults for every CLI knob; round-trips through dicts losslessly."""
+    """Defaults for every CLI knob."""
 
-    subcommand: str = "tables"
-    d: int = 3
     state: str = "mes"
     channel: str = "white:1"
     metric: str = ""            # empty picks the channel's default
@@ -47,13 +45,6 @@ class RunConfig:
     seed: int = 0
     restarts: int = 6
     cell_tolerance: float = DEFAULT_CELL_TOL
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -265,9 +256,6 @@ class TableBundle:
     failures: int
     flagged: int
 
-    def by_table(self, name: str) -> list:
-        return [c for c in self.cells if c.table == name]
-
 
 def reproduce_tables(tol: float = DEFAULT_CELL_TOL) -> TableBundle:
     cells = []
@@ -353,9 +341,3 @@ def surface_csv(scan: SurfaceScan) -> str:
                          f"{scan.values[i, j]:.{CSV_DECIMALS}f},{flag}")
     return "\n".join(lines) + "\n"
 
-
-def emit_surface(kind: ChannelKind, grid: int = 101,
-                 quantity: str = "crit") -> str:
-    alphas = np.linspace(0.0, np.pi / 2.0, grid)
-    betas = np.linspace(0.0, np.pi / 2.0, grid)
-    return surface_csv(scan_surface(kind, alphas, betas, quantity=quantity))

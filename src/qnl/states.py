@@ -3,7 +3,7 @@
 A SchmidtState holds the nonnegative coefficients c_i of
 |psi> = sum_i c_i |ii>.  Every family used by the rest of the package
 (maximally entangled, the two-angle qutrit family, reduced-rank states)
-funnels through schmidt_state so the validation lives in one place.
+funnels through normalized_coeffs so the validation lives in one place.
 """
 
 from __future__ import annotations
@@ -78,21 +78,29 @@ class TwoQuditState:
         return partial_trace(self.rho, self.d, subsystem)
 
 
+def normalized_coeffs(c: np.ndarray) -> np.ndarray:
+    """Coefficient rows (..., d) scaled to unit norm, after validation."""
+    if not np.all(np.isfinite(c)):
+        raise NotNormalizable("Schmidt coefficients must be finite")
+    if np.any(c < 0):
+        raise NegativeCoefficient("Schmidt coefficients must be >= 0")
+    nsq = np.sum(c * c, axis=-1, keepdims=True)
+    if np.any(nsq == 0.0):
+        raise NotNormalizable("all coefficients are zero")
+    far = np.abs(nsq - 1.0) > NORM_SLACK
+    if np.any(far):
+        raise NotNormalizable(
+            f"squared norm {nsq[far][0]} is off by more than {NORM_SLACK}; "
+            "normalize the coefficients")
+    return c / np.sqrt(nsq)
+
+
 def schmidt_state(d: int, coeffs) -> SchmidtState:
     d = check_dimension(d)
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (d,):
         raise DimensionMismatch(f"expected {d} coefficients, got {c.shape}")
-    if np.any(c < 0):
-        raise NegativeCoefficient("Schmidt coefficients must be >= 0")
-    nsq = float(np.sum(c * c))
-    if nsq == 0.0:
-        raise NotNormalizable("all coefficients are zero")
-    if abs(nsq - 1.0) > NORM_SLACK:
-        raise NotNormalizable(
-            f"squared norm {nsq} is off by more than {NORM_SLACK}; "
-            "normalize the coefficients")
-    return SchmidtState(d=d, coeffs=c / np.sqrt(nsq))
+    return SchmidtState(d=d, coeffs=normalized_coeffs(c))
 
 
 def max_entangled(d: int) -> SchmidtState:
@@ -100,14 +108,20 @@ def max_entangled(d: int) -> SchmidtState:
     return schmidt_state(d, np.full(d, 1.0 / np.sqrt(d)))
 
 
-def qutrit_family(alpha: float, beta: float) -> SchmidtState:
-    """d=3 family (cos a, sin a sin b, sin a cos b); angles in radians."""
-    c = np.array([np.cos(alpha),
-                  np.sin(alpha) * np.sin(beta),
-                  np.sin(alpha) * np.cos(beta)])
+def qutrit_family_coeffs(alpha, beta) -> np.ndarray:
+    """Normalized rows (cos a, sin a sin b, sin a cos b) of the d=3 family
+    over broadcast angles (radians)."""
+    c = np.stack(np.broadcast_arrays(np.cos(alpha),
+                                     np.sin(alpha) * np.sin(beta),
+                                     np.sin(alpha) * np.cos(beta)), axis=-1)
     # kill round-off negatives at quadrant edges
     c[np.abs(c) < 1e-15] = 0.0
-    return schmidt_state(3, c)
+    return normalized_coeffs(c)
+
+
+def qutrit_family(alpha: float, beta: float) -> SchmidtState:
+    """d=3 family (cos a, sin a sin b, sin a cos b); angles in radians."""
+    return SchmidtState(d=3, coeffs=qutrit_family_coeffs(alpha, beta))
 
 
 def rank_k_state(d: int, k: int, coeffs) -> SchmidtState:

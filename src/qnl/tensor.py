@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .gellmann import GellMannBasis, check_dimension, gellmann_basis
-from .linalg import largest_singular_value
 from .states import SchmidtState, TwoQuditState
 
 IMAG_RESIDUE_TOL = 1e-8
@@ -37,7 +36,6 @@ def c_factor(d: int) -> float:
 class CorrelationTensor:
     d: int
     t: np.ndarray = field(repr=False)  # (d^2-1, d^2-1) real
-    basis_convention: str = "sym-antisym-diag"
 
     def __post_init__(self):
         n = self.d * self.d - 1
@@ -99,43 +97,57 @@ def correlation_tensor(rho: TwoQuditState,
     return CorrelationTensor(d=d, t=t.real.copy())
 
 
-def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
-    """Closed form for pure Schmidt states, no density matrix involved.
+def schmidt_correlation_tensors(d: int, coeffs: np.ndarray) -> np.ndarray:
+    """Closed form for a batch of pure Schmidt states, no density matrix.
 
-    Off-diagonal block: diagonal, entries +-2 c_j c_k c(d) (symmetric +,
-    antisymmetric -).  Diagonal-generator block entries, 1-based level
-    indices i <= j:
+    coeffs is an (N, d) array of Schmidt coefficients; the result is the
+    (N, d^2-1, d^2-1) stack of their tensors.  Off-diagonal block:
+    diagonal, entries +-2 c_j c_k c(d) (symmetric +, antisymmetric -).
+    Diagonal-generator block entries, 1-based level indices i <= j:
 
       same index   (2/(i(i+1))) (sum_{n<i} c_n^2 + i^2 c_i^2) c(d)
       i < j        (2/sqrt(i j (i+1)(j+1))) (sum_{n<i} c_n^2 - i c_i^2) c(d)
 
     and the block is symmetric.  Cross terms vanish.
     """
-    d = psi.d
     n = d * d - 1
-    c = psi.coeffs
+    c = coeffs
     cf = c_factor(d)
-    t = np.zeros((n, n))
+    t = np.zeros((len(c), n, n))
     npairs = d * (d - 1) // 2
-    idx = 0
-    for j in range(d):
-        for k in range(j + 1, d):
-            val = 2.0 * c[j] * c[k] * cf
-            t[idx, idx] = val                      # symmetric generator
-            t[npairs + idx, npairs + idx] = -val   # antisymmetric generator
-            idx += 1
+    js, ks = np.triu_indices(d, 1)
+    val = 2.0 * c[:, js] * c[:, ks] * cf
+    idx = np.arange(npairs)
+    t[:, idx, idx] = val                          # symmetric generators
+    t[:, npairs + idx, npairs + idx] = -val       # antisymmetric generators
     base = d * (d - 1)
     csq = c * c
     for i in range(1, d):
-        head = float(np.sum(csq[:i]))
-        t[base + i - 1, base + i - 1] = \
-            (2.0 / (i * (i + 1))) * (head + i * i * csq[i]) * cf
+        head = np.sum(csq[:, :i], axis=1)
+        t[:, base + i - 1, base + i - 1] = \
+            (2.0 / (i * (i + 1))) * (head + i * i * csq[:, i]) * cf
         for j in range(i + 1, d):
             off = (2.0 / np.sqrt(i * j * (i + 1) * (j + 1))) \
-                * (head - i * csq[i]) * cf
-            t[base + i - 1, base + j - 1] = off
-            t[base + j - 1, base + i - 1] = off
-    return CorrelationTensor(d=d, t=t)
+                * (head - i * csq[:, i]) * cf
+            t[:, base + i - 1, base + j - 1] = off
+            t[:, base + j - 1, base + i - 1] = off
+    return t
+
+
+def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
+    """Closed-form tensor of one Schmidt state (see the batched form)."""
+    return CorrelationTensor(
+        d=psi.d, t=schmidt_correlation_tensors(psi.d, psi.coeffs[None, :])[0])
+
+
+def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sigma_max(T_ij w_j) of each tensor in a stack; w is (n,) or (N, n)."""
+    return np.linalg.svd(t * w[..., None, :], compute_uv=False)[:, 0]
+
+
+def norm_sqs(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_ij w_j T_ij^2 of every tensor in an (N, n, n) stack."""
+    return np.sum(((t * t) * w[..., None, :]).reshape(len(t), -1), axis=1)
 
 
 def _check_pair(t: CorrelationTensor, g: Metric) -> None:
@@ -146,10 +158,10 @@ def _check_pair(t: CorrelationTensor, g: Metric) -> None:
 def norm_sq(t: CorrelationTensor, g: Metric) -> float:
     """Weighted squared norm sum_ij g_j T_ij^2."""
     _check_pair(t, g)
-    return float(np.sum((t.t * t.t) * g.g[None, :]))
+    return float(norm_sqs(t.t[None], g.g)[0])
 
 
 def spectral_norm(t: CorrelationTensor, g: Metric) -> float:
     """Largest singular value of the weighted tensor T_ij g_j."""
     _check_pair(t, g)
-    return largest_singular_value(t.t * g.g[None, :])
+    return float(spectral_norms(t.t[None], g.g)[0])

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from qnl.channels import ChannelKind
 from qnl.cli import main, parse_state
+from qnl.criteria import scan_surface
 from qnl.errors import QnlError
 from qnl.states import max_entangled
 
@@ -87,6 +89,19 @@ def test_scan_csv_layout(tmp_path, capsys):
     assert lines[1].startswith("0.0000,0.0000,1.0000,no-detection")
 
 
+def test_scan_json_minimum_matches_surface(capsys):
+    code, out, _ = run(["scan", "--channel", "white", "--grid", "11",
+                        "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    grid = np.linspace(0.0, np.pi / 2.0, 11)
+    alpha, beta, value = scan_surface(ChannelKind.WHITE, grid,
+                                      grid).minimum()
+    assert payload["minimum"] == {"value": value, "alpha": alpha,
+                                  "beta": beta}
+    assert value == pytest.approx(0.2546, abs=1e-4)
+
+
 def test_cglmp_json(capsys):
     code, out, _ = run(["cglmp", "--d", "3", "--state", "mes",
                         "--channel", "white:1"], capsys)
@@ -127,6 +142,18 @@ def test_bad_inputs_exit_2(capsys):
     # detection never fires for a product state
     assert run(["crit", "--d", "2", "--state", "coeffs:1,0",
                 "--channel", "white:1"], capsys)[0] == 2
+    for argv in (["crit", "--d", "3", "--state", "coeffs:a,b,c",
+                  "--channel", "white:1"],
+                 ["crit", "--d", "3", "--state", "rank:x:1",
+                  "--channel", "white:1"],
+                 ["crit", "--d", "3", "--state", "coeffs:nan,1,1",
+                  "--channel", "white:1"],
+                 ["scan", "--channel", "bogus", "--grid", "3"],
+                 ["scan", "--channel", "white", "--grid", "0"],
+                 ["scan", "--channel", "white", "--grid", "1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_basis_csv_and_json(capsys):

@@ -101,12 +101,36 @@ def test_grid_check_flags_reentrant_curves():
     _verdict_grid_check(Clean(), 100)
 
 
+def test_grid_check_flags_reentrant_cells_of_a_batch():
+    class Batch:
+        # cell 0 fires above 0.3; cell 1 fires, stops and fires again
+        def entangled(self, p):
+            return np.array([p > 0.3, 0.2 < p < 0.4 or p > 0.8])
+
+    with pytest.raises(NonMonotonic):
+        _verdict_grid_check(Batch(), 100)
+    with pytest.raises(NonMonotonic):
+        _verdict_grid_check(Batch(), 100, np.array([False, True]))
+    # only the clean cell is checked
+    _verdict_grid_check(Batch(), 100, np.array([True, False]))
+
+
+def test_margin_curve_paths():
+    psi = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
+    assert MarginCurve(psi, WHITE).path == "scaling"
+    assert MarginCurve(psi, DEPOL).path == "scaling"
+    assert MarginCurve(psi, ChannelKind.PRODUCT).path == "product"
+    assert MarginCurve(psi, AD).path == "damping"
+    assert MarginCurve(psi, AD, identity_metric(3)).path == "generic"
+    assert MarginCurve(max_entangled(3), ChannelKind.COLORED).path == "colored"
+
+
 def test_margin_curve_fast_paths_match_generic_evaluation():
     # closed-path scalars must agree with building the noisy state in full
     psi3 = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
     for kind in (WHITE, DEPOL, AD):
         curve = MarginCurve(psi3, kind)
-        assert curve._mode != "generic"
+        assert curve.path != "generic"
         for p in (0.15, 0.5, 0.9):
             l_fast, n_fast = curve.scalars(p)
             spec = ChannelSpec.from_noise_free_fraction(kind, p)
@@ -203,6 +227,36 @@ def test_scan_surface_deterministic():
     s2 = scan_surface(AD, alphas, betas)
     assert np.array_equal(s1.values, s2.values)
     assert np.array_equal(s1.flags, s2.flags)
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.PRODUCT, AD])
+def test_scan_cells_equal_single_thresholds(kind):
+    # each batched cell must reproduce the single-state solver bit for bit
+    grid = np.linspace(0.0, np.pi / 2, 9)
+    crit = scan_surface(kind, grid, grid)
+    frac = scan_surface(kind, grid, grid, quantity="xi")
+    assert np.array_equal(crit.flags, frac.flags)
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            psi = qutrit_family(a, b)
+            if crit.flags[i, j]:
+                with pytest.raises(NoDetectionInRange):
+                    critical_bisection(psi, kind)
+                assert crit.values[i, j] == frac.values[i, j] == 1.0
+                continue
+            value = critical_bisection(psi, kind).value
+            assert crit.values[i, j] == value
+            assert frac.values[i, j] == xi(psi, kind, value)
+
+
+def test_scan_scaling_cells_use_closed_form_root():
+    grid = np.linspace(0.0, np.pi / 2, 5)
+    scan = scan_surface(DEPOL, grid, grid)
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            if not scan.flags[i, j]:
+                single = critical_bisection(qutrit_family(a, b), DEPOL).value
+                assert abs(scan.values[i, j] - single) < 1e-8
 
 
 def test_scan_rejects_unknown_quantity():

@@ -8,8 +8,10 @@ from qnl.channels import (ChannelKind, ChannelSpec, channel_output,
 from qnl.gellmann import gellmann_basis
 from qnl.states import max_entangled, schmidt_state, to_density
 from qnl.tensor import (Metric, c_factor, colored_metric, correlation_tensor,
-                        damping_metric, identity_metric, norm_sq,
-                        schmidt_correlation_tensor, spectral_norm)
+                        damping_metric, identity_metric, norm_sq, norm_sqs,
+                        schmidt_correlation_tensor,
+                        schmidt_correlation_tensors, spectral_norm,
+                        spectral_norms)
 
 
 def random_schmidt(rng, d):
@@ -42,6 +44,48 @@ def test_closed_form_matches_trace_definition(d):
         closed = schmidt_correlation_tensor(psi)
         traced = correlation_tensor(to_density(psi))
         assert np.max(np.abs(closed.t - traced.t)) <= 1e-9
+
+
+def loop_schmidt_tensor(c):
+    # one-state loop form of the closed-form tensor, entry by entry
+    d = len(c)
+    cf = c_factor(d)
+    t = np.zeros((d * d - 1, d * d - 1))
+    npairs = d * (d - 1) // 2
+    idx = 0
+    for j in range(d):
+        for k in range(j + 1, d):
+            t[idx, idx] = 2.0 * c[j] * c[k] * cf
+            t[npairs + idx, npairs + idx] = -t[idx, idx]
+            idx += 1
+    base, csq = d * (d - 1), c * c
+    for i in range(1, d):
+        head = float(np.sum(csq[:i]))
+        t[base + i - 1, base + i - 1] = \
+            (2.0 / (i * (i + 1))) * (head + i * i * csq[i]) * cf
+        for j in range(i + 1, d):
+            off = (2.0 / np.sqrt(i * j * (i + 1) * (j + 1))) \
+                * (head - i * csq[i]) * cf
+            t[base + i - 1, base + j - 1] = t[base + j - 1, base + i - 1] = off
+    return t
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 12])
+def test_stacked_tensors_and_scalars_equal_loop_forms(d):
+    # same arithmetic as the one-state loops, so results are equal, not close
+    rng = np.random.default_rng(7 + d)
+    states = [random_schmidt(rng, d) for _ in range(4)]
+    stack = schmidt_correlation_tensors(d, np.array([s.coeffs
+                                                     for s in states]))
+    g = colored_metric(d, 0.37)
+    ls, ns = spectral_norms(stack, g.g), norm_sqs(stack, g.g)
+    for k, psi in enumerate(states):
+        t = loop_schmidt_tensor(psi.coeffs)
+        assert np.array_equal(stack[k], t)
+        assert np.array_equal(schmidt_correlation_tensor(psi).t, t)
+        assert ls[k] == np.linalg.svd(t * g.g[None, :], compute_uv=False)[0]
+        assert ns[k] == float(np.sum((t * t) * g.g[None, :]))
+        assert ns[k] == norm_sq(schmidt_correlation_tensor(psi), g)
 
 
 def test_trace_definition_matches_brute_force():
