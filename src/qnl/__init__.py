@@ -6,12 +6,10 @@ bisection and in closed form, fidelity thresholds, and reproduction of
 the summary tables.
 """
 
-from .bell import (BellValue, MeasurementSettings,
-                   ad_joint_probability_closed_form, ad_probability_table,
+from .bell import (BellValue, MeasurementSettings, ad_probability_table,
                    catalan_constant, cglmp_ad_infinite, cglmp_ad_value,
                    cglmp_settings, cglmp_value, critical_lr,
-                   infinite_threshold, joint_probability, optimize_settings,
-                   probability_table)
+                   infinite_threshold, optimize_settings, probability_table)
 from .channels import (ChannelKind, ChannelSpec, KrausSet,
                        amplitude_damping_kraus, apply_local_channel,
                        channel_output, colored_noise, depolarizing_kraus,
@@ -28,7 +26,7 @@ from .fidelity import (FidelityReport, critical_fidelity, fidelity,
                        werner_gap)
 from .gellmann import (GellMannBasis, bloch_vector, from_bloch_vector,
                        gellmann_basis, normalized_bloch_vector)
-from .reports import RunConfig, reproduce_tables, write_tables
+from .reports import reproduce_tables, write_tables
 from .states import (SchmidtState, TwoQuditState, max_entangled, nmax_state,
                      qutrit_family, rank_k_state, schmidt_state, to_density)
 from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
@@ -38,11 +36,10 @@ from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellValue", "MeasurementSettings", "ad_joint_probability_closed_form",
-    "ad_probability_table", "catalan_constant", "cglmp_ad_infinite",
-    "cglmp_ad_value", "cglmp_settings", "cglmp_value", "critical_lr",
-    "infinite_threshold", "joint_probability", "optimize_settings",
-    "probability_table",
+    "BellValue", "MeasurementSettings", "ad_probability_table",
+    "catalan_constant", "cglmp_ad_infinite", "cglmp_ad_value",
+    "cglmp_settings", "cglmp_value", "critical_lr", "infinite_threshold",
+    "optimize_settings", "probability_table",
     "ChannelKind", "ChannelSpec", "KrausSet", "amplitude_damping_kraus",
     "apply_local_channel", "channel_output", "colored_noise",
     "depolarizing_kraus", "depolarize_pair", "product_noise", "white_noise",
@@ -56,7 +53,7 @@ __all__ = [
     "FidelityReport", "critical_fidelity", "fidelity", "werner_gap",
     "GellMannBasis", "bloch_vector", "from_bloch_vector", "gellmann_basis",
     "normalized_bloch_vector",
-    "RunConfig", "reproduce_tables", "write_tables",
+    "reproduce_tables", "write_tables",
     "SchmidtState", "TwoQuditState", "max_entangled", "nmax_state",
     "qutrit_family", "rank_k_state", "schmidt_state", "to_density",
     "CorrelationTensor", "Metric", "c_factor", "colored_metric",

@@ -13,7 +13,9 @@ Modular coincidence sums read the equality literally:
 
 With these settings the joint probability depends on the outcomes only
 through a - b, which makes each sum d times any one of its terms; a
-property test pins that shortcut.
+property test pins that shortcut.  Settings, damping tables and the
+inequality value are array code; the scalar loops they replaced live on in
+the tests as bit-exact oracles.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from .channels import (
     amplitude_damping_kraus,
     apply_local_channel,
 )
-from .criteria import CriticalResult, describe_state
+from .criteria import CriticalResult, bisect_threshold, describe_state
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     NonMonotonic,
     NoViolation,
     UnsupportedChannel,
@@ -44,7 +45,6 @@ from .states import SchmidtState, TwoQuditState, to_density
 LOCAL_BOUND = 2.0
 ALPHA_PHASES = (0.0, 0.5)
 BETA_PHASES = (0.25, -0.25)
-LR_BISECTION_WIDTH = 1e-8
 LR_GRID_POINTS = 200
 ORTHO_TOL = 1e-10
 
@@ -70,14 +70,6 @@ class MeasurementSettings:
                         "outcome vectors are not orthonormal")
             v.setflags(write=False)
 
-    def projector(self, party: str, setting: int, outcome: int) -> np.ndarray:
-        vecs = self.a_vectors if party == "A" else self.b_vectors
-        if not (0 <= setting < 2 and 0 <= outcome < self.d):
-            raise IndexOutOfRange(
-                f"setting {setting} / outcome {outcome} out of range")
-        v = vecs[setting, outcome]
-        return np.outer(v, v.conj())
-
 
 @dataclass(frozen=True)
 class BellValue:
@@ -91,31 +83,13 @@ class BellValue:
 
 def cglmp_settings(d: int) -> MeasurementSettings:
     d = check_dimension(d)
-    j = np.arange(d)
+    j = np.arange(d)  # outcome index (axis 1) and component index (axis 2)
     omega = np.exp(2j * np.pi / d)
-    av = np.empty((2, d, d), dtype=complex)
-    bv = np.empty((2, d, d), dtype=complex)
-    for s, alpha in enumerate(ALPHA_PHASES):
-        for a in range(d):
-            av[s, a] = omega ** (j * (a + alpha)) / np.sqrt(d)
-    for t, beta in enumerate(BETA_PHASES):
-        for b in range(d):
-            bv[t, b] = omega ** (j * (-b + beta)) / np.sqrt(d)
+    av = omega ** (j * (j[:, None] + np.array(ALPHA_PHASES)[:, None, None])) \
+        / np.sqrt(d)
+    bv = omega ** (j * (-j[:, None] + np.array(BETA_PHASES)[:, None, None])) \
+        / np.sqrt(d)
     return MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
-
-
-def joint_probability(rho: TwoQuditState, s: int, t: int, a: int, b: int,
-                      m: MeasurementSettings | None = None) -> float:
-    if m is None:
-        m = cglmp_settings(rho.d)
-    if rho.d != m.d:
-        raise DimensionMismatch(f"state d={rho.d} vs settings d={m.d}")
-    if not (0 <= s < 2 and 0 <= t < 2):
-        raise IndexOutOfRange("setting index must be 0 or 1")
-    if not (0 <= a < rho.d and 0 <= b < rho.d):
-        raise IndexOutOfRange("outcome index out of range")
-    u = np.kron(m.a_vectors[s, a], m.b_vectors[t, b])
-    return float(np.real(u.conj() @ rho.rho @ u))
 
 
 def probability_table(rho: TwoQuditState,
@@ -138,35 +112,22 @@ def probability_table(rho: TwoQuditState,
     return out
 
 
-def _sum_a_eq_b_plus(p: np.ndarray, k: int) -> float:
-    """P(A = B + k) from one setting pair's d x d table."""
-    d = p.shape[0]
-    n = np.arange(d)
-    return float(np.sum(p[(n + k) % d, n]))
-
-
-def _sum_b_eq_a_plus(p: np.ndarray, k: int) -> float:
-    d = p.shape[0]
-    n = np.arange(d)
-    return float(np.sum(p[n, (n + k) % d]))
-
-
 def _inequality_value(table: np.ndarray) -> float:
     d = table.shape[2]
-    p11, p12 = table[0, 0], table[0, 1]
-    p21, p22 = table[1, 0], table[1, 1]
-
-    def constituent(k: int) -> float:
-        return (_sum_a_eq_b_plus(p11, k)
-                + _sum_b_eq_a_plus(p21, k + 1)
-                + _sum_a_eq_b_plus(p22, k)
-                + _sum_b_eq_a_plus(p12, k))
-
+    n = np.arange(d)
+    shifted = (n + n[:, None]) % d  # [k, n] -> n + k mod d
+    # [s, t, k] -> P(A_s = B_t + k) and P(B_t = A_s + k); each gather is made
+    # contiguous so that every sum rounds as a 1-D sum of d terms would
+    a_eq_b = np.ascontiguousarray(table[:, :, shifted, n]).sum(axis=-1)
+    b_eq_a = np.ascontiguousarray(table[:, :, n, shifted]).sum(axis=-1)
+    # constituent k (mod d) of the inequality, one per shift
+    part = a_eq_b[0, 0] + np.roll(b_eq_a[1, 0], -1) + a_eq_b[1, 1] \
+        + b_eq_a[0, 1]
     total = 0.0
     for k in range(d // 2):
         weight = 1.0 - 2.0 * k / (d - 1.0)
-        total += weight * (constituent(k) - constituent(-(k + 1)))
-    return total
+        total += weight * (part[k] - part[-(k + 1)])
+    return float(total)
 
 
 def cglmp_value(rho: TwoQuditState,
@@ -177,31 +138,22 @@ def cglmp_value(rho: TwoQuditState,
                      violated=value > LOCAL_BOUND)
 
 
-def ad_joint_probability_closed_form(d: int, r: float, s: int, t: int,
-                                     a: int, b: int) -> float:
-    """Joint probability for the damped max-entangled state, no Born rule.
+def ad_probability_table(d: int, r: float) -> np.ndarray:
+    """Joint probabilities [s, t, a, b] of the damped max-entangled state,
+    no Born rule.
 
     Valid because the phase offsets keep gamma = a - b + alpha_s + beta_t
     away from integer multiples of d.
     """
     d = check_dimension(d)
-    gamma = a - b + ALPHA_PHASES[s] + BETA_PHASES[t]
+    j = np.arange(d)
+    gamma = (j[:, None] - j) + np.array(ALPHA_PHASES)[:, None, None, None] \
+        + np.array(BETA_PHASES)[:, None, None]
     x = np.pi * gamma / d
     kernel = ((1.0 - r) * np.sin((d - 1.0) * x) ** 2 / np.sin(x) ** 2
               + np.sin((2.0 * d - 1.0) * x) / np.sin(x) - 1.0)
-    return float((1.0 - (d - 1.0) * (r - 2.0) * r) / d ** 3
-                 + (1.0 - r) / d ** 3 * kernel)
-
-
-def ad_probability_table(d: int, r: float) -> np.ndarray:
-    out = np.empty((2, 2, d, d))
-    for s in range(2):
-        for t in range(2):
-            for a in range(d):
-                for b in range(d):
-                    out[s, t, a, b] = \
-                        ad_joint_probability_closed_form(d, r, s, t, a, b)
-    return out
+    return (1.0 - (d - 1.0) * (r - 2.0) * r) / d ** 3 \
+        + (1.0 - r) / d ** 3 * kernel
 
 
 def cglmp_ad_value(d: int, r: float) -> BellValue:
@@ -268,14 +220,9 @@ def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
     if vals[-1] <= LOCAL_BOUND:
         raise NoViolation(
             f"inequality value {vals[-1]:.6f} never exceeds the bound")
-    lo, hi = 0.0, 1.0
-    while hi - lo > LR_BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if value_of_p(mid) > LOCAL_BOUND:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalResult(parameter_name="p", value=0.5 * (lo + hi),
+    value = bisect_threshold(
+        lambda p: np.array([value_of_p(float(p[0])) > LOCAL_BOUND]), 1)[0]
+    return CriticalResult(parameter_name="p", value=float(value),
                           method="bisection", channel=kind,
                           state=describe_state(state))
 
@@ -335,11 +282,7 @@ def optimize_settings(rho: TwoQuditState, restarts: int = 4,
 
     best_thetas = np.zeros((4, n))
     best = value_at(best_thetas)
-    starts = [np.zeros((4, n))]
-    try:
-        starts.append(_qubit_block_thetas(d, mats))
-    except Exception:
-        pass  # qubit embedding can fail for exotic logm branches; optional
+    starts = [np.zeros((4, n)), _qubit_block_thetas(d, mats)]
     rng = np.random.default_rng(seed)
     for _ in range(max(restarts, 0)):
         starts.append(rng.normal(scale=0.4, size=(4, n)))

@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedChannel,
 )
 from .gellmann import check_dimension
-from .linalg import kron
 from .states import SchmidtState, TwoQuditState, max_entangled, to_density
 
 COMPLETENESS_TOL = 1e-10
@@ -122,12 +121,12 @@ def product_noise(psi: SchmidtState, v: float) -> TwoQuditState:
     v = check_strength(v)
     d = psi.d
     marg = np.diag(psi.coeffs ** 2).astype(complex)
-    rho = v * to_density(psi).rho + (1.0 - v) * kron(marg, marg)
+    rho = v * to_density(psi).rho + (1.0 - v) * np.kron(marg, marg)
     return TwoQuditState(d=d, rho=rho)
 
 
 def colored_noise(d: int, v: float) -> TwoQuditState:
-    """Max-entangled state mixed with the |d-1,d-1> projector.
+    """Max-entangled state mixed with the pure product state |d-1,d-1>.
 
     Defined only for the max-entangled input, so the state is fixed by d.
     """
@@ -194,9 +193,9 @@ def depolarize_pair(rho: TwoQuditState, r: float) -> TwoQuditState:
     rb = rho.reduced(1)
     eye = np.eye(d)
     out = ((1.0 - r) ** 2 * rho.rho
-           + (1.0 - r) * (r / d) * kron(ra, eye)
-           + (1.0 - r) * (r / d) * kron(eye, rb)
-           + (r / d) ** 2 * kron(eye, eye))
+           + (1.0 - r) * (r / d) * np.kron(ra, eye)
+           + (1.0 - r) * (r / d) * np.kron(eye, rb)
+           + (r / d) ** 2 * np.kron(eye, eye))
     return TwoQuditState(d=d, rho=out)
 
 

@@ -20,8 +20,8 @@ from .criteria import (critical_analytic, critical_bisection, default_metric,
 from .errors import QnlError
 from .fidelity import critical_fidelity, werner_gap
 from .gellmann import gellmann_basis
-from .reports import (CSV_DECIMALS, RunConfig, diff_report, surface_csv,
-                      write_tables)
+from .reports import (CSV_DECIMALS, DEFAULT_CELL_TOL, diff_report,
+                      surface_csv, write_tables)
 from .states import SchmidtState, max_entangled, qutrit_family, rank_k_state, schmidt_state
 from .tensor import (Metric, colored_metric, correlation_tensor,
                      damping_metric, identity_metric)
@@ -288,17 +288,16 @@ def _opt(x: float | None) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = RunConfig()
-
     # fresh parent per subcommand: argparse set_defaults mutates shared
-    # action objects, so a single parent would leak defaults across commands
-    def common(fmt=defaults.fmt):
+    # action objects, so a single parent would leak defaults across commands;
+    # --format only where a subcommand can write CSV
+    def common(fmt=None):
         parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument("--format", dest="fmt",
-                            choices=("json", "csv"), default=fmt)
-        parent.add_argument("--out", default=defaults.out,
+        if fmt:
+            parent.add_argument("--format", dest="fmt",
+                                choices=("json", "csv"), default=fmt)
+        parent.add_argument("--out", default="",
                             help="output path (tables: output directory)")
-        parent.add_argument("--seed", type=int, default=defaults.seed)
         return parent
 
     parser = argparse.ArgumentParser(
@@ -307,39 +306,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-qudit states.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("basis", parents=[common()],
+    p = sub.add_parser("basis", parents=[common("json")],
                        help="dump the traceless Hermitian operator basis")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--json", action="store_const", const="json", dest="fmt")
     p.set_defaults(func=cmd_basis)
 
-    for name, func, needs_state in (
-            ("tensor", cmd_tensor, True),
-            ("crit", cmd_crit, True),
-            ("cglmp", cmd_cglmp, True),
-            ("cglmp-crit", cmd_cglmp_crit, True)):
-        p = sub.add_parser(name, parents=[common()])
+    for name, func in (("tensor", cmd_tensor), ("crit", cmd_crit),
+                       ("cglmp", cmd_cglmp), ("cglmp-crit", cmd_cglmp_crit)):
+        p = sub.add_parser(name, parents=[
+            common("json" if name == "tensor" else None)])
         p.add_argument("--d", type=int, required=True)
-        if needs_state:
-            p.add_argument("--state", default=defaults.state)
-        p.add_argument("--channel", default=defaults.channel)
+        p.add_argument("--state", default="mes")
+        p.add_argument("--channel", default="white:1")
         if name in ("tensor", "crit"):
-            p.add_argument("--metric", default=defaults.metric,
+            # empty picks the channel's default metric
+            p.add_argument("--metric", default="",
                            choices=("", "default", "identity", "colored", "ad"))
         if name == "crit":
             p.add_argument("--method", default="bisection",
                            choices=("bisection", "analytic"))
         if name == "cglmp":
             p.add_argument("--optimize", action="store_true")
-            p.add_argument("--restarts", type=int, default=defaults.restarts)
+            p.add_argument("--restarts", type=int, default=6)
+            p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("scan", parents=[common(fmt="csv")],
+    p = sub.add_parser("scan", parents=[common("csv")],
                        help="critical-value surface over the qutrit family")
     p.add_argument("--channel", required=True,
                    help="channel kind, strength part ignored (white, product, ad)")
-    p.add_argument("--grid", type=int, default=defaults.grid)
-    p.add_argument("--quantity", default=defaults.quantity,
+    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--quantity", default="crit",
                    choices=("crit", "xi"))
     p.set_defaults(func=cmd_scan)
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", parents=[common()],
                        help="recompute the five summary tables and diff them")
-    p.add_argument("--tolerance", type=float, default=defaults.cell_tolerance)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_CELL_TOL)
     p.set_defaults(func=cmd_tables)
 
     return parser

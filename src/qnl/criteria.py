@@ -11,7 +11,8 @@ evaluates a batch of Schmidt inputs at once, in closed form for every
 channel where one exists and by building the state and taking traces
 otherwise.  One bisection brackets every input of a batch together;
 critical_bisection and xi are the single-input case, scan_surface batches
-one alpha-row of the qutrit family at a time.
+one alpha-row of the qutrit family at a time, and the Bell thresholds of
+bell.critical_lr use the same bisection.
 """
 
 from __future__ import annotations
@@ -209,17 +210,20 @@ def _verdict_grid_check(curve, points: int, cells=True) -> None:
             "detection verdict switches more than once over the sweep")
 
 
-def _bisect(batch: MarginBatch) -> np.ndarray:
-    """Bisect every input on [0, 1] together; midpoints of the brackets."""
-    lo, hi = np.zeros(batch.size), np.ones(batch.size)
+def bisect_threshold(fired, size: int) -> np.ndarray:
+    """Bisect size inputs on [0, 1] together; midpoints of the brackets.
+
+    fired(p) maps one p per input to one verdict per input; each input's
+    verdict is false below its threshold and true above it."""
+    lo, hi = np.zeros(size), np.ones(size)
     for _ in range(BISECTION_MAX_ITER):
         open_ = hi - lo > BISECTION_WIDTH
         if not open_.any():
             break
         mid = 0.5 * (lo + hi)
-        fired = batch.entangled(mid)
-        hi = np.where(open_ & fired, mid, hi)
-        lo = np.where(open_ & ~fired, mid, lo)
+        fired_at = fired(mid)
+        hi = np.where(open_ & fired_at, mid, hi)
+        lo = np.where(open_ & ~fired_at, mid, lo)
     return 0.5 * (lo + hi)
 
 
@@ -241,7 +245,7 @@ def critical_bisection(state: SchmidtState, kind: ChannelKind,
     if batch.entangled(0.0)[0]:
         raise NoDetectionInRange(
             "criterion fires at zero noise-free fraction; nothing to bracket")
-    value = float(_bisect(batch)[0])
+    value = float(bisect_threshold(batch.entangled, 1)[0])
     _verdict_grid_check(batch, grid_points)
     return CriticalResult(parameter_name=kind.parameter_name,
                           value=value, method="bisection",
@@ -345,7 +349,7 @@ def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
             crit, flagged = batch.scaling_roots()
         else:
             fired = batch.entangled(1.0)
-            crit = _bisect(batch)
+            crit = bisect_threshold(batch.entangled, batch.size)
             _verdict_grid_check(batch, GRID_POINTS, fired)
             flagged = ~fired
         if quantity == "xi":

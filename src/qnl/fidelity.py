@@ -19,7 +19,7 @@ from .channels import (
     ChannelSpec,
     channel_output,
 )
-from .criteria import critical_analytic, critical_bisection
+from .criteria import critical_analytic
 from .errors import DimensionMismatch, QnlError, UnsupportedChannel
 from .states import SchmidtState, TwoQuditState, max_entangled
 
@@ -87,12 +87,4 @@ def werner_gap(d: int, kind: ChannelKind) -> float:
     psi = max_entangled(d)
     p_lr = critical_lr(psi, kind).value
     p_ent = critical_analytic(d, kind).value
-    return float(p_lr - p_ent)
-
-
-def werner_gap_bisected(d: int, kind: ChannelKind) -> float:
-    """Same gap with the detection threshold from bisection (cross-check)."""
-    psi = max_entangled(d)
-    p_lr = critical_lr(psi, kind).value
-    p_ent = critical_bisection(psi, kind).value
     return float(p_lr - p_ent)

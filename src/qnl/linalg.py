@@ -17,10 +17,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False

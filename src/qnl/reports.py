@@ -31,22 +31,6 @@ FLAG_NO_DETECTION = "no-detection"
 STATE_COLUMNS = ("max_entangled", "rank_2", "rank_3", "nonmax")
 
 
-@dataclass
-class RunConfig:
-    """Defaults for every CLI knob."""
-
-    state: str = "mes"
-    channel: str = "white:1"
-    metric: str = ""            # empty picks the channel's default
-    grid: int = 101
-    quantity: str = "crit"
-    fmt: str = "json"
-    out: str = ""               # empty writes to stdout
-    seed: int = 0
-    restarts: int = 6
-    cell_tolerance: float = DEFAULT_CELL_TOL
-
-
 @dataclass(frozen=True)
 class TableCell:
     table: str

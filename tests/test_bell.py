@@ -4,22 +4,145 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qnl.bell import (MeasurementSettings, _inequality_value,
+from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
+                      MeasurementSettings, _ad_value_of_p, _inequality_value,
                       _qubit_block_thetas, _rotated_settings,
-                      _sum_a_eq_b_plus, ad_joint_probability_closed_form,
                       ad_probability_table, catalan_constant,
                       cglmp_ad_infinite, cglmp_ad_value, cglmp_settings,
                       cglmp_value, critical_lr, infinite_threshold,
-                      joint_probability, optimize_settings, probability_table)
+                      optimize_settings, probability_table)
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
-from qnl.errors import (DimensionMismatch, IndexOutOfRange, NoViolation,
-                        UnsupportedChannel)
+from qnl.errors import NoViolation, UnsupportedChannel
 from qnl.gellmann import gellmann_basis
 from qnl.states import (max_entangled, qutrit_family, schmidt_state,
                         to_density)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
+
+
+# Scalar oracles: the loops the array code in qnl.bell replaced.  The
+# array code must reproduce them bit for bit.
+
+def settings_oracle(d):
+    j = np.arange(d)
+    omega = np.exp(2j * np.pi / d)
+    av = np.empty((2, d, d), dtype=complex)
+    bv = np.empty((2, d, d), dtype=complex)
+    for s, alpha in enumerate(ALPHA_PHASES):
+        for a in range(d):
+            av[s, a] = omega ** (j * (a + alpha)) / np.sqrt(d)
+    for t, beta in enumerate(BETA_PHASES):
+        for b in range(d):
+            bv[t, b] = omega ** (j * (-b + beta)) / np.sqrt(d)
+    return av, bv
+
+
+def closed_form_oracle(d, r, s, t, a, b):
+    """Joint probability of the damped max-entangled state, one entry."""
+    gamma = a - b + ALPHA_PHASES[s] + BETA_PHASES[t]
+    x = np.pi * gamma / d
+    kernel = ((1.0 - r) * np.sin((d - 1.0) * x) ** 2 / np.sin(x) ** 2
+              + np.sin((2.0 * d - 1.0) * x) / np.sin(x) - 1.0)
+    return float((1.0 - (d - 1.0) * (r - 2.0) * r) / d ** 3
+                 + (1.0 - r) / d ** 3 * kernel)
+
+
+def sum_a_eq_b_plus(p, k):
+    """P(A = B + k) from one setting pair's d x d table."""
+    d = p.shape[0]
+    n = np.arange(d)
+    return float(np.sum(p[(n + k) % d, n]))
+
+
+def sum_b_eq_a_plus(p, k):
+    d = p.shape[0]
+    n = np.arange(d)
+    return float(np.sum(p[n, (n + k) % d]))
+
+
+def inequality_oracle(table):
+    d = table.shape[2]
+    p11, p12 = table[0, 0], table[0, 1]
+    p21, p22 = table[1, 0], table[1, 1]
+
+    def constituent(k):
+        return (sum_a_eq_b_plus(p11, k)
+                + sum_b_eq_a_plus(p21, k + 1)
+                + sum_a_eq_b_plus(p22, k)
+                + sum_b_eq_a_plus(p12, k))
+
+    total = 0.0
+    for k in range(d // 2):
+        weight = 1.0 - 2.0 * k / (d - 1.0)
+        total += weight * (constituent(k) - constituent(-(k + 1)))
+    return total
+
+
+def damping_threshold_oracle(state):
+    """Bell threshold under damping by a scalar bisection to width 1e-8."""
+    value_of_p = _ad_value_of_p(state)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if value_of_p(mid) > LOCAL_BOUND:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def random_schmidt(rng, d):
+    raw = rng.uniform(0.05, 1.0, size=d)
+    return schmidt_state(d, np.sqrt(raw / raw.sum()))
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_settings_match_scalar_oracle(d):
+    av, bv = settings_oracle(d)
+    m = cglmp_settings(d)
+    assert np.array_equal(m.a_vectors, av)
+    assert np.array_equal(m.b_vectors, bv)
+
+
+@pytest.mark.parametrize("d", list(range(2, 21)) + [40, 100])
+def test_closed_form_table_matches_scalar_oracle(d):
+    for r in (0.0, 0.37, 1.0):
+        table = ad_probability_table(d, r)
+        assert table.shape == (2, 2, d, d)
+        for idx in np.ndindex(table.shape):
+            assert table[idx] == closed_form_oracle(d, r, *idx), (r, idx)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 13, 16, 40])
+def test_inequality_value_matches_scalar_oracle(d):
+    tables = [ad_probability_table(d, r) for r in (0.0, 0.2, 0.85)]
+    if d <= 16:  # Born tables of random damped Schmidt states
+        rng = np.random.default_rng(d)
+        tables += [probability_table(channel_output(random_schmidt(rng, d),
+                                                    ChannelSpec(AD, r)))
+                   for r in (0.0, 0.3)]
+    for table in tables:
+        assert _inequality_value(table) == inequality_oracle(table)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+def test_damping_threshold_matches_scalar_bisection(d):
+    psi = max_entangled(d)
+    assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_born_damping_threshold_matches_scalar_bisection(d):
+    psi = random_schmidt(np.random.default_rng(100 + d), d)
+    assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_qubit_embedding_start_is_finite(d):
+    thetas = _qubit_block_thetas(d, gellmann_basis(d).matrices)
+    assert thetas.shape == (4, d * d - 1)
+    assert np.all(np.isfinite(thetas))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -77,16 +200,6 @@ def test_product_state_stays_below_bound():
     assert not bv.violated
 
 
-def test_joint_probability_bounds_checks():
-    rho = to_density(max_entangled(3))
-    with pytest.raises(IndexOutOfRange):
-        joint_probability(rho, 2, 0, 0, 0)
-    with pytest.raises(IndexOutOfRange):
-        joint_probability(rho, 0, 0, 3, 0)
-    with pytest.raises(DimensionMismatch):
-        joint_probability(rho, 0, 0, 0, 0, m=cglmp_settings(4))
-
-
 def test_probability_tables_normalized():
     for d in (2, 3, 5):
         rho = channel_output(max_entangled(d), ChannelSpec(AD, 0.45))
@@ -105,7 +218,7 @@ def test_outcome_shift_sums_collapse_to_single_entry():
     for s in range(2):
         for t in range(2):
             for k in range(d):
-                lhs = _sum_a_eq_b_plus(table[s, t], k)
+                lhs = sum_a_eq_b_plus(table[s, t], k)
                 assert lhs == pytest.approx(d * table[s, t, k % d, 0],
                                             abs=1e-12)
 
@@ -114,12 +227,11 @@ def test_four_constituents_are_equal_for_damped_mes():
     d = 3
     table = ad_probability_table(d, 0.25)
     p11, p12, p21, p22 = table[0, 0], table[0, 1], table[1, 0], table[1, 1]
-    from qnl.bell import _sum_b_eq_a_plus
     for k in (0, 1, -1):
-        parts = [_sum_a_eq_b_plus(p11, k),
-                 _sum_b_eq_a_plus(p21, k + 1),
-                 _sum_a_eq_b_plus(p22, k),
-                 _sum_b_eq_a_plus(p12, k)]
+        parts = [sum_a_eq_b_plus(p11, k),
+                 sum_b_eq_a_plus(p21, k + 1),
+                 sum_a_eq_b_plus(p22, k),
+                 sum_b_eq_a_plus(p12, k)]
         assert np.max(np.abs(np.diff(parts))) < 1e-12
 
 
@@ -128,12 +240,7 @@ def test_four_constituents_are_equal_for_damped_mes():
 def test_closed_form_probability_matches_born_rule(d, r):
     rho = channel_output(max_entangled(d), ChannelSpec(AD, r))
     born = probability_table(rho)
-    for s in range(2):
-        for t in range(2):
-            for a in range(d):
-                for b in range(d):
-                    cf = ad_joint_probability_closed_form(d, r, s, t, a, b)
-                    assert cf == pytest.approx(born[s, t, a, b], abs=1e-10)
+    assert np.max(np.abs(ad_probability_table(d, r) - born)) <= 1e-10
 
 
 def test_ad_value_closed_path_equals_kraus_path():

@@ -1,9 +1,12 @@
 """CLI plumbing: parsing, output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnl.channels import ChannelKind
 from qnl.cli import main, parse_state
@@ -154,6 +157,82 @@ def test_bad_inputs_exit_2(capsys):
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["crit", "--d", "3", "--format", "csv"],
+    ["cglmp", "--d", "3", "--format", "csv"],
+    ["cglmp-crit", "--d", "3", "--format", "json"],
+    ["fidelity", "--d", "3", "--channel", "ad:0", "--format", "csv"],
+    ["werner-gap", "--d", "3", "--channel", "ad:0", "--format", "csv"],
+    ["tables", "--format", "csv"],
+    ["basis", "--d", "3", "--seed", "1"],
+    ["tensor", "--d", "3", "--seed", "1"],
+    ["crit", "--d", "3", "--seed", "1"],
+    ["cglmp-crit", "--d", "3", "--seed", "1"],
+    ["scan", "--channel", "white", "--grid", "3", "--seed", "1"],
+    ["fidelity", "--d", "3", "--channel", "ad:0", "--seed", "1"],
+    ["werner-gap", "--d", "3", "--channel", "ad:0", "--seed", "1"],
+    ["tables", "--seed", "1"],
+])
+def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+_numbers = st.one_of(
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", "1e309", "-0", "x",
+                     "0x1", "1,", " "]),
+    st.floats(min_value=-2.0, max_value=2.0).map(repr),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.integers(min_value=-3, max_value=5).map(str))
+_states = st.one_of(
+    st.just("mes"),
+    st.sampled_from(["wat", "coeffs:", "rank:"]),
+    st.builds(lambda name, xs: f"{name}:{','.join(xs)}",
+              st.sampled_from(["qutrit", "coeffs", "rank:2", "rank:x"]),
+              st.lists(_numbers, max_size=4)))
+_kinds = st.sampled_from(["white", "product", "colored", "depol", "ad"])
+_channels = st.one_of(
+    st.builds(lambda kind, x: f"{kind}:{x!r}", _kinds,
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from(["white", "ad", "", ":"]),
+    st.builds(lambda kind, x: f"{kind}:{x}",
+              _kinds | st.just("pink"), _numbers))
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(["basis", "tensor", "crit", "cglmp",
+                                "cglmp-crit", "fidelity", "werner-gap",
+                                "scan"]))
+    if sub == "scan":
+        return [sub, "--channel", draw(_channels), "--grid",
+                str(draw(st.integers(min_value=-1, max_value=4)))]
+    argv = [sub, "--d", str(draw(st.integers(min_value=-1, max_value=4)))]
+    if sub in ("tensor", "crit", "cglmp", "cglmp-crit"):
+        argv += ["--state", draw(_states)]
+    if sub != "basis":
+        argv += ["--channel", draw(_channels)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    # exit 0, 1 or 2, returned or raised by argparse; any other exception
+    # escaping main fails the test
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_basis_csv_and_json(capsys):

@@ -3,8 +3,9 @@ import pytest
 
 from qnl.channels import ChannelKind, ChannelSpec, channel_output, white_noise
 from qnl.errors import DimensionMismatch, UnsupportedChannel
-from qnl.fidelity import (critical_fidelity, fidelity, werner_gap,
-                          werner_gap_bisected)
+from qnl.bell import critical_lr
+from qnl.criteria import critical_bisection
+from qnl.fidelity import critical_fidelity, fidelity, werner_gap
 from qnl.states import max_entangled, schmidt_state, to_density
 
 AD = ChannelKind.AMPLITUDE_DAMPING
@@ -75,6 +76,14 @@ def test_werner_gap_table(kind, gaps):
         assert got == pytest.approx(expect, abs=1e-3)
     # the separation widens with dimension
     assert vals[0] < vals[1] < vals[2]
+
+
+def werner_gap_bisected(d, kind):
+    """Oracle: the same gap with the detection threshold from bisection."""
+    psi = max_entangled(d)
+    p_lr = critical_lr(psi, kind).value
+    p_ent = critical_bisection(psi, kind).value
+    return float(p_lr - p_ent)
 
 
 def test_werner_gap_positive_and_cross_checked():

@@ -3,7 +3,7 @@ import pytest
 
 from qnl.errors import NotHermitian
 from qnl.linalg import (dagger, frobenius_sq, hermitian_eigenvalues,
-                        is_hermitian, kron, largest_singular_value,
+                        is_hermitian, largest_singular_value,
                         partial_trace)
 
 
@@ -21,23 +21,6 @@ def power_iteration_sigma(a, iters=500):
 def test_dagger():
     a = np.array([[1.0, 2.0 + 1j], [0.0, -3j]])
     assert np.array_equal(dagger(a), a.conj().T)
-
-
-def test_kron_places_offdiagonal_blocks():
-    m = np.zeros((3, 3))
-    m[0, 1] = m[1, 0] = 1.0
-    big = kron(m, m)
-    expected = {(0, 4), (1, 3), (3, 1), (4, 0)}
-    nz = {tuple(idx) for idx in np.argwhere(big != 0)}
-    assert nz == expected
-    assert all(big[i, j] == 1.0 for i, j in expected)
-
-
-def test_kron_bilinear():
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-    assert np.allclose(kron(a + b, c), kron(a, c) + kron(b, c))
-    assert np.allclose(kron(2.5 * a, b), 2.5 * kron(a, b))
 
 
 def test_is_hermitian():
@@ -82,7 +65,7 @@ def test_partial_trace_factorizes_products():
     rb = y @ y.conj().T
     ra /= np.trace(ra).real
     rb /= np.trace(rb).real
-    rho = kron(ra, rb)
+    rho = np.kron(ra, rb)
     assert np.allclose(partial_trace(rho, d, 0), ra, atol=1e-12)
     assert np.allclose(partial_trace(rho, d, 1), rb, atol=1e-12)
 
