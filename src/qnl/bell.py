@@ -92,6 +92,18 @@ def cglmp_settings(d: int) -> MeasurementSettings:
     return MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
 
 
+_BORN_SUBSCRIPTS = "ai,bj,ijkl,ak,bl->ab"
+
+
+@lru_cache(maxsize=None)
+def _born_path(d: int) -> list:
+    """Greedy contraction order of the Born-rule einsum, planned once per d
+    (the order depends on the operand shapes only)."""
+    vec, r4 = np.zeros((d, d)), np.zeros((d,) * 4)
+    return np.einsum_path(_BORN_SUBSCRIPTS, vec, vec, r4, vec, vec,
+                          optimize="greedy")[0]
+
+
 def probability_table(rho: TwoQuditState,
                       m: MeasurementSettings | None = None) -> np.ndarray:
     """All joint probabilities, shape (2, 2, d, d) indexed [s, t, a, b]."""
@@ -104,10 +116,10 @@ def probability_table(rho: TwoQuditState,
     out = np.empty((2, 2, d, d))
     for s in range(2):
         for t in range(2):
-            p = np.einsum("ai,bj,ijkl,ak,bl->ab",
+            p = np.einsum(_BORN_SUBSCRIPTS,
                           m.a_vectors[s].conj(), m.b_vectors[t].conj(),
                           r4, m.a_vectors[s], m.b_vectors[t],
-                          optimize=True)
+                          optimize=_born_path(d))
             out[s, t] = p.real
     return out
 

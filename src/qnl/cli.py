@@ -162,6 +162,14 @@ def cmd_crit(args) -> int:
     g = None if args.metric in ("", "default") else \
         parse_metric(args.metric, args.d, spec)
     if args.method == "analytic":
+        # the closed forms hold for the max-entangled input under the
+        # channel's own metric only
+        if not psi.is_max_entangled(1e-12):
+            raise QnlError("--method analytic needs the max-entangled state")
+        default = default_metric(spec.kind, args.d, spec.noise_free_fraction)
+        if g is not None and not np.array_equal(g.g, default.g):
+            raise QnlError("--method analytic needs the channel's default "
+                           "metric")
         res = critical_analytic(args.d, spec.kind)
     else:
         res = critical_bisection(psi, spec.kind, g)

@@ -8,8 +8,8 @@ verdict means "not detected".
 Solvers sweep the noise-free fraction p in [0, 1] (p = v for mixing
 channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
 evaluates a batch of Schmidt inputs at once, in closed form for every
-channel where one exists and by building the state and taking traces
-otherwise.  One bisection brackets every input of a batch together;
+channel and every metric; no density matrix is built.  One bisection
+brackets every input of a batch together;
 critical_bisection and xi are the single-input case, scan_surface batches
 one alpha-row of the qutrit family at a time, and the Bell thresholds of
 bell.critical_lr use the same bisection.
@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, channel_output
+from .channels import ChannelKind
 from .errors import (NoDetectionInRange, NonMonotonic, QnlError,
                      UnsupportedChannel)
 from .gellmann import gellmann_basis
 from .states import SchmidtState, max_entangled, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
-                     correlation_tensor, damping_metric, identity_metric,
-                     norm_sq, norm_sqs, schmidt_correlation_tensors,
-                     spectral_norm, spectral_norms)
+                     damping_metric, identity_metric, norm_sq, norm_sqs,
+                     schmidt_correlation_tensors, spectral_norm,
+                     spectral_norms)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
@@ -87,7 +87,14 @@ class MarginBatch:
     scalar or one value per input and return one value per input.  The
     metric is built once; only colored noise without an explicit metric
     reweights it with p.  `path` is "scaling" (white, local depolarizing),
-    "product", "colored", "damping" or "generic" (build rho, take traces).
+    "product", "colored" or "damping".
+
+    The damped Schmidt tensor is block diagonal: a diagonal block over the
+    off-diagonal generators, whose entries scale as p or p^2, and a
+    (d-1) x (d-1) block c(d) D P(p) D^T over the diagonal generators, where
+    D holds their diagonal entries and P(a, b) = <ab|rho'|ab> is the damped
+    state's diagonal.  The second block is built only when the metric
+    weights the diagonal generators.
     """
 
     def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
@@ -118,19 +125,20 @@ class MarginBatch:
             self._tmes_diag[half: 2 * half] *= -1.0
             self._tlast_diag = np.eye(d * d - 1)[-1]
             self.path = "colored"
-        elif kind is ChannelKind.AMPLITUDE_DAMPING \
-                and np.all(g.g[d * (d - 1):] == 0.0):
-            # the closed path needs the metric to ignore the diagonal-
-            # generator block, where damping acts affinely
+        else:  # amplitude damping
             js, ks = np.triu_indices(d, 1)
             self._pair_vals = 2.0 * coeffs[:, js] * coeffs[:, ks] * c_factor(d)
             # tensor entries scale as p for pairs touching the ground level,
             # p^2 otherwise (both subsystems damped)
             self._pair_pow = np.where(js == 0, 1.0, 2.0)
+            self._csq = coeffs * coeffs
+            self._diag_w = g.g[d * (d - 1):]
+            # diagonal entries D[l, a] of the diagonal generators, kept only
+            # when the metric weights their block
+            self._dg = np.diagonal(gellmann_basis(d).matrices[d * (d - 1):],
+                                   axis1=1, axis2=2).real \
+                if np.any(self._diag_w != 0.0) else None
             self.path = "damping"
-        else:
-            self._states = [SchmidtState(d=d, coeffs=c) for c in coeffs]
-            self.path = "generic"
 
     def scalars(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(spectral norms, squared norms) at noise-free fractions p."""
@@ -154,18 +162,23 @@ class MarginBatch:
                 + (1.0 - p)[:, None] * self._tlast_diag
             return np.max(np.abs(diag * w), axis=1), \
                 np.sum(w * diag * diag, axis=1)
-        if self.path == "damping":
-            half = self.d * (self.d - 1) // 2
-            gs, ga = self._g.g[:half], self._g.g[half: 2 * half]
-            vals = self._pair_vals * p[:, None] ** self._pair_pow
-            return np.max(np.abs(vals) * np.maximum(gs, ga), axis=1), \
-                np.sum((gs + ga) * vals * vals, axis=1)
-        l, n = np.empty(self.size), np.empty(self.size)
-        for k, psi in enumerate(self._states):
-            spec = ChannelSpec.from_noise_free_fraction(self.kind, p[k])
-            t = correlation_tensor(channel_output(psi, spec))
-            l[k], n[k] = spectral_norm(t, self._g), norm_sq(t, self._g)
-        return l, n
+        half = self.d * (self.d - 1) // 2
+        gs, ga = self._g.g[:half], self._g.g[half: 2 * half]
+        vals = self._pair_vals * p[:, None] ** self._pair_pow
+        l = np.max(np.abs(vals) * np.maximum(gs, ga), axis=1)
+        n = np.sum((gs + ga) * vals * vals, axis=1)
+        if self._dg is None:
+            return l, n
+        # the damped state's diagonal P(a, b) = <ab|rho'|ab>, with q = 1 - p
+        q, d, excited = 1.0 - p, self.d, self._csq[:, 1:]
+        table = np.zeros((self.size, d, d))
+        table[:, 0, 0] = self._csq[:, 0] + q * q * np.sum(excited, axis=1)
+        table[:, 0, 1:] = table[:, 1:, 0] = (p * q)[:, None] * excited
+        i = np.arange(1, d)
+        table[:, i, i] = (p * p)[:, None] * excited
+        t = c_factor(d) * (self._dg @ table @ self._dg.T)
+        return np.maximum(l, spectral_norms(t, self._diag_w)), \
+            n + norm_sqs(t, self._diag_w)
 
     def entangled(self, p) -> np.ndarray:
         l, n = self.scalars(p)

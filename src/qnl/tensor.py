@@ -10,9 +10,10 @@ product of Schmidt bases the tensor splits into an off-diagonal block
 A Metric is a nonnegative weight per generator index.  Weighted scalars
 apply the weight over the tensor's second index: the weighted squared
 norm is sum_ij g_j T_ij^2 and the weighted spectral norm is
-sigma_max(T_ij g_j).  For every metric actually used (identity, colored,
-damping) the relevant tensors are diagonal, where this reduces to the
-obvious per-entry weighting.
+sigma_max(T_ij g_j).  For pure and amplitude-damped Schmidt states the
+off-diagonal block is a diagonal matrix, where the weighting acts entry
+by entry, but the diagonal-generator block is a dense (d-1) x (d-1)
+matrix, so a metric that weights it needs that block's singular values.
 """
 
 from __future__ import annotations

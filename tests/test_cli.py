@@ -55,6 +55,36 @@ def test_crit_analytic_method(capsys):
     assert json.loads(out)["value"] == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["crit", "--d", "3", "--state", "coeffs:0.8,0.6,0", "--channel", "ad:0",
+     "--method", "analytic"],
+    ["crit", "--d", "3", "--state", "coeffs:0.8,0.6,0", "--channel", "ad:0",
+     "--method", "analytic", "--metric", "identity"],
+    ["crit", "--d", "3", "--channel", "ad:0", "--method", "analytic",
+     "--metric", "identity"],
+    ["crit", "--d", "4", "--state", "rank:2:0.6,0.8", "--channel", "white:1",
+     "--method", "analytic"],
+    ["crit", "--d", "4", "--channel", "depol:0", "--method", "analytic",
+     "--metric", "ad"],
+])
+def test_crit_analytic_rejects_inputs_it_ignores(argv, capsys):
+    # the closed forms cover only the max-entangled state under the
+    # channel's own metric
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_crit_analytic_accepts_the_default_metric_by_name(capsys):
+    for argv in (["crit", "--d", "3", "--channel", "ad:0", "--method",
+                  "analytic", "--metric", "ad"],
+                 ["crit", "--d", "3", "--channel", "white:1", "--method",
+                  "analytic", "--metric", "identity"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert json.loads(out)["method"] == "analytic"
+
+
 def test_tensor_json_reports_summary_scalars(capsys):
     code, out, _ = run(["tensor", "--d", "2", "--state", "mes",
                         "--channel", "white:1"], capsys)

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
-from qnl.criteria import (MarginCurve, _verdict_grid_check,
+from qnl.criteria import (VERDICT_TOL, MarginBatch, MarginCurve,
+                          _verdict_grid_check, bisect_threshold,
                           colored_always_entangled, critical_analytic,
                           critical_bisection, default_metric, is_entangled,
                           scan_surface, xi)
 from qnl.errors import (NoDetectionInRange, NonMonotonic, UnsupportedChannel)
-from qnl.states import (max_entangled, nmax_state, qutrit_family,
-                        rank_k_state, schmidt_state, to_density)
-from qnl.tensor import (colored_metric, correlation_tensor, damping_metric,
-                        identity_metric)
+from qnl.states import (SchmidtState, max_entangled, nmax_state,
+                        qutrit_family, rank_k_state, schmidt_state,
+                        to_density)
+from qnl.tensor import (Metric, colored_metric, correlation_tensor,
+                        damping_metric, identity_metric, norm_sq,
+                        spectral_norm)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -121,7 +125,7 @@ def test_margin_curve_paths():
     assert MarginCurve(psi, DEPOL).path == "scaling"
     assert MarginCurve(psi, ChannelKind.PRODUCT).path == "product"
     assert MarginCurve(psi, AD).path == "damping"
-    assert MarginCurve(psi, AD, identity_metric(3)).path == "generic"
+    assert MarginCurve(psi, AD, identity_metric(3)).path == "damping"
     assert MarginCurve(max_entangled(3), ChannelKind.COLORED).path == "colored"
 
 
@@ -139,6 +143,93 @@ def test_margin_curve_fast_paths_match_generic_evaluation():
             from qnl.tensor import norm_sq, spectral_norm
             assert l_fast == pytest.approx(spectral_norm(t, g), abs=1e-10)
             assert n_fast == pytest.approx(norm_sq(t, g), abs=1e-10)
+
+
+def trace_scalars(psi, kind, g, p):
+    """Oracle: build the noisy state, take the dense trace tensor."""
+    spec = ChannelSpec.from_noise_free_fraction(kind, float(p))
+    t = correlation_tensor(channel_output(psi, spec))
+    return spectral_norm(t, g), norm_sq(t, g)
+
+
+def trace_threshold(psi, kind, g):
+    """Oracle threshold: the shared bisection on trace-tensor verdicts."""
+    def fired(p):
+        l, n = trace_scalars(psi, kind, g, p[0])
+        return np.array([n - l > VERDICT_TOL])
+
+    return float(bisect_threshold(fired, 1)[0])
+
+
+def random_schmidt(rng, d):
+    raw = rng.uniform(0.05, 1.0, size=d)
+    return schmidt_state(d, np.sqrt(raw / raw.sum()))
+
+
+def four_metrics(rng, d):
+    return (identity_metric(d), colored_metric(d, 0.3), damping_metric(d),
+            Metric(d=d, g=rng.uniform(0.0, 2.0, size=d * d - 1)))
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_damped_closed_form_matches_trace_tensor(d):
+    rng = np.random.default_rng(d)
+    psi = random_schmidt(rng, d)
+    for g in four_metrics(rng, d):
+        curve = MarginCurve(psi, AD, g)
+        assert curve.path == "damping"
+        for p in (0.0, 0.2, 0.55, 1.0):
+            l_ref, n_ref = trace_scalars(psi, AD, g, p)
+            l, n = curve.scalars(p)
+            assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 1.0, allow_nan=False))
+def test_damped_closed_form_property(d, seed, p):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, size=d)
+    raw[rng.random(d) < 0.3] = 0.0  # reduced-rank inputs too
+    raw[0] += 1e-3
+    psi = schmidt_state(d, np.sqrt(raw / raw.sum()))
+    w = rng.uniform(0.0, 3.0, size=d * d - 1)
+    w[rng.random(d * d - 1) < 0.3] = 0.0
+    g = Metric(d=d, g=w)
+    l_ref, n_ref = trace_scalars(psi, AD, g, p)
+    l, n = MarginCurve(psi, AD, g).scalars(p)
+    assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
+
+
+def test_damped_batch_matches_single_inputs():
+    rng = np.random.default_rng(7)
+    coeffs = np.array([random_schmidt(rng, 4).coeffs for _ in range(5)])
+    g = Metric(d=4, g=rng.uniform(0.0, 1.0, size=15))
+    p = rng.uniform(0.0, 1.0, size=5)
+    l, n = MarginBatch(4, coeffs, AD, g).scalars(p)
+    for k in range(5):
+        single = MarginCurve(SchmidtState(4, coeffs[k]), AD, g).scalars(p[k])
+        assert (l[k], n[k]) == single
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_damped_identity_threshold_equals_trace_oracle(d):
+    psi = random_schmidt(np.random.default_rng(100 + d), d)
+    g = identity_metric(d)
+    assert critical_bisection(psi, AD, g).value == trace_threshold(psi, AD, g)
+
+
+def test_damped_identity_threshold_d16_pinned():
+    # the d=16 input of the benchmark's seed-1 dense sweep
+    psi = schmidt_state(16, [
+        0.17852895073729977, 0.28506776325169014, 0.18358608804392904,
+        0.2332979132529333, 0.32338436376767554, 0.3203849877731463,
+        0.28049145041445334, 0.24515051710641111, 0.18261400130576258,
+        0.14691632893616396, 0.3216881850803717, 0.2399015345925527,
+        0.13058331283616637, 0.2615794781993575, 0.28970169028024123,
+        0.2595430385893876])
+    res = critical_bisection(psi, AD, identity_metric(16))
+    assert res.value == 0.5814153142273426
 
 
 def test_colored_curve_matches_generic():
@@ -247,6 +338,18 @@ def test_scan_cells_equal_single_thresholds(kind):
             value = critical_bisection(psi, kind).value
             assert crit.values[i, j] == value
             assert frac.values[i, j] == xi(psi, kind, value)
+
+
+def test_scan_cells_under_identity_metric_equal_single_thresholds():
+    # damped cells whose metric weights the diagonal generators
+    grid = np.linspace(0.0, np.pi / 2, 7)
+    g = identity_metric(3)
+    scan = scan_surface(AD, grid, grid, g=g)
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            if not scan.flags[i, j]:
+                single = critical_bisection(qutrit_family(a, b), AD, g).value
+                assert scan.values[i, j] == single
 
 
 def test_scan_scaling_cells_use_closed_form_root():
