@@ -296,7 +296,7 @@ def optimize_settings(rho: TwoQuditState, restarts: int = 4,
     best = value_at(best_thetas)
     starts = [np.zeros((4, n)), _qubit_block_thetas(d, mats)]
     rng = np.random.default_rng(seed)
-    for _ in range(max(restarts, 0)):
+    for _ in range(restarts):
         starts.append(rng.normal(scale=0.4, size=(4, n)))
     for start in starts:
         res = minimize(lambda x: -value_at(x), start.ravel(),

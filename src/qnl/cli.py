@@ -211,6 +211,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_cglmp(args) -> int:
+    if args.restarts < 0:
+        raise QnlError("--restarts must be at least 0")
     _, _, rho = _state_and_output(args)
     if args.optimize:
         bv = optimize_settings(rho, restarts=args.restarts, seed=args.seed)
@@ -275,6 +277,8 @@ def cmd_werner_gap(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise QnlError("--tolerance must be a finite number of at least 0")
     out_dir = args.out or "qnl_tables"
     bundle = write_tables(out_dir, tol=args.tolerance)
     report = diff_report(bundle)
@@ -317,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", parents=[common("json")],
                        help="dump the traceless Hermitian operator basis")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--json", action="store_const", const="json", dest="fmt")
     p.set_defaults(func=cmd_basis)
 
     for name, func in (("tensor", cmd_tensor), ("crit", cmd_crit),

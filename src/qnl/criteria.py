@@ -7,12 +7,14 @@ verdict means "not detected".
 
 Solvers sweep the noise-free fraction p in [0, 1] (p = v for mixing
 channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
-evaluates a batch of Schmidt inputs at once, in closed form for every
-channel and every metric; no density matrix is built.  One bisection
-brackets every input of a batch together;
-critical_bisection and xi are the single-input case, scan_surface batches
-one alpha-row of the qutrit family at a time, and the Bell thresholds of
-bell.critical_lr use the same bisection.
+evaluates a batch of Schmidt inputs at once on the block form of
+tensor.py, for every channel and every metric; no density matrix is
+built.  A channel enters only through how its pair entries scale with p
+and through the populations P(p) of the noisy state.  One bisection
+brackets every input of a batch together; critical_bisection and xi are
+the single-input case, scan_surface batches one alpha-row of the qutrit
+family at a time, and the Bell thresholds of bell.critical_lr use the
+same bisection.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ import numpy as np
 from .channels import ChannelKind
 from .errors import (NoDetectionInRange, NonMonotonic, QnlError,
                      UnsupportedChannel)
-from .gellmann import gellmann_basis
 from .states import SchmidtState, max_entangled, qutrit_family_coeffs
-from .tensor import (CorrelationTensor, Metric, c_factor, colored_metric,
-                     damping_metric, identity_metric, norm_sq, norm_sqs,
-                     schmidt_correlation_tensors, spectral_norm,
-                     spectral_norms)
+from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
+                     colored_metric, damping_metric, diagonal_block,
+                     identity_metric, norm_sq, pair_values, spectral_norm)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
@@ -89,12 +89,12 @@ class MarginBatch:
     reweights it with p.  `path` is "scaling" (white, local depolarizing),
     "product", "colored" or "damping".
 
-    The damped Schmidt tensor is block diagonal: a diagonal block over the
-    off-diagonal generators, whose entries scale as p or p^2, and a
-    (d-1) x (d-1) block c(d) D P(p) D^T over the diagonal generators, where
-    D holds their diagonal entries and P(a, b) = <ab|rho'|ab> is the damped
-    state's diagonal.  The second block is built only when the metric
-    weights the diagonal generators.
+    Every channel keeps the tensor in the block form of tensor.py: the
+    pure state's pair entries, scaled by p (by p^2 for damped pairs away
+    from the ground level), and the diagonal-generator block built from
+    the noisy state's populations P(p).  White and local depolarizing
+    noise scale the whole tensor as p and p^2, so their scalars are taken
+    once at p = 1.  The block is built only when the metric weights it.
     """
 
     def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
@@ -102,43 +102,46 @@ class MarginBatch:
         self.d, self.kind, self.size = d, kind, len(coeffs)
         if g is None and kind is not ChannelKind.COLORED:
             g = default_metric(kind, d, 1.0)
-        self._g = g
-        if kind is ChannelKind.PRODUCT:
-            # marginals of a Schmidt state are diagonal, entries c_i^2
-            rho = (coeffs * coeffs)[:, :, None] * np.eye(d, dtype=complex)
-            r = np.einsum("aij,nji->na", gellmann_basis(d).matrices, rho).real
-            self._t0 = schmidt_correlation_tensors(d, coeffs)
-            self._tprod = c_factor(d) * (r[:, :, None] * r[:, None, :])
-            self.path = "product"
-        elif kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
-            t0 = schmidt_correlation_tensors(d, coeffs)
-            self._l0, self._n0 = spectral_norms(t0, g.g), norm_sqs(t0, g.g)
+        # colored noise without a metric reweights with p on every call
+        self._weights = None if g is None else block_weights(d, g.g)
+        self._pairs, self._pair_pow = pair_values(coeffs), 1.0
+        self._csq = coeffs * coeffs
+        self._pure = self._csq[:, :, None] * np.eye(d)
+        if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
+            self._l0, self._n0 = block_scalars(
+                self._pairs, diagonal_block(self._pure), self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
+        elif kind is ChannelKind.PRODUCT:
+            # populations blended in with weight 1 - p
+            self._noise = self._csq[:, :, None] * self._csq[:, None, :]
+            self.path = "product"
         elif kind is ChannelKind.COLORED:
             if np.any(np.abs(coeffs - 1.0 / np.sqrt(d)) > 1e-9):
-                raise UnsupportedChannel(
-                    "colored noise is defined only for the max-entangled input")
-            half = d * (d - 1) // 2
-            self._tmes_diag = np.full(d * d - 1, 1.0 / (d - 1.0))
-            self._tmes_diag[half: 2 * half] *= -1.0
-            self._tlast_diag = np.eye(d * d - 1)[-1]
+                raise UnsupportedChannel("colored noise is defined only "
+                                         "for the max-entangled input")
+            self._noise = np.zeros((d, d))
+            self._noise[-1, -1] = 1.0
             self.path = "colored"
         else:  # amplitude damping
-            js, ks = np.triu_indices(d, 1)
-            self._pair_vals = 2.0 * coeffs[:, js] * coeffs[:, ks] * c_factor(d)
-            # tensor entries scale as p for pairs touching the ground level,
-            # p^2 otherwise (both subsystems damped)
-            self._pair_pow = np.where(js == 0, 1.0, 2.0)
-            self._csq = coeffs * coeffs
-            self._diag_w = g.g[d * (d - 1):]
-            # diagonal entries D[l, a] of the diagonal generators, kept only
-            # when the metric weights their block
-            self._dg = np.diagonal(gellmann_basis(d).matrices[d * (d - 1):],
-                                   axis1=1, axis2=2).real \
-                if np.any(self._diag_w != 0.0) else None
+            # pairs touching the ground level decay once, the others twice
+            self._pair_pow = np.where(np.triu_indices(d, 1)[0] == 0, 1.0, 2.0)
             self.path = "damping"
+
+    def _populations(self, p: np.ndarray) -> np.ndarray:
+        """P(a, b) = <ab|rho(p)|ab> of each noisy input, (N, d, d)."""
+        if self.kind is not ChannelKind.AMPLITUDE_DAMPING:
+            pc = p[:, None, None]
+            return pc * self._pure + (1.0 - pc) * self._noise
+        # damped diagonal, with q = 1 - p
+        q, d, excited = 1.0 - p, self.d, self._csq[:, 1:]
+        table = np.zeros((self.size, d, d))
+        table[:, 0, 0] = self._csq[:, 0] + q * q * np.sum(excited, axis=1)
+        table[:, 0, 1:] = table[:, 1:, 0] = (p * q)[:, None] * excited
+        i = np.arange(1, d)
+        table[:, i, i] = (p * p)[:, None] * excited
+        return table
 
     def scalars(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(spectral norms, squared norms) at noise-free fractions p."""
@@ -147,38 +150,15 @@ class MarginBatch:
             # float_power rounds as Python's scalar power does
             s = np.float_power(p, self._power)
             return s * self._l0, s * s * self._n0
-        if self.path == "product":
-            w = self._g.g
-            t = p[:, None, None] * self._t0 \
-                + (1.0 - p)[:, None, None] * self._tprod
-            n = np.sum((w * t * t).reshape(self.size, -1), axis=1)
-            return spectral_norms(t, w), n
-        if self.path == "colored":
-            # colored_metric(d, p) unless a metric was given
-            w = np.concatenate([np.ones((self.size, self.d * self.d - 2)),
-                                p[:, None]], axis=1) \
-                if self._g is None else self._g.g
-            diag = p[:, None] * self._tmes_diag \
-                + (1.0 - p)[:, None] * self._tlast_diag
-            return np.max(np.abs(diag * w), axis=1), \
-                np.sum(w * diag * diag, axis=1)
-        half = self.d * (self.d - 1) // 2
-        gs, ga = self._g.g[:half], self._g.g[half: 2 * half]
-        vals = self._pair_vals * p[:, None] ** self._pair_pow
-        l = np.max(np.abs(vals) * np.maximum(gs, ga), axis=1)
-        n = np.sum((gs + ga) * vals * vals, axis=1)
-        if self._dg is None:
-            return l, n
-        # the damped state's diagonal P(a, b) = <ab|rho'|ab>, with q = 1 - p
-        q, d, excited = 1.0 - p, self.d, self._csq[:, 1:]
-        table = np.zeros((self.size, d, d))
-        table[:, 0, 0] = self._csq[:, 0] + q * q * np.sum(excited, axis=1)
-        table[:, 0, 1:] = table[:, 1:, 0] = (p * q)[:, None] * excited
-        i = np.arange(1, d)
-        table[:, i, i] = (p * p)[:, None] * excited
-        t = c_factor(d) * (self._dg @ table @ self._dg.T)
-        return np.maximum(l, spectral_norms(t, self._diag_w)), \
-            n + norm_sqs(t, self._diag_w)
+        weights = self._weights
+        if weights is None:  # colored noise, default metric
+            weights = block_weights(self.d, np.array(
+                [colored_metric(self.d, x).g for x in p]))
+        pairs = self._pairs * p[:, None] ** self._pair_pow
+        # weights[2] is None when the metric gives the block no weight
+        block = None if weights[2] is None \
+            else diagonal_block(self._populations(p))
+        return block_scalars(pairs, block, weights)
 
     def entangled(self, p) -> np.ndarray:
         l, n = self.scalars(p)

@@ -3,22 +3,25 @@
 T_ij = c(d) Tr[rho (B_i (x) B_j)] over the generator basis, with
 c(d) = d / (2(d-1)).  Index layout follows the basis ordering: the first
 d(d-1) indices are the off-diagonal (symmetric then antisymmetric)
-generators, the last d-1 the diagonal ones.  For states diagonal in a
-product of Schmidt bases the tensor splits into an off-diagonal block
-(diagonal matrix) and a diagonal-generator block, with zero cross terms.
+generators, the last d-1 the diagonal ones.  A Metric is a nonnegative
+weight per generator index, applied over the second index: the weighted
+squared norm is sum_ij g_j T_ij^2, the weighted spectral norm
+sigma_max(T_ij g_j).
 
-A Metric is a nonnegative weight per generator index.  Weighted scalars
-apply the weight over the tensor's second index: the weighted squared
-norm is sum_ij g_j T_ij^2 and the weighted spectral norm is
-sigma_max(T_ij g_j).  For pure and amplitude-damped Schmidt states the
-off-diagonal block is a diagonal matrix, where the weighting acts entry
-by entry, but the diagonal-generator block is a dense (d-1) x (d-1)
-matrix, so a metric that weights it needs that block's singular values.
+Every noisy Schmidt state the solvers handle has a block-diagonal tensor:
+a diagonal matrix over the off-diagonal generators, +v and -v for the
+symmetric and antisymmetric generator of each level pair (pair_values,
+scaled by the channel), and the (d-1) x (d-1) block c(d) D P D^T over the
+diagonal ones, where D holds their diagonals and P(a, b) = <ab|rho|ab>
+the state's populations (diagonal_block).  block_scalars takes sigma_max
+of that form as the larger of the weighted pair entries and the block's
+sigma_max, and the squared norm as the sum over both blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,47 +101,57 @@ def correlation_tensor(rho: TwoQuditState,
     return CorrelationTensor(d=d, t=t.real.copy())
 
 
-def schmidt_correlation_tensors(d: int, coeffs: np.ndarray) -> np.ndarray:
-    """Closed form for a batch of pure Schmidt states, no density matrix.
-
-    coeffs is an (N, d) array of Schmidt coefficients; the result is the
-    (N, d^2-1, d^2-1) stack of their tensors.  Off-diagonal block:
-    diagonal, entries +-2 c_j c_k c(d) (symmetric +, antisymmetric -).
-    Diagonal-generator block entries, 1-based level indices i <= j:
-
-      same index   (2/(i(i+1))) (sum_{n<i} c_n^2 + i^2 c_i^2) c(d)
-      i < j        (2/sqrt(i j (i+1)(j+1))) (sum_{n<i} c_n^2 - i c_i^2) c(d)
-
-    and the block is symmetric.  Cross terms vanish.
-    """
-    n = d * d - 1
-    c = coeffs
-    cf = c_factor(d)
-    t = np.zeros((len(c), n, n))
-    npairs = d * (d - 1) // 2
+def pair_values(coeffs: np.ndarray) -> np.ndarray:
+    """2 c_j c_k c(d) per level pair j < k of each coefficient row."""
+    d = coeffs.shape[-1]
     js, ks = np.triu_indices(d, 1)
-    val = 2.0 * c[:, js] * c[:, ks] * cf
-    idx = np.arange(npairs)
-    t[:, idx, idx] = val                          # symmetric generators
-    t[:, npairs + idx, npairs + idx] = -val       # antisymmetric generators
-    base = d * (d - 1)
-    csq = c * c
-    for i in range(1, d):
-        head = np.sum(csq[:, :i], axis=1)
-        t[:, base + i - 1, base + i - 1] = \
-            (2.0 / (i * (i + 1))) * (head + i * i * csq[:, i]) * cf
-        for j in range(i + 1, d):
-            off = (2.0 / np.sqrt(i * j * (i + 1) * (j + 1))) \
-                * (head - i * csq[:, i]) * cf
-            t[:, base + i - 1, base + j - 1] = off
-            t[:, base + j - 1, base + i - 1] = off
-    return t
+    return 2.0 * coeffs[..., js] * coeffs[..., ks] * c_factor(d)
+
+
+@lru_cache(maxsize=32)
+def _diagonal_entries(d: int) -> np.ndarray:
+    """D[l, a], the diagonal of the l-th diagonal generator, (d-1, d)."""
+    m = gellmann_basis(d).matrices[d * (d - 1):]
+    return np.diagonal(m, axis1=1, axis2=2).real
+
+
+def diagonal_block(populations: np.ndarray) -> np.ndarray:
+    """c(d) D P D^T from populations P(a, b) = <ab|rho|ab>, (d, d) or
+    (N, d, d)."""
+    d = populations.shape[-1]
+    dg = _diagonal_entries(d)
+    return c_factor(d) * (dg @ populations @ dg.T)
+
+
+def block_weights(d: int, w: np.ndarray):
+    """Split weights (n,) or (N, n) for block_scalars: (the larger of each
+    pair's two weights, their sum, the diagonal generators' weights or None
+    when all of those are zero)."""
+    half = d * (d - 1) // 2
+    gs, ga, gd = w[..., :half], w[..., half:2 * half], w[..., 2 * half:]
+    return np.maximum(gs, ga), gs + ga, gd if np.any(gd != 0.0) else None
+
+
+def block_scalars(pairs: np.ndarray, block, weights):
+    """Weighted (sigma_max, squared norm) of tensors in block form: pair
+    entries (N, d(d-1)/2) and diagonal-generator blocks (N, d-1, d-1), the
+    blocks unused when block_weights found no weight on them."""
+    pair_max, pair_sum, diag = weights
+    l = np.max(np.abs(pairs) * pair_max, axis=-1)
+    n = np.sum(pair_sum * pairs * pairs, axis=-1)
+    if diag is None:
+        return l, n
+    return np.maximum(l, spectral_norms(block, diag)), \
+        n + norm_sqs(block, diag)
 
 
 def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
-    """Closed-form tensor of one Schmidt state (see the batched form)."""
-    return CorrelationTensor(
-        d=psi.d, t=schmidt_correlation_tensors(psi.d, psi.coeffs[None, :])[0])
+    """Closed-form tensor of a pure Schmidt state: blocks with P = diag(c^2)."""
+    pairs = pair_values(psi.coeffs)
+    t = np.diag(np.concatenate([pairs, -pairs, np.zeros(psi.d - 1)]))
+    off = 2 * len(pairs)
+    t[off:, off:] = diagonal_block(np.diag(psi.coeffs * psi.coeffs))
+    return CorrelationTensor(d=psi.d, t=t)
 
 
 def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:

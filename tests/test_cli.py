@@ -166,7 +166,7 @@ def test_fidelity_and_gap_json(capsys):
         payload["detection_threshold"] + payload["gap"], abs=1e-12)
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(["crit", "--d", "3", "--channel", "pink:0.5"], capsys)[0] == 2
     assert run(["crit", "--d", "3", "--state", "wat",
                 "--channel", "white:1"], capsys)[0] == 2
@@ -183,7 +183,12 @@ def test_bad_inputs_exit_2(capsys):
                   "--channel", "white:1"],
                  ["scan", "--channel", "bogus", "--grid", "3"],
                  ["scan", "--channel", "white", "--grid", "0"],
-                 ["scan", "--channel", "white", "--grid", "1"]):
+                 ["scan", "--channel", "white", "--grid", "1"],
+                 ["cglmp", "--d", "3", "--optimize", "--restarts", "-3"],
+                 ["cglmp", "--d", "3", "--restarts", "-1"],
+                 # nan and inf passed every cell, a negative value failed all
+                 *(["tables", "--out", str(tmp_path), f"--tolerance={tol}"]
+                   for tol in ("nan", "inf", "-inf", "-1e-3"))):
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
@@ -204,6 +209,7 @@ def test_bad_inputs_exit_2(capsys):
     ["fidelity", "--d", "3", "--channel", "ad:0", "--seed", "1"],
     ["werner-gap", "--d", "3", "--channel", "ad:0", "--seed", "1"],
     ["tables", "--seed", "1"],
+    ["basis", "--d", "3", "--json"],
 ])
 def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -269,7 +275,7 @@ def test_basis_csv_and_json(capsys):
     code, out, _ = run(["basis", "--d", "2", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "index,group,j,k,row,col,re,im"
-    code, out, _ = run(["basis", "--d", "3", "--json"], capsys)
+    code, out, _ = run(["basis", "--d", "3", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 8

@@ -129,26 +129,17 @@ def test_margin_curve_paths():
     assert MarginCurve(max_entangled(3), ChannelKind.COLORED).path == "colored"
 
 
-def test_margin_curve_fast_paths_match_generic_evaluation():
-    # closed-path scalars must agree with building the noisy state in full
-    psi3 = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
-    for kind in (WHITE, DEPOL, AD):
-        curve = MarginCurve(psi3, kind)
-        assert curve.path != "generic"
-        for p in (0.15, 0.5, 0.9):
-            l_fast, n_fast = curve.scalars(p)
-            spec = ChannelSpec.from_noise_free_fraction(kind, p)
-            t = correlation_tensor(channel_output(psi3, spec))
-            g = default_metric(kind, 3, p)
-            from qnl.tensor import norm_sq, spectral_norm
-            assert l_fast == pytest.approx(spectral_norm(t, g), abs=1e-10)
-            assert n_fast == pytest.approx(norm_sq(t, g), abs=1e-10)
+def trace_tensor(psi, kind, p):
+    """Oracle: build the noisy state, take its dense trace tensor."""
+    spec = ChannelSpec.from_noise_free_fraction(kind, float(p))
+    return correlation_tensor(channel_output(psi, spec))
 
 
 def trace_scalars(psi, kind, g, p):
-    """Oracle: build the noisy state, take the dense trace tensor."""
-    spec = ChannelSpec.from_noise_free_fraction(kind, float(p))
-    t = correlation_tensor(channel_output(psi, spec))
+    """Oracle scalars; g None is the channel's default metric at p."""
+    t = trace_tensor(psi, kind, p)
+    if g is None:
+        g = default_metric(kind, psi.d, float(p))
     return spectral_norm(t, g), norm_sq(t, g)
 
 
@@ -173,31 +164,40 @@ def four_metrics(rng, d):
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_damped_closed_form_matches_trace_tensor(d):
+    # every channel's block-form scalars against the dense trace tensor of
+    # the noisy state, under the default and four explicit metrics;
+    # colored noise is defined only for the max-entangled input
     rng = np.random.default_rng(d)
     psi = random_schmidt(rng, d)
-    for g in four_metrics(rng, d):
-        curve = MarginCurve(psi, AD, g)
-        assert curve.path == "damping"
+    metrics = (None,) + four_metrics(rng, d)
+    for kind in ChannelKind:
+        state = max_entangled(d) if kind is ChannelKind.COLORED else psi
+        curves = [MarginCurve(state, kind, g) for g in metrics]
         for p in (0.0, 0.2, 0.55, 1.0):
-            l_ref, n_ref = trace_scalars(psi, AD, g, p)
-            l, n = curve.scalars(p)
-            assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
+            t = trace_tensor(state, kind, p)
+            for g, curve in zip(metrics, curves):
+                w = default_metric(kind, d, p) if g is None else g
+                l, n = curve.scalars(p)
+                assert abs(l - spectral_norm(t, w)) <= 1e-12, (kind, p)
+                assert abs(n - norm_sq(t, w)) <= 1e-12, (kind, p)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
-       st.floats(0.0, 1.0, allow_nan=False))
-def test_damped_closed_form_property(d, seed, p):
+       st.floats(0.0, 1.0, allow_nan=False), st.sampled_from(ChannelKind),
+       st.booleans())
+def test_damped_closed_form_property(d, seed, p, kind, default):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, 1.0, size=d)
     raw[rng.random(d) < 0.3] = 0.0  # reduced-rank inputs too
     raw[0] += 1e-3
-    psi = schmidt_state(d, np.sqrt(raw / raw.sum()))
+    psi = max_entangled(d) if kind is ChannelKind.COLORED \
+        else schmidt_state(d, np.sqrt(raw / raw.sum()))
     w = rng.uniform(0.0, 3.0, size=d * d - 1)
     w[rng.random(d * d - 1) < 0.3] = 0.0
-    g = Metric(d=d, g=w)
-    l_ref, n_ref = trace_scalars(psi, AD, g, p)
-    l, n = MarginCurve(psi, AD, g).scalars(p)
+    g = None if default else Metric(d=d, g=w)
+    l_ref, n_ref = trace_scalars(psi, kind, g, p)
+    l, n = MarginCurve(psi, kind, g).scalars(p)
     assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
 
 
@@ -230,19 +230,6 @@ def test_damped_identity_threshold_d16_pinned():
         0.2595430385893876])
     res = critical_bisection(psi, AD, identity_metric(16))
     assert res.value == 0.5814153142273426
-
-
-def test_colored_curve_matches_generic():
-    mes = max_entangled(4)
-    curve = MarginCurve(mes, ChannelKind.COLORED)
-    from qnl.tensor import norm_sq, spectral_norm
-    for v in (0.2, 0.7):
-        l_fast, n_fast = curve.scalars(v)
-        spec = ChannelSpec.from_noise_free_fraction(ChannelKind.COLORED, v)
-        t = correlation_tensor(channel_output(mes, spec))
-        g = default_metric(ChannelKind.COLORED, 4, v)
-        assert l_fast == pytest.approx(spectral_norm(t, g), abs=1e-10)
-        assert n_fast == pytest.approx(norm_sq(t, g), abs=1e-10)
 
 
 def test_colored_rejects_non_mes():
