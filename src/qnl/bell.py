@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import logm
 from scipy.optimize import minimize
 
 from .channels import (
@@ -63,11 +63,9 @@ class MeasurementSettings:
             if v.shape != (2, self.d, self.d):
                 raise DimensionMismatch(
                     f"settings shape {v.shape} does not match d={self.d}")
-            for s in range(2):
-                gram = v[s] @ v[s].conj().T
-                if np.max(np.abs(gram - np.eye(self.d))) > ORTHO_TOL:
-                    raise DimensionMismatch(
-                        "outcome vectors are not orthonormal")
+            gram = v @ v.conj().transpose(0, 2, 1)  # one per setting
+            if np.max(np.abs(gram - np.eye(self.d))) > ORTHO_TOL:
+                raise DimensionMismatch("outcome vectors are not orthonormal")
             v.setflags(write=False)
 
 
@@ -92,36 +90,34 @@ def cglmp_settings(d: int) -> MeasurementSettings:
     return MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
 
 
-_BORN_SUBSCRIPTS = "ai,bj,ijkl,ak,bl->ab"
-
-
-@lru_cache(maxsize=None)
-def _born_path(d: int) -> list:
-    """Greedy contraction order of the Born-rule einsum, planned once per d
-    (the order depends on the operand shapes only)."""
-    vec, r4 = np.zeros((d, d)), np.zeros((d,) * 4)
-    return np.einsum_path(_BORN_SUBSCRIPTS, vec, vec, r4, vec, vec,
-                          optimize="greedy")[0]
-
-
 def probability_table(rho: TwoQuditState,
                       m: MeasurementSettings | None = None) -> np.ndarray:
-    """All joint probabilities, shape (2, 2, d, d) indexed [s, t, a, b]."""
+    """All joint probabilities, shape (2, 2, d, d) indexed [s, t, a, b].
+
+    P[s, t, a, b] = <A_s[a] B_t[b]| rho |A_s[a] B_t[b]>, contracted on rho
+    itself by four batched matmuls that serve all four setting pairs.  The
+    contraction order and each matmul's operand layout are those numpy's
+    einsum takes for the same sum, so the tables round alike.
+    """
     if m is None:
         m = cglmp_settings(rho.d)
     if rho.d != m.d:
         raise DimensionMismatch(f"state d={rho.d} vs settings d={m.d}")
     d = rho.d
-    r4 = rho.rho.reshape(d, d, d, d)
-    out = np.empty((2, 2, d, d))
-    for s in range(2):
-        for t in range(2):
-            p = np.einsum(_BORN_SUBSCRIPTS,
-                          m.a_vectors[s].conj(), m.b_vectors[t].conj(),
-                          r4, m.a_vectors[s], m.b_vectors[t],
-                          optimize=_born_path(d))
-            out[s, t] = p.real
-    return out
+    av, bv = m.a_vectors, m.b_vectors
+    r4 = rho.rho.reshape(d, d, d, d)  # [i, j, k, l]
+    # i against conj(A_s): [s, a, (j, l), k]
+    x = (av.conj() @ r4.transpose(0, 1, 3, 2).reshape(d, d ** 3)) \
+        .reshape(2, d, d * d, d)
+    # k against A_s, a kept on the diagonal: [s, a, j, l] -> [s, (a, l), j]
+    y = (x @ av[..., None]).reshape(2, d, d, d).transpose(0, 1, 3, 2) \
+        .reshape(2, 1, d * d, d)
+    # j against conj(B_t): [s, t, (a, l), b] -> [s, t, b, a, l]
+    z = (y @ bv.conj().transpose(0, 2, 1)).reshape(2, 2, d, d, d) \
+        .transpose(0, 1, 4, 2, 3)
+    # l against B_t, b kept on the diagonal: [s, t, b, a]
+    p = (z @ bv[:, :, :, None])[..., 0]
+    return np.ascontiguousarray(p.real.transpose(0, 1, 3, 2))
 
 
 def _inequality_value(table: np.ndarray) -> float:
@@ -133,7 +129,7 @@ def _inequality_value(table: np.ndarray) -> float:
     a_eq_b = np.ascontiguousarray(table[:, :, shifted, n]).sum(axis=-1)
     b_eq_a = np.ascontiguousarray(table[:, :, n, shifted]).sum(axis=-1)
     # constituent k (mod d) of the inequality, one per shift
-    part = a_eq_b[0, 0] + np.roll(b_eq_a[1, 0], -1) + a_eq_b[1, 1] \
+    part = a_eq_b[0, 0] + b_eq_a[1, 0, (n + 1) % d] + a_eq_b[1, 1] \
         + b_eq_a[0, 1]
     total = 0.0
     for k in range(d // 2):
@@ -241,16 +237,19 @@ def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
 
 def _rotated_settings(base: MeasurementSettings,
                       thetas: np.ndarray, mats: np.ndarray) -> MeasurementSettings:
-    """Conjugate each (party, setting) basis by exp(i sum theta_a B_a)."""
+    """Conjugate each (party, setting) basis by exp(i sum theta_a B_a).
+
+    The four generators come from one matmul and their exponentials from
+    one batched eigh: exp(iH) = U diag(e^{iw}) U^dagger.
+    """
     d = base.d
-    av = np.empty_like(base.a_vectors)
-    bv = np.empty_like(base.b_vectors)
-    for s in range(2):
-        ua = expm(1j * np.einsum("a,aij->ij", thetas[s], mats))
-        ub = expm(1j * np.einsum("a,aij->ij", thetas[2 + s], mats))
-        av[s] = base.a_vectors[s] @ ua.T
-        bv[s] = base.b_vectors[s] @ ub.T
-    return MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
+    gens = (thetas @ mats.reshape(-1, d * d)).reshape(4, d, d)
+    w, u = np.linalg.eigh(gens)
+    rot = (u * np.exp(1j * w)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    # slots [A_0, A_1, B_0, B_1], each row rotated by U^T
+    vecs = np.concatenate((base.a_vectors, base.b_vectors)) \
+        @ rot.transpose(0, 2, 1)
+    return MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
 
 
 def _qubit_block_thetas(d: int, mats: np.ndarray) -> np.ndarray:

@@ -213,6 +213,8 @@ def cmd_scan(args) -> int:
 def cmd_cglmp(args) -> int:
     if args.restarts < 0:
         raise QnlError("--restarts must be at least 0")
+    if args.seed < 0:
+        raise QnlError("--seed must be at least 0")
     _, _, rho = _state_and_output(args)
     if args.optimize:
         bv = optimize_settings(rho, restarts=args.restarts, seed=args.seed)

@@ -37,10 +37,6 @@ def largest_singular_value(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def frobenius_sq(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a) ** 2))
-
-
 def partial_trace(rho: np.ndarray, d: int, keep: int) -> np.ndarray:
     """Reduce a d*d bipartite density matrix to subsystem 0 or 1."""
     if rho.shape != (d * d, d * d):

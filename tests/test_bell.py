@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
@@ -13,7 +14,7 @@ from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
                       optimize_settings, probability_table)
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
-from qnl.errors import NoViolation, UnsupportedChannel
+from qnl.errors import DimensionMismatch, NoViolation, UnsupportedChannel
 from qnl.gellmann import gellmann_basis
 from qnl.states import (max_entangled, qutrit_family, schmidt_state,
                         to_density)
@@ -79,6 +80,33 @@ def inequality_oracle(table):
     return total
 
 
+def born_einsum_oracle(rho, m):
+    """Born rule as one five-operand einsum per setting pair."""
+    d = rho.d
+    r4 = rho.rho.reshape(d, d, d, d)
+    out = np.empty((2, 2, d, d))
+    for s in range(2):
+        for t in range(2):
+            out[s, t] = np.einsum("ai,bj,ijkl,ak,bl->ab",
+                                  m.a_vectors[s].conj(),
+                                  m.b_vectors[t].conj(), r4,
+                                  m.a_vectors[s], m.b_vectors[t],
+                                  optimize="greedy").real
+    return out
+
+
+def rotated_settings_expm_oracle(base, thetas, mats):
+    """Each (party, setting) basis conjugated by its own expm."""
+    av = np.empty_like(base.a_vectors)
+    bv = np.empty_like(base.b_vectors)
+    for s in range(2):
+        ua = expm(1j * np.einsum("a,aij->ij", thetas[s], mats))
+        ub = expm(1j * np.einsum("a,aij->ij", thetas[2 + s], mats))
+        av[s] = base.a_vectors[s] @ ua.T
+        bv[s] = base.b_vectors[s] @ ub.T
+    return av, bv
+
+
 def damping_threshold_oracle(state):
     """Bell threshold under damping by a scalar bisection to width 1e-8."""
     value_of_p = _ad_value_of_p(state)
@@ -112,6 +140,38 @@ def test_closed_form_table_matches_scalar_oracle(d):
         assert table.shape == (2, 2, d, d)
         for idx in np.ndindex(table.shape):
             assert table[idx] == closed_form_oracle(d, r, *idx), (r, idx)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_probability_table_matches_einsum_oracle(d):
+    rng = np.random.default_rng(200 + d)
+    psi = random_schmidt(rng, d)
+    mats = gellmann_basis(d).matrices
+    std = cglmp_settings(d)
+    rotated = _rotated_settings(
+        std, 0.4 * rng.standard_normal((4, d * d - 1)), mats)
+    for kind in ChannelKind:
+        # colored noise is defined for the max-entangled input only
+        src = max_entangled(d) if kind is ChannelKind.COLORED else psi
+        rho = channel_output(src, ChannelSpec(kind, 0.3))
+        for m in (std, rotated):
+            table = probability_table(rho, m)
+            assert table.shape == (2, 2, d, d)
+            assert np.max(np.abs(table - born_einsum_oracle(rho, m))) \
+                <= 1e-15, kind
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_rotated_settings_match_expm_oracle(d):
+    rng = np.random.default_rng(300 + d)
+    mats = gellmann_basis(d).matrices
+    base = cglmp_settings(d)
+    for scale in (0.05, 0.4, 1.5):
+        thetas = scale * rng.standard_normal((4, d * d - 1))
+        m = _rotated_settings(base, thetas, mats)
+        av, bv = rotated_settings_expm_oracle(base, thetas, mats)
+        assert np.max(np.abs(m.a_vectors - av)) <= 1e-13, scale
+        assert np.max(np.abs(m.b_vectors - bv)) <= 1e-13, scale
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 13, 16, 40])
@@ -167,11 +227,20 @@ def test_settings_phase_structure():
 
 
 def test_settings_validation():
-    d = 2
-    bad = np.zeros((2, d, d), dtype=complex)
-    bad[:, :, 0] = 1.0  # rows not orthogonal
-    with pytest.raises(Exception):
-        MeasurementSettings(d=d, a_vectors=bad, b_vectors=bad)
+    d = 3
+    good = cglmp_settings(d)
+    a, b = np.array(good.a_vectors), np.array(good.b_vectors)
+    b_bad = b.copy()
+    b_bad[1, 2] = b_bad[1, 0]  # only party B's setting 1 repeats a row
+    a_bad = a.copy()
+    a_bad[0, 1] *= 1.0 + 1e-6  # only party A's setting 0, off by the norm
+    for av, bv in ((a, b_bad),          # the last of the four bases
+                   (a, b[:, :2]),       # wrong shapes
+                   (a[:, :, :2], b),
+                   (a_bad, b)):         # party A bad alone
+        with pytest.raises(DimensionMismatch):
+            MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
+    MeasurementSettings(d=d, a_vectors=a, b_vectors=b)
 
 
 def test_qubit_value_is_chsh_maximum():

@@ -186,6 +186,9 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  ["scan", "--channel", "white", "--grid", "1"],
                  ["cglmp", "--d", "3", "--optimize", "--restarts", "-3"],
                  ["cglmp", "--d", "3", "--restarts", "-1"],
+                 # numpy's generator rejects a negative seed with a traceback
+                 ["cglmp", "--d", "3", "--seed", "-1"],
+                 ["cglmp", "--d", "3", "--optimize", "--seed", "-1"],
                  # nan and inf passed every cell, a negative value failed all
                  *(["tables", "--out", str(tmp_path), f"--tolerance={tol}"]
                    for tol in ("nan", "inf", "-inf", "-1e-3"))):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qnl.errors import NotHermitian
-from qnl.linalg import (dagger, frobenius_sq, hermitian_eigenvalues,
-                        is_hermitian, largest_singular_value,
-                        partial_trace)
+from qnl.linalg import (dagger, hermitian_eigenvalues, is_hermitian,
+                        largest_singular_value, partial_trace)
 
 
 def power_iteration_sigma(a, iters=500):
@@ -49,11 +48,6 @@ def test_largest_singular_value_against_power_iteration():
 
 def test_largest_singular_value_empty():
     assert largest_singular_value(np.zeros((0, 0))) == 0.0
-
-
-def test_frobenius_sq():
-    a = np.array([[1.0, 2j], [0.0, 2.0]])
-    assert frobenius_sq(a) == pytest.approx(9.0)
 
 
 def test_partial_trace_factorizes_products():
