@@ -15,7 +15,8 @@ With these settings the joint probability depends on the outcomes only
 through a - b, which makes each sum d times any one of its terms; a
 property test pins that shortcut.  Settings, damping tables and the
 inequality value are array code; the scalar loops they replaced live on in
-the tests as bit-exact oracles.
+the tests as bit-exact oracles.  Thresholds read I from the d x d block
+<ii|W|jj> of the Bell operator and build no density matrix.
 """
 
 from __future__ import annotations
@@ -27,25 +28,16 @@ import numpy as np
 from scipy.linalg import logm
 from scipy.optimize import minimize
 
-from .channels import (
-    ChannelKind,
-    amplitude_damping_kraus,
-    apply_local_channel,
-)
+from .channels import ChannelKind
 from .criteria import CriticalResult, bisect_threshold, describe_state
-from .errors import (
-    DimensionMismatch,
-    NonMonotonic,
-    NoViolation,
-    UnsupportedChannel,
-)
+from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
+                     UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
-from .states import SchmidtState, TwoQuditState, to_density
+from .states import SchmidtState, TwoQuditState
 
 LOCAL_BOUND = 2.0
 ALPHA_PHASES = (0.0, 0.5)
 BETA_PHASES = (0.25, -0.25)
-LR_GRID_POINTS = 200
 ORTHO_TOL = 1e-10
 
 
@@ -190,48 +182,60 @@ def infinite_threshold() -> float:
     return float(np.pi / (4.0 * np.sqrt(catalan_constant())))
 
 
-def _ad_value_of_p(state: SchmidtState):
-    """I(p) evaluator for the damped state, closed form when max-entangled."""
-    d = state.d
-    if state.is_max_entangled(1e-12):
-        return lambda p: cglmp_ad_value(d, 1.0 - p).i_d
-    rho0 = to_density(state)
-    m = cglmp_settings(d)
+@lru_cache(maxsize=None)
+def _bell_block(d: int) -> np.ndarray:
+    """M[i, j] = <ii|W|jj> of the Bell operator W with I(rho) = Tr(W rho).
 
-    def value(p: float) -> float:
-        damped = apply_local_channel(rho0, amplitude_damping_kraus(d, 1.0 - p))
-        return cglmp_value(damped, m).i_d
-    return value
+    W = sum w |A_s[a] B_t[b]><A_s[a] B_t[b]|, w[s, t, a, b] the value of
+    _inequality_value on that entry's unit table; it reads the table only
+    through sums over a - b = k (mod d), so the b = 0 tables give them all.
+    The weights sum to 0 and outcome-vector entries have modulus 1/sqrt(d),
+    so W has zero diagonal in the product basis: Schmidt states and the
+    Kraus terms of their damped images see W only through Re M."""
+    n, m = np.arange(d), cglmp_settings(d)
+    w = np.array([_inequality_value(u.reshape(2, 2, d, 1) * (n == 0))
+                  for u in np.eye(4 * d)]).reshape(2, 2, d)  # [s, t, a - b]
+    block = np.zeros((d, d))
+    for s, t in np.ndindex(2, 2):
+        # <ii|A_s[a] B_t[b]> per outcome pair (a, b); a - b < 0 wraps mod d
+        amp = (m.a_vectors[s, :, None] * m.b_vectors[t]).reshape(-1, d)
+        block += ((amp.T * w[s, t, n[:, None] - n].ravel()) @ amp.conj()).real
+    block.setflags(write=False)
+    return block
+
+
+def _damping_quadratic(state: SchmidtState) -> np.ndarray:
+    """(q0, q1, q2) with I(p) = q0 + q1 p + q2 p^2 under local damping: the
+    no-jump Kraus pair sends the state to a + p b, a = c_0 |00> and b its
+    excited part; the other pairs leave product basis states."""
+    a, b = np.zeros(state.d), state.coeffs.copy()
+    a[0], b[0] = b[0], 0.0
+    block = _bell_block(state.d)
+    return np.array([a @ block @ a, 2.0 * (a @ block @ b), b @ block @ b])
 
 
 def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
     """Smallest noise-free fraction at which the inequality is violated."""
-    d = state.d
-    if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
-        pure_value = cglmp_value(to_density(state)).i_d
-        if pure_value <= LOCAL_BOUND:
-            raise NoViolation(
-                f"inequality value {pure_value:.6f} never exceeds the bound")
-        ratio = LOCAL_BOUND / pure_value
-        value = ratio if kind is ChannelKind.WHITE else np.sqrt(ratio)
-        return CriticalResult(parameter_name=kind.parameter_name,
-                              value=float(value), method="analytic",
-                              channel=kind, state=describe_state(state))
-    if kind is not ChannelKind.AMPLITUDE_DAMPING:
+    damping = kind is ChannelKind.AMPLITUDE_DAMPING
+    if not (kind.is_kraus or kind is ChannelKind.WHITE):
         raise UnsupportedChannel(
             f"no local-realism threshold defined for channel {kind.value}")
-    value_of_p = _ad_value_of_p(state)
-    grid = np.linspace(0.0, 1.0, LR_GRID_POINTS)
-    vals = np.array([value_of_p(p) for p in grid])
-    if np.any(np.diff(vals) < -1e-9):
+    q0, q1, q2 = _damping_quadratic(state)
+    # I'(p) = q1 + 2 q2 p is linear, so its ends bound it on [0, 1]
+    if damping and min(q1, q1 + 2.0 * q2) < -1e-9:
         raise NonMonotonic("inequality value is not monotone in p")
-    if vals[-1] <= LOCAL_BOUND:
+    pure_value = q0 + q1 + q2  # the undamped value, c^T M c
+    if pure_value <= LOCAL_BOUND:
         raise NoViolation(
-            f"inequality value {vals[-1]:.6f} never exceeds the bound")
-    value = bisect_threshold(
-        lambda p: np.array([value_of_p(float(p[0])) > LOCAL_BOUND]), 1)[0]
-    return CriticalResult(parameter_name="p", value=float(value),
-                          method="bisection", channel=kind,
+            f"inequality value {pure_value:.6f} never exceeds the bound")
+    method, value = "analytic", LOCAL_BOUND / pure_value
+    if kind is ChannelKind.DEPOLARIZING:
+        value = np.sqrt(value)
+    elif damping:
+        method, value = "bisection", bisect_threshold(
+            lambda p: q0 + q1 * p + q2 * p * p > LOCAL_BOUND, 1)[0]
+    return CriticalResult(parameter_name=kind.parameter_name,
+                          value=float(value), method=method, channel=kind,
                           state=describe_state(state))
 
 

@@ -12,9 +12,9 @@ tensor.py, for every channel and every metric; no density matrix is
 built.  A channel enters only through how its pair entries scale with p
 and through the populations P(p) of the noisy state.  One bisection
 brackets every input of a batch together; critical_bisection and xi are
-the single-input case, scan_surface batches one alpha-row of the qutrit
-family at a time, and the Bell thresholds of bell.critical_lr use the
-same bisection.
+the single-input case, scan_surface batches the whole qutrit-family
+surface, and the Bell thresholds of bell.critical_lr use the same
+bisection.
 """
 
 from __future__ import annotations
@@ -322,32 +322,28 @@ class SurfaceScan:
 def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
                  quantity: str = "crit",
                  g: Metric | None = None) -> SurfaceScan:
-    """Critical parameter (or xi) over the two-angle qutrit family.
-
-    Each alpha-row is one batch: scaling cells take the closed-form root,
-    the others are bisected and grid-checked as in critical_bisection.
-    Cells where the criterion does not fire at p = 1 are flagged, value 1.
-    """
+    """Critical parameter (or xi) over the two-angle qutrit family, in one
+    batch: scaling cells take the closed-form root, the others are bisected
+    and grid-checked as in critical_bisection.  Cells where the criterion
+    does not fire at p = 1 are flagged, value 1."""
     if quantity not in ("crit", "xi"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
     alphas = np.linspace(0.0, np.pi / 2.0, 101) if alpha_grid is None \
         else np.asarray(alpha_grid, dtype=float)
     betas = np.linspace(0.0, np.pi / 2.0, 101) if beta_grid is None \
         else np.asarray(beta_grid, dtype=float)
-    values = np.empty((len(alphas), len(betas)))
-    flags = np.zeros((len(alphas), len(betas)), dtype=bool)
-    for i, a in enumerate(alphas):
-        batch = MarginBatch(3, qutrit_family_coeffs(a, betas), kind, g)
-        if batch.path == "scaling":
-            crit, flagged = batch.scaling_roots()
-        else:
-            fired = batch.entangled(1.0)
-            crit = bisect_threshold(batch.entangled, batch.size)
-            _verdict_grid_check(batch, GRID_POINTS, fired)
-            flagged = ~fired
-        if quantity == "xi":
-            crit = _surviving_fraction(batch, crit)
-        values[i] = np.where(flagged, 1.0, crit)
-        flags[i] = flagged
+    coeffs = qutrit_family_coeffs(alphas[:, None], betas).reshape(-1, 3)
+    batch = MarginBatch(3, coeffs, kind, g)
+    if batch.path == "scaling":
+        crit, flagged = batch.scaling_roots()
+    else:
+        fired = batch.entangled(1.0)
+        crit = bisect_threshold(batch.entangled, batch.size)
+        _verdict_grid_check(batch, GRID_POINTS, fired)
+        flagged = ~fired
+    if quantity == "xi":
+        crit = _surviving_fraction(batch, crit)
+    values = np.where(flagged, 1.0, crit).reshape(len(alphas), len(betas))
     return SurfaceScan(kind=kind, quantity=quantity, alphas=alphas,
-                       betas=betas, values=values, flags=flags)
+                       betas=betas, values=values,
+                       flags=flagged.reshape(values.shape))

@@ -2,22 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
-                      MeasurementSettings, _ad_value_of_p, _inequality_value,
-                      _qubit_block_thetas, _rotated_settings,
+                      MeasurementSettings, _bell_block, _damping_quadratic,
+                      _inequality_value, _qubit_block_thetas,
+                      _rotated_settings,
                       ad_probability_table, catalan_constant,
                       cglmp_ad_infinite, cglmp_ad_value, cglmp_settings,
                       cglmp_value, critical_lr, infinite_threshold,
                       optimize_settings, probability_table)
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
-from qnl.errors import DimensionMismatch, NoViolation, UnsupportedChannel
+from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
+                        UnsupportedChannel)
 from qnl.gellmann import gellmann_basis
-from qnl.states import (max_entangled, qutrit_family, schmidt_state,
-                        to_density)
+from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
+                        schmidt_state, to_density)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 
@@ -107,17 +111,35 @@ def rotated_settings_expm_oracle(base, thetas, mats):
     return av, bv
 
 
+def damped_value_oracle(state, p):
+    """Born-rule inequality value of the Kraus-damped state at fraction p."""
+    rho = apply_local_channel(to_density(state),
+                              amplitude_damping_kraus(state.d, 1.0 - p))
+    return cglmp_value(rho).i_d
+
+
 def damping_threshold_oracle(state):
-    """Bell threshold under damping by a scalar bisection to width 1e-8."""
-    value_of_p = _ad_value_of_p(state)
+    """Bell threshold under damping: Born values of the Kraus-damped state,
+    bisected to width 1e-8."""
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if value_of_p(mid) > LOCAL_BOUND:
+        if damped_value_oracle(state, mid) > LOCAL_BOUND:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def bell_operator_oracle(d):
+    """Dense W = sum w |A_s[a] B_t[b]><A_s[a] B_t[b]|, every weight the value
+    of one of the 4 d^2 unit tables."""
+    units = np.eye(4 * d * d).reshape(-1, 2, 2, d, d)
+    w = [_inequality_value(u) for u in units]
+    m = cglmp_settings(d)
+    phi = (m.a_vectors[:, None, :, None, :, None]
+           * m.b_vectors[None, :, None, :, None, :]).reshape(-1, d * d)
+    return (phi.T * w) @ phi.conj()
 
 
 def random_schmidt(rng, d):
@@ -192,10 +214,77 @@ def test_damping_threshold_matches_scalar_bisection(d):
     assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 6, 10])
 def test_born_damping_threshold_matches_scalar_bisection(d):
     psi = random_schmidt(np.random.default_rng(100 + d), d)
     assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_product_basis_states_have_zero_value(d):
+    # W has zero diagonal in the product basis, so the Bell block of the
+    # Schmidt basis carries every value critical_lr needs
+    for j in range(d):
+        for k in range(d):
+            rho = np.zeros((d * d, d * d), dtype=complex)
+            rho[j * d + k, j * d + k] = 1.0
+            value = cglmp_value(TwoQuditState(d, rho)).i_d
+            assert abs(value) <= 1e-14, (j, k)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_bell_block_is_schmidt_block_of_dense_operator(d):
+    schmidt = np.arange(d) * (d + 1)  # |ii> in the product basis
+    dense = bell_operator_oracle(d)[np.ix_(schmidt, schmidt)]
+    assert np.max(np.abs(_bell_block(d) - dense.real)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 1.0, allow_nan=False))
+def test_damping_quadratic_matches_born_value(d, seed, p):
+    psi = random_schmidt(np.random.default_rng(seed), d)
+    q0, q1, q2 = _damping_quadratic(psi)
+    assert abs(q0 + q1 * p + q2 * p * p - damped_value_oracle(psi, p)) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("m01, m11", [(-1.0, 8.0), (1.0, -2.0)])
+def test_dipping_damping_value_raises(monkeypatch, m01, m11):
+    # I(p) = 1 - p + 4 p^2 dips after p = 0; 2.5 + p - p^2 falls before
+    # p = 1; both end above the bound
+    m00 = 2.0 if m01 < 0.0 else 5.0
+    block = np.array([[m00, m01], [m01, m11]])
+    monkeypatch.setattr(qnl.bell, "_bell_block", lambda d: block)
+    psi = max_entangled(2)
+    assert sum(_damping_quadratic(psi)) > LOCAL_BOUND
+    with pytest.raises(NonMonotonic):
+        critical_lr(psi, AD)
+
+
+def grid_verdict_oracle(state):
+    """The verdict of the 200-point Born grid that critical_lr once ran."""
+    vals = [damped_value_oracle(state, p) for p in np.linspace(0.0, 1.0, 200)]
+    if np.any(np.diff(vals) < -1e-9):
+        return NonMonotonic
+    return NoViolation if vals[-1] <= LOCAL_BOUND else None
+
+
+def test_damping_verdicts_match_born_grid():
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for i in range(12):
+        d = 2 + i % 4
+        raw = rng.uniform(0.0, 1.0, size=d) ** 3  # weak states too
+        psi = schmidt_state(d, np.sqrt(raw / raw.sum()))
+        try:
+            critical_lr(psi, AD)
+            verdict = None
+        except (NoViolation, NonMonotonic) as exc:
+            verdict = type(exc)
+        assert verdict is grid_verdict_oracle(psi), psi.coeffs
+        verdicts.append(verdict)
+    assert NoViolation in verdicts and None in verdicts
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -423,7 +512,6 @@ def test_optimizer_certifies_colored_violation():
 
 
 def test_optimizer_finds_nothing_in_maximally_mixed():
-    from qnl.states import TwoQuditState
     rho = TwoQuditState(2, np.eye(4, dtype=complex) / 4.0)
     assert optimize_settings(rho, restarts=1, seed=0).i_d == pytest.approx(
         0.0, abs=1e-9)
@@ -440,7 +528,6 @@ def test_qubit_block_settings_known_values():
     m = _rotated_settings(cglmp_settings(d), thetas, mats)
     psi = np.zeros(9, dtype=complex)
     psi[0] = psi[4] = 2.0 ** -0.5  # (|00> + |11>)/sqrt(2)
-    from qnl.states import TwoQuditState
     rho = TwoQuditState(3, np.outer(psi, psi.conj()))
     assert cglmp_value(rho, m).i_d == pytest.approx(
         (1.0 + 3.0 * np.sqrt(2.0)) / 2.0, abs=1e-8)
