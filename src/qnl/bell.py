@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import logm
 from scipy.optimize import minimize
 
 from .channels import ChannelKind
@@ -39,6 +38,7 @@ LOCAL_BOUND = 2.0
 ALPHA_PHASES = (0.0, 0.5)
 BETA_PHASES = (0.25, -0.25)
 ORTHO_TOL = 1e-10
+POWELL_MAXFEV = 500
 
 
 @dataclass(frozen=True)
@@ -256,61 +256,44 @@ def _rotated_settings(base: MeasurementSettings,
     return MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
 
 
-def _qubit_block_thetas(d: int, mats: np.ndarray) -> np.ndarray:
-    """Start point embedding the d=2 standard settings on levels {0, 1},
-    measuring higher levels directly."""
-    std = cglmp_settings(d)
+def _qubit_block_settings(d: int) -> MeasurementSettings:
+    """The d=2 standard settings on levels {0, 1}; the other levels are
+    measured directly."""
     two = cglmp_settings(2)
-    thetas = np.zeros((4, d * d - 1))
-    for slot in range(4):
-        party, s = divmod(slot, 2)
-        base = std.a_vectors[s] if party == 0 else std.b_vectors[s]
-        small = two.a_vectors[s] if party == 0 else two.b_vectors[s]
-        target = np.eye(d, dtype=complex)
-        target[:2, :2] = small
-        u = target.T @ base.conj()  # unitary sending each base row to its target row
-        h = -1j * logm(u)
-        h -= np.trace(h) / d * np.eye(d)
-        h = 0.5 * (h + h.conj().T)
-        thetas[slot] = 0.5 * np.einsum("aij,ji->a", mats, h).real
-    return thetas
+    vecs = np.tile(np.eye(d, dtype=complex), (4, 1, 1))
+    vecs[:, :2, :2] = np.concatenate((two.a_vectors, two.b_vectors))
+    return MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
 
 
 def optimize_settings(rho: TwoQuditState, restarts: int = 4,
-                      seed: int = 0, maxfev: int = 500) -> BellValue:
+                      seed: int = 0) -> BellValue:
     """Best-effort maximization of the inequality over rotated settings.
 
-    Two deterministic polish runs always happen (from the standard
-    settings and from a two-level embedding of the qubit settings);
-    restarts adds that many random starting points on top.  Never
-    returns less than the standard-settings value; deterministic for a
-    fixed seed.
+    Every start is base settings rotated by exp(iH) of angles: the
+    standard settings and the two-level embedding of the qubit settings
+    at zero angles always, then restarts random angles about the standard
+    settings.  Keeps the best settings found; never returns less than the
+    standard-settings value; deterministic for a fixed seed.
     """
     d = rho.d
-    base = cglmp_settings(d)
+    std = cglmp_settings(d)
     mats = gellmann_basis(d).matrices
-    n = d * d - 1
-
-    def value_at(thetas: np.ndarray) -> float:
-        m = _rotated_settings(base, thetas.reshape(4, n), mats)
-        return cglmp_value(rho, m).i_d
-
-    best_thetas = np.zeros((4, n))
-    best = value_at(best_thetas)
-    starts = [np.zeros((4, n)), _qubit_block_thetas(d, mats)]
+    size = 4 * (d * d - 1)
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(rng.normal(scale=0.4, size=(4, n)))
-    for start in starts:
-        res = minimize(lambda x: -value_at(x), start.ravel(),
-                       method="Powell",
-                       options={"maxfev": maxfev, "xtol": 1e-4,
+    starts = [(std, np.zeros(size)),
+              (_qubit_block_settings(d), np.zeros(size))]
+    starts += [(std, rng.normal(scale=0.4, size=size))
+               for _ in range(restarts)]
+
+    def value_at(base, x):
+        return cglmp_value(rho, _rotated_settings(base, x.reshape(4, -1),
+                                                  mats))
+
+    best = cglmp_value(rho, std)
+    for base, x0 in starts:
+        res = minimize(lambda x: -value_at(base, x).i_d, x0, method="Powell",
+                       options={"maxfev": POWELL_MAXFEV, "xtol": 1e-4,
                                 "ftol": 1e-8})
-        if -res.fun > best:
-            best = -res.fun
-            best_thetas = res.x.reshape(4, n)
-    m = _rotated_settings(base, best_thetas, mats)
-    table = probability_table(rho, m)
-    value = max(_inequality_value(table), best)
-    return BellValue(i_d=value, probabilities=table,
-                     violated=value > LOCAL_BOUND)
+        if -res.fun > best.i_d:
+            best = value_at(base, res.x)
+    return best

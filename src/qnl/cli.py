@@ -15,8 +15,8 @@ import numpy as np
 
 from .bell import cglmp_value, critical_lr, optimize_settings
 from .channels import ChannelSpec, channel_output
-from .criteria import (critical_analytic, critical_bisection, default_metric,
-                       is_entangled, scan_surface)
+from .criteria import (CriticalResult, critical_analytic, critical_bisection,
+                       default_metric, is_entangled, scan_surface)
 from .errors import QnlError
 from .fidelity import critical_fidelity, werner_gap
 from .gellmann import gellmann_basis
@@ -85,6 +85,16 @@ def _emit(text: str, out: str) -> None:
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _critical_json(res: CriticalResult) -> str:
+    return _json({
+        "parameter_name": res.parameter_name,
+        "value": res.value,
+        "method": res.method,
+        "channel": res.channel.value,
+        "state": res.state,
+    })
 
 
 def _csv_matrix(header: list[str], rows) -> str:
@@ -173,14 +183,7 @@ def cmd_crit(args) -> int:
         res = critical_analytic(args.d, spec.kind)
     else:
         res = critical_bisection(psi, spec.kind, g)
-    payload = {
-        "parameter_name": res.parameter_name,
-        "value": res.value,
-        "method": res.method,
-        "channel": res.channel.value,
-        "state": res.state,
-    }
-    _emit(_json(payload), args.out)
+    _emit(_critical_json(res), args.out)
     return 0
 
 
@@ -237,14 +240,7 @@ def cmd_cglmp_crit(args) -> int:
     spec = ChannelSpec.parse(args.channel)
     psi = parse_state(args.d, args.state)
     res = critical_lr(psi, spec.kind)
-    payload = {
-        "parameter_name": res.parameter_name,
-        "value": res.value,
-        "method": res.method,
-        "channel": res.channel.value,
-        "state": res.state,
-    }
-    _emit(_json(payload), args.out)
+    _emit(_critical_json(res), args.out)
     return 0
 
 
@@ -265,13 +261,12 @@ def cmd_fidelity(args) -> int:
 
 def cmd_werner_gap(args) -> int:
     spec = ChannelSpec.parse(args.channel)
-    gap = werner_gap(args.d, spec.kind)
-    bell = critical_lr(max_entangled(args.d), spec.kind).value
+    gap = werner_gap(args.d, spec.kind)  # rejects the non-Kraus channels
     payload = {
         "d": args.d,
         "channel": spec.kind.value,
-        "bell_threshold": bell,
-        "detection_threshold": bell - gap,
+        "bell_threshold": critical_lr(max_entangled(args.d), spec.kind).value,
+        "detection_threshold": critical_analytic(args.d, spec.kind).value,
         "gap": gap,
     }
     _emit(_json(payload), args.out)

@@ -190,13 +190,14 @@ class MarginCurve:
         return float(l[0]), float(n[0])
 
 
-def _verdict_grid_check(curve, points: int, cells=True) -> None:
-    """Raise NonMonotonic if a verdict switches more than once on a p grid.
+def _verdict_grid_check(curve, cells=True) -> None:
+    """Raise NonMonotonic if a verdict switches more than once on the
+    GRID_POINTS grid of p.
 
     curve.entangled(p) gives one verdict or one per input of a batch; cells
     masks the inputs that are checked."""
     flags = np.array([curve.entangled(p)
-                      for p in np.linspace(0.0, 1.0, points)])
+                      for p in np.linspace(0.0, 1.0, GRID_POINTS)])
     switches = np.count_nonzero(flags[1:] != flags[:-1], axis=0)
     if np.any((switches > 1) & cells):
         raise NonMonotonic(
@@ -229,8 +230,7 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
 
 
 def critical_bisection(state: SchmidtState, kind: ChannelKind,
-                       g: Metric | None = None,
-                       grid_points: int = GRID_POINTS) -> CriticalResult:
+                       g: Metric | None = None) -> CriticalResult:
     batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
     if not batch.entangled(1.0)[0]:
         raise NoDetectionInRange(
@@ -239,7 +239,7 @@ def critical_bisection(state: SchmidtState, kind: ChannelKind,
         raise NoDetectionInRange(
             "criterion fires at zero noise-free fraction; nothing to bracket")
     value = float(bisect_threshold(batch.entangled, 1)[0])
-    _verdict_grid_check(batch, grid_points)
+    _verdict_grid_check(batch)
     return CriticalResult(parameter_name=kind.parameter_name,
                           value=value, method="bisection",
                           channel=kind, state=describe_state(state))
@@ -319,7 +319,7 @@ class SurfaceScan:
             float(self.values[i, j])
 
 
-def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
+def scan_surface(kind: ChannelKind, alpha_grid, beta_grid,
                  quantity: str = "crit",
                  g: Metric | None = None) -> SurfaceScan:
     """Critical parameter (or xi) over the two-angle qutrit family, in one
@@ -328,10 +328,8 @@ def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
     does not fire at p = 1 are flagged, value 1."""
     if quantity not in ("crit", "xi"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
-    alphas = np.linspace(0.0, np.pi / 2.0, 101) if alpha_grid is None \
-        else np.asarray(alpha_grid, dtype=float)
-    betas = np.linspace(0.0, np.pi / 2.0, 101) if beta_grid is None \
-        else np.asarray(beta_grid, dtype=float)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    betas = np.asarray(beta_grid, dtype=float)
     coeffs = qutrit_family_coeffs(alphas[:, None], betas).reshape(-1, 3)
     batch = MarginBatch(3, coeffs, kind, g)
     if batch.path == "scaling":
@@ -339,7 +337,7 @@ def scan_surface(kind: ChannelKind, alpha_grid=None, beta_grid=None,
     else:
         fired = batch.entangled(1.0)
         crit = bisect_threshold(batch.entangled, batch.size)
-        _verdict_grid_check(batch, GRID_POINTS, fired)
+        _verdict_grid_check(batch, fired)
         flagged = ~fired
     if quantity == "xi":
         crit = _surviving_fraction(batch, crit)

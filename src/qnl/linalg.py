@@ -13,20 +13,17 @@ from .errors import DimensionMismatch, NotHermitian
 HERMITICITY_TOL = 1e-10
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL)
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues; rejects non-Hermitian input."""
-    if not is_hermitian(a, tol):
-        raise NotHermitian(f"matrix is not Hermitian within {tol}")
+    if not is_hermitian(a):
+        raise NotHermitian(
+            f"matrix is not Hermitian within {HERMITICITY_TOL}")
     return np.linalg.eigvalsh(a)
 
 

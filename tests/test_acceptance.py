@@ -213,8 +213,9 @@ def test_criterion_10_fidelity_table():
 def test_criterion_11_surfaces():
     with criterion(11, "two-angle family surfaces", budget=300.0):
         mes_alpha = np.arctan(np.sqrt(2.0))  # equal-weight point
+        grid = np.linspace(0.0, np.pi / 2.0, 101)
 
-        white = scan_surface(WHITE)
+        white = scan_surface(WHITE, grid, grid)
         assert white.values.shape == (101, 101)
         a, b, val = white.minimum()
         assert 0.25 - 1e-9 <= val <= 0.2525   # grid straddles the true MES
@@ -222,16 +223,16 @@ def test_criterion_11_surfaces():
         exact = critical_bisection(max_entangled(3), WHITE).value
         assert abs(exact - 0.25) < 1e-6
 
-        product = scan_surface(ChannelKind.PRODUCT)
+        product = scan_surface(ChannelKind.PRODUCT, grid, grid)
         assert bool(product.flags[0, 0]) and bool(product.flags[100, 0])
         assert abs(product.values[1, 0] - 0.6039) <= 1e-3
 
-        damp = scan_surface(AD)
+        damp = scan_surface(AD, grid, grid)
         a, b, val = damp.minimum()
         assert abs(val - 0.447) <= 1e-3
         assert abs(a - 4 * np.pi / 15) <= 0.02 and abs(b - np.pi / 4) <= 1e-9
 
-        frac = scan_surface(AD, quantity="xi")
+        frac = scan_surface(AD, grid, grid, quantity="xi")
         a, b, val = frac.minimum()
         assert abs(val - 0.3560) <= 1e-3
         assert abs(a - 7 * np.pi / 18) <= 0.02 and abs(b - np.pi / 4) <= 1e-9

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 from scipy.optimize import minimize
 
 import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
                       MeasurementSettings, _bell_block, _damping_quadratic,
-                      _inequality_value, _qubit_block_thetas,
+                      _inequality_value, _qubit_block_settings,
                       _rotated_settings,
                       ad_probability_table, catalan_constant,
                       cglmp_ad_infinite, cglmp_ad_value, cglmp_settings,
@@ -109,6 +109,33 @@ def rotated_settings_expm_oracle(base, thetas, mats):
         av[s] = base.a_vectors[s] @ ua.T
         bv[s] = base.b_vectors[s] @ ub.T
     return av, bv
+
+
+def qubit_block_thetas_oracle(d, mats):
+    """Angles that rotate the standard settings onto the two-level embedding
+    of the qubit settings, by matrix logarithm."""
+    std = cglmp_settings(d)
+    two = cglmp_settings(2)
+    thetas = np.zeros((4, d * d - 1))
+    for slot in range(4):
+        party, s = divmod(slot, 2)
+        base = std.a_vectors[s] if party == 0 else std.b_vectors[s]
+        small = two.a_vectors[s] if party == 0 else two.b_vectors[s]
+        target = np.eye(d, dtype=complex)
+        target[:2, :2] = small
+        u = target.T @ base.conj()  # sends each base row to its target row
+        h = -1j * logm(u)
+        h -= np.trace(h) / d * np.eye(d)
+        h = 0.5 * (h + h.conj().T)
+        thetas[slot] = 0.5 * np.einsum("aij,ji->a", mats, h).real
+    return thetas
+
+
+def random_mixed(rng, d):
+    g = rng.standard_normal((d * d, d * d)) \
+        + 1j * rng.standard_normal((d * d, d * d))
+    rho = g @ g.conj().T
+    return TwoQuditState(d, rho / np.trace(rho).real)
 
 
 def damped_value_oracle(state, p):
@@ -289,9 +316,24 @@ def test_damping_verdicts_match_born_grid():
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_qubit_embedding_start_is_finite(d):
-    thetas = _qubit_block_thetas(d, gellmann_basis(d).matrices)
-    assert thetas.shape == (4, d * d - 1)
-    assert np.all(np.isfinite(thetas))
+    # MeasurementSettings checks shape and orthonormality on construction
+    m = _qubit_block_settings(d)
+    assert m.d == d
+    assert np.all(np.isfinite(m.a_vectors))
+    assert np.all(np.isfinite(m.b_vectors))
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_qubit_block_settings_match_logm_oracle(d):
+    mats = gellmann_basis(d).matrices
+    rotated = _rotated_settings(cglmp_settings(d),
+                                qubit_block_thetas_oracle(d, mats), mats)
+    direct = _qubit_block_settings(d)
+    rng = np.random.default_rng(500 + d)
+    for _ in range(3):
+        rho = random_mixed(rng, d)
+        assert np.max(np.abs(probability_table(rho, direct)
+                             - probability_table(rho, rotated))) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -522,10 +564,7 @@ def test_qubit_block_settings_known_values():
     # settings and passes level 2 through; on a state entangled only on
     # the first two levels the three-outcome inequality evaluates to
     # (1 + 3 sqrt(2))/2, and on the colored mixture to 2 + (sqrt(2)-1) v
-    d = 3
-    mats = gellmann_basis(d).matrices
-    thetas = _qubit_block_thetas(d, mats)
-    m = _rotated_settings(cglmp_settings(d), thetas, mats)
+    m = _qubit_block_settings(3)
     psi = np.zeros(9, dtype=complex)
     psi[0] = psi[4] = 2.0 ** -0.5  # (|00> + |11>)/sqrt(2)
     rho = TwoQuditState(3, np.outer(psi, psi.conj()))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnl.channels import ChannelKind
 from qnl.cli import main, parse_state
-from qnl.criteria import scan_surface
+from qnl.criteria import critical_analytic, scan_surface
 from qnl.errors import QnlError
 from qnl.states import max_entangled
 
@@ -164,6 +164,16 @@ def test_fidelity_and_gap_json(capsys):
     assert payload["gap"] == pytest.approx(0.2071, abs=1e-3)
     assert payload["bell_threshold"] == pytest.approx(
         payload["detection_threshold"] + payload["gap"], abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [9, 14])
+def test_gap_detection_threshold_is_the_closed_form(d, capsys):
+    # bell - gap is one ulp off the closed form at these d
+    code, out, _ = run(["werner-gap", "--d", str(d), "--channel", "depol:0"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["detection_threshold"] == critical_analytic(
+        d, ChannelKind.DEPOLARIZING).value
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):

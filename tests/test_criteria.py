@@ -96,13 +96,13 @@ def test_grid_check_flags_reentrant_curves():
             return 0.2 < p < 0.4 or p > 0.8
 
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Wobble(), 100)
+        _verdict_grid_check(Wobble())
     # a single switch is the expected shape and passes
     class Clean:
         def entangled(self, p):
             return p > 0.3
 
-    _verdict_grid_check(Clean(), 100)
+    _verdict_grid_check(Clean())
 
 
 def test_grid_check_flags_reentrant_cells_of_a_batch():
@@ -112,11 +112,11 @@ def test_grid_check_flags_reentrant_cells_of_a_batch():
             return np.array([p > 0.3, 0.2 < p < 0.4 or p > 0.8])
 
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Batch(), 100)
+        _verdict_grid_check(Batch())
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Batch(), 100, np.array([False, True]))
+        _verdict_grid_check(Batch(), np.array([False, True]))
     # only the clean cell is checked
-    _verdict_grid_check(Batch(), 100, np.array([True, False]))
+    _verdict_grid_check(Batch(), np.array([True, False]))
 
 
 def test_margin_curve_paths():

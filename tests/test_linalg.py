@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnl.errors import NotHermitian
-from qnl.linalg import (dagger, hermitian_eigenvalues, is_hermitian,
+from qnl.linalg import (hermitian_eigenvalues, is_hermitian,
                         largest_singular_value, partial_trace)
 
 
@@ -15,11 +15,6 @@ def power_iteration_sigma(a, iters=500):
         v = m @ v
         v /= np.linalg.norm(v)
     return float(np.sqrt((v.conj() @ m @ v).real))
-
-
-def test_dagger():
-    a = np.array([[1.0, 2.0 + 1j], [0.0, -3j]])
-    assert np.array_equal(dagger(a), a.conj().T)
 
 
 def test_is_hermitian():
