@@ -12,12 +12,11 @@ from .bell import (BellValue, MeasurementSettings, ad_probability_table,
                    infinite_threshold, optimize_settings, probability_table)
 from .channels import (ChannelKind, ChannelSpec, KrausSet,
                        amplitude_damping_kraus, apply_local_channel,
-                       channel_output, colored_noise, depolarizing_kraus,
-                       depolarize_pair, product_noise, white_noise)
+                       channel_output, colored_noise, depolarize_pair,
+                       product_noise, white_noise)
 from .criteria import (CriterionVerdict, CriticalResult, SurfaceScan,
-                       colored_always_entangled, critical_analytic,
-                       critical_bisection, default_metric, is_entangled,
-                       scan_surface, xi)
+                       critical_analytic, critical_bisection, default_metric,
+                       is_entangled, scan_surface, xi)
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidDimension,
                      NegativeCoefficient, NoDetectionInRange, NonMonotonic,
                      NotHermitian, NotNormalizable, NoViolation, QnlError,
@@ -42,10 +41,10 @@ __all__ = [
     "optimize_settings", "probability_table",
     "ChannelKind", "ChannelSpec", "KrausSet", "amplitude_damping_kraus",
     "apply_local_channel", "channel_output", "colored_noise",
-    "depolarizing_kraus", "depolarize_pair", "product_noise", "white_noise",
+    "depolarize_pair", "product_noise", "white_noise",
     "CriterionVerdict", "CriticalResult", "SurfaceScan",
-    "colored_always_entangled", "critical_analytic", "critical_bisection",
-    "default_metric", "is_entangled", "scan_surface", "xi",
+    "critical_analytic", "critical_bisection", "default_metric",
+    "is_entangled", "scan_surface", "xi",
     "DimensionMismatch", "IndexOutOfRange", "InvalidDimension",
     "NegativeCoefficient", "NoDetectionInRange", "NonMonotonic",
     "NotHermitian", "NotNormalizable", "NoViolation", "QnlError",

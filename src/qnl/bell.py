@@ -56,7 +56,7 @@ class MeasurementSettings:
                 raise DimensionMismatch(
                     f"settings shape {v.shape} does not match d={self.d}")
             gram = v @ v.conj().transpose(0, 2, 1)  # one per setting
-            if np.max(np.abs(gram - np.eye(self.d))) > ORTHO_TOL:
+            if not np.max(np.abs(gram - np.eye(self.d))) <= ORTHO_TOL:
                 raise DimensionMismatch("outcome vectors are not orthonormal")
             v.setflags(write=False)
 

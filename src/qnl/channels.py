@@ -98,15 +98,10 @@ class KrausSet:
 
     def __post_init__(self):
         s = np.einsum("kij,kil->jl", self.operators.conj(), self.operators)
-        if np.max(np.abs(s - np.eye(self.d))) > COMPLETENESS_TOL:
+        if not np.max(np.abs(s - np.eye(self.d))) <= COMPLETENESS_TOL:
             raise UnsupportedChannel(
                 "Kraus operators do not sum to the identity")
         self.operators.setflags(write=False)
-
-    def apply_single(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action on one qudit."""
-        return np.einsum("kij,jl,kml->im", self.operators, rho,
-                         self.operators.conj())
 
 
 def white_noise(psi: SchmidtState, v: float) -> TwoQuditState:
@@ -135,24 +130,6 @@ def colored_noise(d: int, v: float) -> TwoQuditState:
     rho = v * to_density(max_entangled(d)).rho
     rho[d * d - 1, d * d - 1] += 1.0 - v
     return TwoQuditState(d=d, rho=rho)
-
-
-def depolarizing_kraus(d: int, r: float) -> KrausSet:
-    """Heisenberg-Weyl realization of rho -> (1-r) rho + (r/d) I."""
-    d = check_dimension(d)
-    r = check_strength(r)
-    shift = np.roll(np.eye(d), 1, axis=0)  # X: |j> -> |j+1>
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))  # Z
-    ops = []
-    for a in range(d):
-        xa = np.linalg.matrix_power(shift, a)
-        for b in range(d):
-            w = xa @ np.linalg.matrix_power(clock, b)
-            if a == 0 and b == 0:
-                ops.append(np.sqrt(1.0 - r + r / (d * d)) * w)
-            else:
-                ops.append(np.sqrt(r / (d * d)) * w)
-    return KrausSet(d=d, operators=np.array(ops))
 
 
 def amplitude_damping_kraus(d: int, r: float) -> KrausSet:

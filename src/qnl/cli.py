@@ -196,12 +196,15 @@ def cmd_scan(args) -> int:
     betas = np.linspace(0.0, np.pi / 2.0, args.grid)
     scan = scan_surface(spec.kind, alphas, betas, quantity=args.quantity)
     if args.fmt == "json":
-        alpha, beta, value = scan.minimum()
+        minimum = scan.minimum()
+        if minimum is not None:
+            alpha, beta, value = minimum
+            minimum = {"value": value, "alpha": alpha, "beta": beta}
         payload = {
             "channel": spec.kind.value,
             "quantity": scan.quantity,
             "grid": args.grid,
-            "minimum": {"value": value, "alpha": alpha, "beta": beta},
+            "minimum": minimum,
             "alphas": scan.alphas.tolist(),
             "betas": scan.betas.tolist(),
             "values": scan.values.tolist(),

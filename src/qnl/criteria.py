@@ -26,7 +26,7 @@ import numpy as np
 from .channels import ChannelKind
 from .errors import (NoDetectionInRange, NonMonotonic, QnlError,
                      UnsupportedChannel)
-from .states import SchmidtState, max_entangled, qutrit_family_coeffs
+from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
                      identity_metric, norm_sq, pair_values, spectral_norm)
@@ -278,25 +278,12 @@ def _damping_cubic_root(d: int) -> float:
     return float(root)
 
 
-def colored_always_entangled(d: int, v_samples) -> bool:
-    """Criterion fires at every sample; closed forms must agree to 1e-8."""
-    v = np.asarray(v_samples, dtype=float)
-    if not np.all((0.0 < v) & (v <= 1.0)):
-        raise ValueError("samples must lie in (0, 1]")
-    mes = np.tile(max_entangled(d).coeffs, (len(v), 1))
-    l, n = MarginBatch(d, mes, ChannelKind.COLORED).scalars(v)
-    l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
-    n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d
-                               + v * (d - 2.0) ** 2) / (d - 1.0) ** 2)
-    return bool(np.all((np.abs(l - l_closed) <= 1e-8)
-                       & (np.abs(n - n_closed) <= 1e-8)
-                       & (n - l > VERDICT_TOL)))
+def xi(state: SchmidtState, kind: ChannelKind, p_crit: float) -> float:
+    """Surviving correlation fraction sqrt(norm(p_crit)/norm(1)), capped at 1.
 
-
-def xi(state: SchmidtState, kind: ChannelKind, p_crit: float,
-       g: Metric | None = None) -> float:
-    """Surviving correlation fraction sqrt(norm(p_crit)/norm(1)), capped at 1."""
-    if g is None and kind is ChannelKind.COLORED:
+    Colored noise weights its metric at p_crit."""
+    g = None
+    if kind is ChannelKind.COLORED:
         g = colored_metric(state.d, p_crit)
     batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
     return float(_surviving_fraction(batch, p_crit)[0])
@@ -311,8 +298,11 @@ class SurfaceScan:
     values: np.ndarray = field(repr=False)  # (len(alphas), len(betas))
     flags: np.ndarray = field(repr=False)   # True where never detected
 
-    def minimum(self) -> tuple[float, float, float]:
-        """(alpha, beta, value) of the smallest unflagged cell."""
+    def minimum(self) -> tuple[float, float, float] | None:
+        """(alpha, beta, value) of the smallest unflagged cell; None when
+        every cell is flagged."""
+        if self.flags.all():
+            return None
         masked = np.where(self.flags, np.inf, self.values)
         i, j = np.unravel_index(np.argmin(masked), masked.shape)
         return float(self.alphas[i]), float(self.betas[j]), \
@@ -320,8 +310,7 @@ class SurfaceScan:
 
 
 def scan_surface(kind: ChannelKind, alpha_grid, beta_grid,
-                 quantity: str = "crit",
-                 g: Metric | None = None) -> SurfaceScan:
+                 quantity: str = "crit") -> SurfaceScan:
     """Critical parameter (or xi) over the two-angle qutrit family, in one
     batch: scaling cells take the closed-form root, the others are bisected
     and grid-checked as in critical_bisection.  Cells where the criterion
@@ -331,7 +320,7 @@ def scan_surface(kind: ChannelKind, alpha_grid, beta_grid,
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
     coeffs = qutrit_family_coeffs(alphas[:, None], betas).reshape(-1, 3)
-    batch = MarginBatch(3, coeffs, kind, g)
+    batch = MarginBatch(3, coeffs, kind)
     if batch.path == "scaling":
         crit, flagged = batch.scaling_roots()
     else:

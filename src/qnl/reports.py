@@ -55,21 +55,22 @@ class TableCell:
         return self.deviation > self.tolerance
 
 
-def _cell_state(d: int, column: str) -> SchmidtState | None:
-    if column == "max_entangled":
-        return max_entangled(d)
-    if column == "rank_2" and d >= 3:
-        return rank_k_state(d, 2, np.full(2, 1.0 / np.sqrt(2.0)))
-    if column == "rank_3" and d >= 4:
-        return rank_k_state(d, 3, np.full(3, 1.0 / np.sqrt(3.0)))
-    if column == "nonmax" and d in (3, 4):
+def _cell_state(table: str, noise: str, d: int, column: str) -> SchmidtState:
+    if (table, noise, d, column) == ("xi", "ad", 3, "nonmax"):
+        # this xi cell quotes the family point where the surviving-fraction
+        # surface bottoms out, not the detection-optimal state
+        return qutrit_family(7.0 * np.pi / 18.0, np.pi / 4.0)
+    if column == "nonmax":
         return nmax_state(d)
-    return None
+    if column.startswith("rank_"):
+        k = int(column[len("rank_"):])
+        return rank_k_state(d, k, np.full(k, 1.0 / np.sqrt(k)))
+    return max_entangled(d)
 
 
-# (noise, d, column) -> published critical value; None marks cells the
-# source leaves blank even though the state exists
-ENT_EXPECTED = {
+# (noise, d, column) -> published value, in output order; d = "inf" is the
+# limit row and None a cell the source leaves blank
+DETECTION = {
     ("depol", 2, "max_entangled"): 0.5773,
     ("depol", 3, "max_entangled"): 0.5,
     ("depol", 3, "rank_2"): 0.6546,
@@ -86,7 +87,7 @@ ENT_EXPECTED = {
     ("ad", 4, "nonmax"): 0.4074,
 }
 
-XI_EXPECTED = {
+XI = {
     ("depol", 2, "max_entangled"): 0.3333,
     ("depol", 3, "max_entangled"): 0.25,
     ("depol", 3, "rank_2"): 0.4285,
@@ -100,138 +101,73 @@ XI_EXPECTED = {
     ("ad", 4, "max_entangled"): 0.3256,
     ("ad", 4, "rank_2"): 0.750,
     ("ad", 4, "rank_3"): 0.3750,
+    ("ad", 4, "nonmax"): None,
 }
 
-BELL_EXPECTED = {
-    ("depol", 2): 0.8410, ("ad", 2): 0.7071,
-    ("depol", 3): 0.8344, ("ad", 3): 0.7468,
-    ("depol", 4): 0.8310, ("ad", 4): 0.7647,
-    ("depol", 5): 0.8290, ("ad", 5): 0.7750,
-    ("depol", 10): 0.8248, ("ad", 10): 0.7954,
-    ("depol", "inf"): 0.8206, ("ad", "inf"): 0.8206,
+BELL = {
+    ("depol", 2, "max_entangled"): 0.8410,
+    ("depol", 3, "max_entangled"): 0.8344,
+    ("depol", 4, "max_entangled"): 0.8310,
+    ("depol", 5, "max_entangled"): 0.8290,
+    ("depol", 10, "max_entangled"): 0.8248,
+    ("depol", "inf", "max_entangled"): 0.8206,
+    ("ad", 2, "max_entangled"): 0.7071,
+    ("ad", 3, "max_entangled"): 0.7468,
+    ("ad", 4, "max_entangled"): 0.7647,
+    ("ad", 5, "max_entangled"): 0.7750,
+    ("ad", 10, "max_entangled"): 0.7954,
+    ("ad", "inf", "max_entangled"): 0.8206,
 }
 
-FIDELITY_EXPECTED = {
-    ("depol", 2): 0.8834, ("ad", 2): 0.8660,
-    ("depol", 3): 0.8544, ("ad", 3): 0.8397,
-    ("depol", 4): 0.8426, ("ad", 4): 0.8298,
-    ("depol", "inf"): 0.8206, ("ad", "inf"): 0.8206,
+FIDELITY = {
+    ("depol", 2, "max_entangled"): 0.8834,
+    ("depol", 3, "max_entangled"): 0.8544,
+    ("depol", 4, "max_entangled"): 0.8426,
+    ("depol", "inf", "max_entangled"): 0.8206,
+    ("ad", 2, "max_entangled"): 0.8660,
+    ("ad", 3, "max_entangled"): 0.8397,
+    ("ad", 4, "max_entangled"): 0.8298,
+    ("ad", "inf", "max_entangled"): 0.8206,
 }
 
-GAP_EXPECTED = {
-    ("depol", 2): 0.2637, ("ad", 2): 0.2071,
-    ("depol", 3): 0.3344, ("ad", 3): 0.2934,
-    ("depol", 4): 0.3838, ("ad", 4): 0.3408,
-    ("depol", "inf"): 0.8206, ("ad", "inf"): 0.8206,
+GAP = {
+    ("depol", 2, "max_entangled"): 0.2637,
+    ("depol", 3, "max_entangled"): 0.3344,
+    ("depol", 4, "max_entangled"): 0.3838,
+    ("depol", "inf", "max_entangled"): 0.8206,
+    ("ad", 2, "max_entangled"): 0.2071,
+    ("ad", 3, "max_entangled"): 0.2934,
+    ("ad", 4, "max_entangled"): 0.3408,
+    ("ad", "inf", "max_entangled"): 0.8206,
+}
+
+# (table, noise, d, column) -> (flags, tolerance); None keeps the run's
+# tolerance
+FLAGGED = {
+    ("detection", "ad", 4, "nonmax"): ((FLAG_LOOSE_REFERENCE,), 1e-3),
+    # the source table leaves this entry out; emit computed
+    ("xi", "ad", 4, "nonmax"): ((FLAG_NO_REFERENCE,), None),
+}
+
+# table -> (CSV file, value rule, references).  A rule maps the channel, the
+# cell's state and the run's detection-threshold solver to the cell value.
+# Every limit row is the Bell threshold limit: the detection threshold
+# vanishes with growing d, so the gap's limit equals it too.
+TABLES = {
+    "detection": ("detection_critical.csv",
+                  lambda kind, psi, solve: solve(psi, kind), DETECTION),
+    "xi": ("xi_critical.csv",
+           lambda kind, psi, solve: xi(psi, kind, solve(psi, kind)), XI),
+    "bell": ("bell_critical.csv",
+             lambda kind, psi, _: critical_lr(psi, kind).value, BELL),
+    "fidelity": ("fidelity_critical.csv",
+                 lambda kind, psi, _: critical_fidelity(psi.d, kind).f_crit,
+                 FIDELITY),
+    "gap": ("werner_gap.csv",
+            lambda kind, psi, _: werner_gap(psi.d, kind), GAP),
 }
 
 _KINDS = {"depol": ChannelKind.DEPOLARIZING, "ad": ChannelKind.AMPLITUDE_DAMPING}
-
-
-def detection_table(tol: float = DEFAULT_CELL_TOL) -> list[TableCell]:
-    """Critical noise-free fractions for entanglement detection."""
-    cells = []
-    for noise, kind in _KINDS.items():
-        for d in (2, 3, 4):
-            for column in STATE_COLUMNS:
-                state = _cell_state(d, column)
-                if column == "nonmax" and noise == "depol":
-                    state = None  # source treats these cells as out of scope
-                expected = ENT_EXPECTED.get((noise, d, column))
-                if state is None:
-                    continue
-                if expected is None:
-                    continue
-                flags = ()
-                cell_tol = tol
-                if (noise, d, column) == ("ad", 4, "nonmax"):
-                    flags = (FLAG_LOOSE_REFERENCE,)
-                    cell_tol = 1e-3
-                value = critical_bisection(state, kind).value
-                cells.append(TableCell("detection", noise, str(d), column,
-                                       value, expected, cell_tol, flags))
-    return cells
-
-
-def xi_table(tol: float = DEFAULT_CELL_TOL) -> list[TableCell]:
-    """Surviving correlation fraction at the detection threshold."""
-    cells = []
-    for noise, kind in _KINDS.items():
-        for d in (2, 3, 4):
-            for column in STATE_COLUMNS:
-                state = _cell_state(d, column)
-                if column == "nonmax" and noise == "depol":
-                    state = None
-                if column == "nonmax" and noise == "ad" and d == 3:
-                    # this table's nonmax row quotes the family point where
-                    # the surviving-fraction surface bottoms out, not the
-                    # detection-optimal state
-                    state = qutrit_family(7.0 * np.pi / 18.0, np.pi / 4.0)
-                if state is None:
-                    continue
-                expected = XI_EXPECTED.get((noise, d, column))
-                flags = ()
-                if (noise, d, column) == ("ad", 4, "nonmax"):
-                    # the source table leaves this entry out; emit computed
-                    flags = (FLAG_NO_REFERENCE,)
-                elif expected is None:
-                    continue
-                p_crit = critical_bisection(state, kind).value
-                value = xi(state, kind, p_crit)
-                cells.append(TableCell("xi", noise, str(d), column,
-                                       value, expected, tol, flags))
-    return cells
-
-
-def bell_table(tol: float = DEFAULT_CELL_TOL) -> list[TableCell]:
-    """Critical noise-free fractions for violating the Bell bound."""
-    cells = []
-    for noise, kind in _KINDS.items():
-        for d in (2, 3, 4, 5, 10):
-            value = critical_lr(max_entangled(d), kind).value
-            cells.append(TableCell("bell", noise, str(d), "max_entangled",
-                                   value, BELL_EXPECTED[(noise, d)], tol))
-        cells.append(TableCell("bell", noise, "inf", "max_entangled",
-                               infinite_threshold(),
-                               BELL_EXPECTED[(noise, "inf")], tol))
-    return cells
-
-
-def fidelity_table(tol: float = DEFAULT_CELL_TOL) -> list[TableCell]:
-    cells = []
-    for noise, kind in _KINDS.items():
-        for d in (2, 3, 4):
-            value = critical_fidelity(d, kind).f_crit
-            cells.append(TableCell("fidelity", noise, str(d), "max_entangled",
-                                   value, FIDELITY_EXPECTED[(noise, d)], tol))
-        cells.append(TableCell("fidelity", noise, "inf", "max_entangled",
-                               infinite_threshold(),
-                               FIDELITY_EXPECTED[(noise, "inf")], tol))
-    return cells
-
-
-def gap_table(tol: float = DEFAULT_CELL_TOL) -> list[TableCell]:
-    cells = []
-    for noise, kind in _KINDS.items():
-        for d in (2, 3, 4):
-            value = werner_gap(d, kind)
-            cells.append(TableCell("gap", noise, str(d), "max_entangled",
-                                   value, GAP_EXPECTED[(noise, d)], tol))
-        # detection threshold vanishes with growing d, so the limit row
-        # equals the Bell threshold limit
-        cells.append(TableCell("gap", noise, "inf", "max_entangled",
-                               infinite_threshold(),
-                               GAP_EXPECTED[(noise, "inf")], tol))
-    return cells
-
-
-TABLE_BUILDERS = {
-    "detection": detection_table,
-    "xi": xi_table,
-    "bell": bell_table,
-    "fidelity": fidelity_table,
-    "gap": gap_table,
-}
 
 
 @dataclass(frozen=True)
@@ -242,9 +178,25 @@ class TableBundle:
 
 
 def reproduce_tables(tol: float = DEFAULT_CELL_TOL) -> TableBundle:
+    solved = {}
+
+    def solve(psi: SchmidtState, kind: ChannelKind) -> float:
+        # the detection and xi tables share each (state, channel) threshold
+        key = (psi.coeffs.tobytes(), kind)
+        if key not in solved:
+            solved[key] = critical_bisection(psi, kind).value
+        return solved[key]
+
     cells = []
-    for builder in TABLE_BUILDERS.values():
-        cells.extend(builder(tol))
+    for table, (_, rule, references) in TABLES.items():
+        for (noise, d, column), expected in references.items():
+            flags, cell_tol = FLAGGED.get((table, noise, d, column),
+                                          ((), None))
+            value = infinite_threshold() if d == "inf" else rule(
+                _KINDS[noise], _cell_state(table, noise, d, column), solve)
+            cells.append(TableCell(table, noise, str(d), column, value,
+                                   expected, tol if cell_tol is None
+                                   else cell_tol, flags))
     failures = sum(1 for c in cells if c.failed)
     flagged = sum(1 for c in cells if c.flags)
     return TableBundle(cells=cells, failures=failures, flagged=flagged)
@@ -300,14 +252,7 @@ def write_tables(out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = reproduce_tables(tol)
-    names = {
-        "detection": "detection_critical.csv",
-        "xi": "xi_critical.csv",
-        "bell": "bell_critical.csv",
-        "fidelity": "fidelity_critical.csv",
-        "gap": "werner_gap.csv",
-    }
-    for table, fname in names.items():
+    for table, (fname, _, _) in TABLES.items():
         (out / fname).write_text(table_csv(bundle.cells, table),
                                  encoding="utf-8", newline="\n")
     (out / "diff_report.json").write_text(

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
-from .gellmann import GellMannBasis, check_dimension, gellmann_basis
+from .gellmann import check_dimension, gellmann_basis
 from .states import SchmidtState, TwoQuditState
 
 IMAG_RESIDUE_TOL = 1e-8
@@ -59,7 +59,7 @@ class Metric:
         if self.g.shape != (n,):
             raise DimensionMismatch(
                 f"metric shape {self.g.shape} does not match d={self.d}")
-        if np.any(self.g < 0):
+        if not np.all(self.g >= 0):
             raise ValueError("metric weights must be nonnegative")
         self.g.setflags(write=False)
 
@@ -85,14 +85,9 @@ def damping_metric(d: int) -> Metric:
     return Metric(d=d, g=g)
 
 
-def correlation_tensor(rho: TwoQuditState,
-                       basis: GellMannBasis | None = None) -> CorrelationTensor:
+def correlation_tensor(rho: TwoQuditState) -> CorrelationTensor:
     d = rho.d
-    if basis is None:
-        basis = gellmann_basis(d)
-    if basis.d != d:
-        raise DimensionMismatch(f"basis d={basis.d} vs state d={d}")
-    m = basis.matrices
+    m = gellmann_basis(d).matrices
     r4 = rho.rho.reshape(d, d, d, d)
     z = np.einsum("abcd,ica->ibd", r4, m)
     t = np.einsum("ibd,jdb->ij", z, m) * c_factor(d)

@@ -1,0 +1,51 @@
+"""Independent reference paths the tests compare the package against.
+
+Each one recomputes something the package computes on its own faster
+path: the Heisenberg-Weyl Kraus form of local depolarizing noise (the
+package has only the affine form, channels.depolarize_pair), the
+single-qudit Kraus action, and the closed-form colored-noise scalars
+that criteria.MarginBatch evaluates on its block form.
+"""
+
+import numpy as np
+
+from qnl.channels import ChannelKind, KrausSet
+from qnl.criteria import VERDICT_TOL, MarginBatch
+from qnl.states import max_entangled
+
+
+def depolarizing_kraus(d: int, r: float) -> KrausSet:
+    """Heisenberg-Weyl realization of rho -> (1-r) rho + (r/d) I."""
+    shift = np.roll(np.eye(d), 1, axis=0)  # X: |j> -> |j+1>
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))  # Z
+    ops = []
+    for a in range(d):
+        xa = np.linalg.matrix_power(shift, a)
+        for b in range(d):
+            w = xa @ np.linalg.matrix_power(clock, b)
+            if a == 0 and b == 0:
+                ops.append(np.sqrt(1.0 - r + r / (d * d)) * w)
+            else:
+                ops.append(np.sqrt(r / (d * d)) * w)
+    return KrausSet(d=d, operators=np.array(ops))
+
+
+def apply_single(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """Channel action on one qudit."""
+    return np.einsum("kij,jl,kml->im", kraus.operators, rho,
+                     kraus.operators.conj())
+
+
+def colored_always_entangled(d: int, v_samples) -> bool:
+    """Criterion fires at every sample; closed forms must agree to 1e-8."""
+    v = np.asarray(v_samples, dtype=float)
+    if not np.all((0.0 < v) & (v <= 1.0)):
+        raise ValueError("samples must lie in (0, 1]")
+    mes = np.tile(max_entangled(d).coeffs, (len(v), 1))
+    l, n = MarginBatch(d, mes, ChannelKind.COLORED).scalars(v)
+    l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
+    n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d
+                               + v * (d - 2.0) ** 2) / (d - 1.0) ** 2)
+    return bool(np.all((np.abs(l - l_closed) <= 1e-8)
+                       & (np.abs(n - n_closed) <= 1e-8)
+                       & (n - l > VERDICT_TOL)))

@@ -24,11 +24,9 @@ from qnl.channels import (
     ChannelSpec,
     amplitude_damping_kraus,
     channel_output,
-    depolarizing_kraus,
 )
 from qnl.cli import main as cli_main
 from qnl.criteria import (
-    colored_always_entangled,
     critical_analytic,
     critical_bisection,
     scan_surface,
@@ -43,6 +41,8 @@ from qnl.states import (
     to_density,
 )
 from qnl.tensor import correlation_tensor, schmidt_correlation_tensor
+
+from oracles import colored_always_entangled, depolarizing_kraus
 
 WHITE = ChannelKind.WHITE
 DEPOL = ChannelKind.DEPOLARIZING

@@ -135,6 +135,15 @@ def test_scan_json_minimum_matches_surface(capsys):
     assert value == pytest.approx(0.2546, abs=1e-4)
 
 
+def test_scan_json_minimum_is_null_when_nothing_is_detected(capsys):
+    code, out, _ = run(["scan", "--channel", "product", "--grid", "2",
+                        "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["never_detected"] == [[True, True], [True, True]]
+    assert payload["minimum"] is None
+
+
 def test_cglmp_json(capsys):
     code, out, _ = run(["cglmp", "--d", "3", "--state", "mes",
                         "--channel", "white:1"], capsys)

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
 from qnl.criteria import (VERDICT_TOL, MarginBatch, MarginCurve,
                           _verdict_grid_check, bisect_threshold,
-                          colored_always_entangled, critical_analytic,
-                          critical_bisection, default_metric, is_entangled,
-                          scan_surface, xi)
+                          critical_analytic, critical_bisection,
+                          default_metric, is_entangled, scan_surface, xi)
 from qnl.errors import (NoDetectionInRange, NonMonotonic, UnsupportedChannel)
 from qnl.states import (SchmidtState, max_entangled, nmax_state,
                         qutrit_family, rank_k_state, schmidt_state,
@@ -17,6 +16,8 @@ from qnl.states import (SchmidtState, max_entangled, nmax_state,
 from qnl.tensor import (Metric, colored_metric, correlation_tensor,
                         damping_metric, identity_metric, norm_sq,
                         spectral_norm)
+
+from oracles import colored_always_entangled
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -325,18 +326,6 @@ def test_scan_cells_equal_single_thresholds(kind):
             value = critical_bisection(psi, kind).value
             assert crit.values[i, j] == value
             assert frac.values[i, j] == xi(psi, kind, value)
-
-
-def test_scan_cells_under_identity_metric_equal_single_thresholds():
-    # damped cells whose metric weights the diagonal generators
-    grid = np.linspace(0.0, np.pi / 2, 7)
-    g = identity_metric(3)
-    scan = scan_surface(AD, grid, grid, g=g)
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            if not scan.flags[i, j]:
-                single = critical_bisection(qutrit_family(a, b), AD, g).value
-                assert scan.values[i, j] == single
 
 
 def test_scan_scaling_cells_use_closed_form_root():

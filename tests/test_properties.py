@@ -9,11 +9,12 @@ from qnl.channels import (
     ChannelSpec,
     amplitude_damping_kraus,
     channel_output,
-    depolarizing_kraus,
     white_noise,
 )
 from qnl.states import SchmidtState, to_density
 from qnl.tensor import correlation_tensor, schmidt_correlation_tensor
+
+from oracles import depolarizing_kraus
 
 RELAXED = settings(max_examples=25, deadline=None)
 

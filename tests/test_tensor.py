@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from qnl.channels import (ChannelKind, ChannelSpec, channel_output,
+from qnl.bell import MeasurementSettings
+from qnl.channels import (ChannelKind, ChannelSpec, KrausSet, channel_output,
                           white_noise)
+from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.gellmann import gellmann_basis
 from qnl.states import max_entangled, schmidt_state, to_density
 from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
@@ -188,3 +190,17 @@ def test_max_entangled_tensor_norm_value():
         g = identity_metric(d)
         assert norm_sq(t, g) == pytest.approx((d + 1.0) / (d - 1.0), abs=1e-12)
         assert spectral_norm(t, g) == pytest.approx(1.0 / (d - 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda nan: MeasurementSettings(3, np.full((2, 3, 3), nan),
+                                     np.full((2, 3, 3), nan)),
+     DimensionMismatch),
+    (lambda nan: Metric(3, np.full(8, nan)), ValueError),
+    (lambda nan: KrausSet(3, np.full((3, 3, 3), nan)), UnsupportedChannel),
+], ids=["MeasurementSettings", "Metric", "KrausSet"])
+def test_validation_rejects_nan(build, error):
+    # every comparison with NaN is false, so each check must be written to
+    # pass only on finite, valid input
+    with pytest.raises(error):
+        build(np.nan)
