@@ -265,8 +265,8 @@ def _qubit_block_settings(d: int) -> MeasurementSettings:
     return MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
 
 
-def optimize_settings(rho: TwoQuditState, restarts: int = 4,
-                      seed: int = 0) -> BellValue:
+def optimize_settings(rho: TwoQuditState, restarts: int,
+                      seed: int) -> BellValue:
     """Best-effort maximization of the inequality over rotated settings.
 
     Every start is base settings rotated by exp(iH) of angles: the

@@ -10,11 +10,11 @@ channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
 evaluates a batch of Schmidt inputs at once on the block form of
 tensor.py, for every channel and every metric; no density matrix is
 built.  A channel enters only through how its pair entries scale with p
-and through the populations P(p) of the noisy state.  One bisection
-brackets every input of a batch together; critical_bisection and xi are
-the single-input case, scan_surface batches the whole qutrit-family
-surface, and the Bell thresholds of bell.critical_lr use the same
-bisection.
+and through the populations P(p) of the noisy state.  One solver, _solve,
+bisects every input of a batch together and grid-checks it for
+monotonicity; critical_bisection is its single-input case, scan_surface
+batches the whole qutrit-family surface, and the Bell thresholds of
+bell.critical_lr use the same bisection.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind
-from .errors import (NoDetectionInRange, NonMonotonic, QnlError,
-                     UnsupportedChannel)
+from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
 from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
@@ -164,13 +163,6 @@ class MarginBatch:
         l, n = self.scalars(p)
         return n - l > VERDICT_TOL
 
-    def scaling_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(critical p, never-fired flag) in closed form; scaling path only."""
-        fired = (self._n0 > 0.0) & (self._l0 < self._n0 - VERDICT_TOL)
-        ratio = np.divide(self._l0, self._n0, out=np.ones(self.size),
-                          where=fired)
-        return np.float_power(ratio, 1.0 / self._power), ~fired
-
 
 class MarginCurve:
     """Scalars of one noisy state as functions of p: a MarginBatch of one."""
@@ -229,19 +221,27 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
     return np.minimum(np.sqrt(ratio), 1.0)
 
 
+def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(threshold, detected) per input: one bisection over the batch, and
+    the monotonicity grid on the inputs detected at p = 1."""
+    detected = batch.entangled(1.0)
+    threshold = bisect_threshold(batch.entangled, batch.size)
+    _verdict_grid_check(batch, detected)
+    return threshold, detected
+
+
 def critical_bisection(state: SchmidtState, kind: ChannelKind,
                        g: Metric | None = None) -> CriticalResult:
     batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
-    if not batch.entangled(1.0)[0]:
+    threshold, detected = _solve(batch)
+    if not detected[0]:
         raise NoDetectionInRange(
             "criterion does not fire anywhere in the strength range")
     if batch.entangled(0.0)[0]:
         raise NoDetectionInRange(
             "criterion fires at zero noise-free fraction; nothing to bracket")
-    value = float(bisect_threshold(batch.entangled, 1)[0])
-    _verdict_grid_check(batch)
     return CriticalResult(parameter_name=kind.parameter_name,
-                          value=value, method="bisection",
+                          value=float(threshold[0]), method="bisection",
                           channel=kind, state=describe_state(state))
 
 
@@ -269,12 +269,6 @@ def _damping_cubic_root(d: int) -> float:
     b = (1.0 + np.sqrt(1.0 + a)) ** (1.0 / 3.0)
     root = (1.0 / (2.0 * (d - 2.0))) ** (1.0 / 3.0) \
         * (1.0 - a ** (1.0 / 3.0) / (b * b)) * b
-    # radical form cross-checked against direct cubic solving
-    poly = np.roots([d - 2.0, 0.0, 2.0, -1.0])
-    real = [x.real for x in poly
-            if abs(x.imag) < 1e-9 and 0.0 < x.real < 1.0]
-    if len(real) != 1 or abs(real[0] - root) > 1e-9:
-        raise QnlError("cubic root cross-check failed")
     return float(root)
 
 
@@ -312,25 +306,18 @@ class SurfaceScan:
 def scan_surface(kind: ChannelKind, alpha_grid, beta_grid,
                  quantity: str = "crit") -> SurfaceScan:
     """Critical parameter (or xi) over the two-angle qutrit family, in one
-    batch: scaling cells take the closed-form root, the others are bisected
-    and grid-checked as in critical_bisection.  Cells where the criterion
-    does not fire at p = 1 are flagged, value 1."""
+    batch solved as critical_bisection solves one input.  Cells where the
+    criterion does not fire at p = 1 are flagged, value 1."""
     if quantity not in ("crit", "xi"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
     coeffs = qutrit_family_coeffs(alphas[:, None], betas).reshape(-1, 3)
     batch = MarginBatch(3, coeffs, kind)
-    if batch.path == "scaling":
-        crit, flagged = batch.scaling_roots()
-    else:
-        fired = batch.entangled(1.0)
-        crit = bisect_threshold(batch.entangled, batch.size)
-        _verdict_grid_check(batch, fired)
-        flagged = ~fired
+    crit, detected = _solve(batch)
     if quantity == "xi":
         crit = _surviving_fraction(batch, crit)
-    values = np.where(flagged, 1.0, crit).reshape(len(alphas), len(betas))
+    values = np.where(detected, crit, 1.0).reshape(len(alphas), len(betas))
     return SurfaceScan(kind=kind, quantity=quantity, alphas=alphas,
                        betas=betas, values=values,
-                       flags=flagged.reshape(values.shape))
+                       flags=~detected.reshape(values.shape))

@@ -52,7 +52,8 @@ class TableCell:
     def failed(self) -> bool:
         if self.flags or self.deviation is None:
             return False
-        return self.deviation > self.tolerance
+        # a NaN deviation fails
+        return not self.deviation <= self.tolerance
 
 
 def _cell_state(table: str, noise: str, d: int, column: str) -> SchmidtState:

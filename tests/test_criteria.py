@@ -60,6 +60,16 @@ def test_analytic_damping_root_solves_cubic():
     assert critical_analytic(2, AD).value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_damping_root_matches_direct_cubic_solve():
+    # oracle: the real root in (0, 1) of (d-2) p^3 + 2 p - 1 by np.roots
+    for d in [*range(2, 2001), *(10 ** k for k in range(4, 9))]:
+        root = critical_analytic(d, AD).value
+        poly = np.roots([d - 2.0, 0.0, 2.0, -1.0])
+        real = [x.real for x in poly
+                if abs(x.imag) < 1e-9 and 0.0 < x.real < 1.0]
+        assert len(real) == 1 and abs(real[0] - root) <= 1e-9, d
+
+
 def test_analytic_rejects_mixing_families_without_closed_form():
     with pytest.raises(UnsupportedChannel):
         critical_analytic(3, ChannelKind.PRODUCT)
@@ -308,7 +318,7 @@ def test_scan_surface_deterministic():
     assert np.array_equal(s1.flags, s2.flags)
 
 
-@pytest.mark.parametrize("kind", [ChannelKind.PRODUCT, AD])
+@pytest.mark.parametrize("kind", [WHITE, DEPOL, ChannelKind.PRODUCT, AD])
 def test_scan_cells_equal_single_thresholds(kind):
     # each batched cell must reproduce the single-state solver bit for bit
     grid = np.linspace(0.0, np.pi / 2, 9)
@@ -326,16 +336,6 @@ def test_scan_cells_equal_single_thresholds(kind):
             value = critical_bisection(psi, kind).value
             assert crit.values[i, j] == value
             assert frac.values[i, j] == xi(psi, kind, value)
-
-
-def test_scan_scaling_cells_use_closed_form_root():
-    grid = np.linspace(0.0, np.pi / 2, 5)
-    scan = scan_surface(DEPOL, grid, grid)
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            if not scan.flags[i, j]:
-                single = critical_bisection(qutrit_family(a, b), DEPOL).value
-                assert abs(scan.values[i, j] - single) < 1e-8
 
 
 def test_scan_rejects_unknown_quantity():

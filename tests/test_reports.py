@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import qnl.reports as reports
-from qnl.reports import TABLES, reproduce_tables, write_tables
+from qnl.reports import TABLES, TableCell, reproduce_tables, write_tables
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "tables"
 FILES = ("detection_critical.csv", "xi_critical.csv", "bell_critical.csv",
@@ -41,3 +41,9 @@ def test_written_files_match_golden_bytes(tmp_path):
     for name in FILES:
         assert (tmp_path / name).read_bytes() == \
             (GOLDEN / name).read_bytes(), name
+
+
+def test_nan_cell_fails():
+    cell = TableCell("detection", "ad", "2", "max_entangled", float("nan"),
+                     0.5, 5e-4)
+    assert cell.failed
