@@ -186,20 +186,20 @@ def infinite_threshold() -> float:
 def _bell_block(d: int) -> np.ndarray:
     """M[i, j] = <ii|W|jj> of the Bell operator W with I(rho) = Tr(W rho).
 
-    W = sum w |A_s[a] B_t[b]><A_s[a] B_t[b]|, w[s, t, a, b] the value of
-    _inequality_value on that entry's unit table; it reads the table only
-    through sums over a - b = k (mod d), so the b = 0 tables give them all.
-    The weights sum to 0 and outcome-vector entries have modulus 1/sqrt(d),
-    so W has zero diagonal in the product basis: Schmidt states and the
-    Kraus terms of their damped images see W only through Re M."""
-    n, m = np.arange(d), cglmp_settings(d)
-    w = np.array([_inequality_value(u.reshape(2, 2, d, 1) * (n == 0))
-                  for u in np.eye(4 * d)]).reshape(2, 2, d)  # [s, t, a - b]
-    block = np.zeros((d, d))
-    for s, t in np.ndindex(2, 2):
-        # <ii|A_s[a] B_t[b]> per outcome pair (a, b); a - b < 0 wraps mod d
-        amp = (m.a_vectors[s, :, None] * m.b_vectors[t]).reshape(-1, d)
-        block += ((amp.T * w[s, t, n[:, None] - n].ravel()) @ amp.conj()).real
+    _inequality_value weighs P(A_s - B_t = k mod d) by w_st[k]: the ramp
+    r_k = 1 - 2k/(d - 1) for (s, t) = (0, 0) and (1, 1), r_{-k} for (0, 1)
+    and -r_k for (1, 0).  <ii|A_s[a] B_t[b]> = omega^{i(a - b + alpha_s +
+    beta_t)}/d makes M Toeplitz: M[i, j] = m(i - j), m(delta) = Re sum_st
+    omega^{delta(alpha_s + beta_t)} ifft(w_st)[delta mod d].  The weights
+    sum to 0 and product-basis amplitudes have modulus 1/d, so W has zero
+    diagonal there: Schmidt states and their damped images see only Re M."""
+    k, delta = np.arange(d), np.arange(1 - d, d)
+    ramp = 1.0 - 2.0 * k / (d - 1.0)
+    spectra = np.fft.ifft([ramp, ramp[-k], -ramp, ramp])  # [(s, t), k]
+    phases = np.add.outer(ALPHA_PHASES, BETA_PHASES).reshape(4, 1)
+    profile = (np.exp(2j * np.pi / d * phases * delta)
+               * spectra[:, delta % d]).sum(axis=0).real
+    block = profile[k[:, None] - k + d - 1]  # m(i - j)
     block.setflags(write=False)
     return block
 

@@ -223,8 +223,11 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
 
 def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
     """(threshold, detected) per input: one bisection over the batch, and
-    the monotonicity grid on the inputs detected at p = 1."""
+    the monotonicity grid on the inputs detected at p = 1.  Thresholds hold
+    only where detected; a batch detected nowhere is not bisected."""
     detected = batch.entangled(1.0)
+    if not detected.any():
+        return np.ones(batch.size), detected
     threshold = bisect_threshold(batch.entangled, batch.size)
     _verdict_grid_check(batch, detected)
     return threshold, detected

@@ -111,6 +111,8 @@ def max_entangled(d: int) -> SchmidtState:
 def qutrit_family_coeffs(alpha, beta) -> np.ndarray:
     """Normalized rows (cos a, sin a sin b, sin a cos b) of the d=3 family
     over broadcast angles (radians)."""
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise NotNormalizable("qutrit angles must be finite")
     c = np.stack(np.broadcast_arrays(np.cos(alpha),
                                      np.sin(alpha) * np.sin(beta),
                                      np.sin(alpha) * np.cos(beta)), axis=-1)

@@ -169,6 +169,21 @@ def bell_operator_oracle(d):
     return (phi.T * w) @ phi.conj()
 
 
+def bell_block_oracle(d):
+    """Bell block <ii|W|jj> from unit tables: each weight w[s, t, a - b] is
+    the value of one of the 4 d unit tables with b = 0, and each setting
+    pair's outcome amplitudes <ii|A_s[a] B_t[b]> are contracted by matmul."""
+    n, m = np.arange(d), cglmp_settings(d)
+    w = np.array([_inequality_value(u.reshape(2, 2, d, 1) * (n == 0))
+                  for u in np.eye(4 * d)]).reshape(2, 2, d)  # [s, t, a - b]
+    block = np.zeros((d, d))
+    for s, t in np.ndindex(2, 2):
+        # <ii|A_s[a] B_t[b]> per outcome pair (a, b); a - b < 0 wraps mod d
+        amp = (m.a_vectors[s, :, None] * m.b_vectors[t]).reshape(-1, d)
+        block += ((amp.T * w[s, t, n[:, None] - n].ravel()) @ amp.conj()).real
+    return block
+
+
 def random_schmidt(rng, d):
     raw = rng.uniform(0.05, 1.0, size=d)
     return schmidt_state(d, np.sqrt(raw / raw.sum()))
@@ -264,6 +279,13 @@ def test_bell_block_is_schmidt_block_of_dense_operator(d):
     schmidt = np.arange(d) * (d + 1)  # |ii> in the product basis
     dense = bell_operator_oracle(d)[np.ix_(schmidt, schmidt)]
     assert np.max(np.abs(_bell_block(d) - dense.real)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_bell_block_matches_unit_table_oracle(d):
+    # the closed-form ramp weights and Toeplitz profile against the
+    # weights _inequality_value gives each unit table
+    assert np.max(np.abs(_bell_block(d) - bell_block_oracle(d))) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,6 +557,24 @@ def test_finite_dimension_approaches_limit():
     lim = cglmp_ad_infinite(0.0)
     assert abs(i100 - lim) < abs(i40 - lim)
     assert abs(i100 - lim) / lim < 0.02
+
+
+def test_large_dimension_approaches_infinite_forms():
+    # the max-entangled value and damping threshold at finite d close in
+    # on the paper's d -> infinity forms
+    errors = []
+    try:
+        for d in (100, 1000, 3000):
+            psi = max_entangled(d)
+            value = psi.coeffs @ _bell_block(d) @ psi.coeffs
+            errors.append((abs(value - cglmp_ad_infinite(0.0)),
+                           abs(critical_lr(psi, AD).value
+                               - infinite_threshold())))
+    finally:
+        _bell_block.cache_clear()  # the d = 3000 block holds 72 MB
+    (i100, t100), (i1000, t1000), (i3000, t3000) = errors
+    assert i100 > i1000 > i3000 and t100 > t1000 > t3000
+    assert i3000 <= 1.5e-4 and t3000 <= 3e-4
 
 
 def test_optimizer_never_below_standard_settings():

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnl.channels import ChannelKind
 from qnl.cli import main, parse_state
@@ -200,6 +200,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                   "--channel", "white:1"],
                  ["crit", "--d", "3", "--state", "coeffs:nan,1,1",
                   "--channel", "white:1"],
+                 ["tensor", "--d", "3", "--state", "qutrit:inf,nan",
+                  "--channel", "white:0.0"],
                  ["scan", "--channel", "bogus", "--grid", "3"],
                  ["scan", "--channel", "white", "--grid", "0"],
                  ["scan", "--channel", "white", "--grid", "1"],
@@ -279,6 +281,11 @@ def _argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_argv())
+# non-finite qutrit angles are rejected before numpy's trigonometry warns
+@example(argv=["tensor", "--d", "3", "--state", "qutrit:nan,inf",
+               "--channel", "white:0.0"])
+@example(argv=["crit", "--d", "3", "--state", "qutrit:inf,0",
+               "--channel", "white:0.0"])
 def test_fuzzed_argv_keeps_exit_code_contract(argv):
     # exit 0, 1 or 2, returned or raised by argparse; any other exception
     # escaping main fails the test

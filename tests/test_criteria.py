@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qnl.criteria
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
 from qnl.criteria import (VERDICT_TOL, MarginBatch, MarginCurve,
                           _verdict_grid_check, bisect_threshold,
@@ -99,6 +100,17 @@ def test_rank_table_spot_checks():
 def test_no_detection_for_product_state():
     with pytest.raises(NoDetectionInRange):
         critical_bisection(schmidt_state(2, [1.0, 0.0]), WHITE)
+
+
+@pytest.mark.parametrize("kind", [WHITE, ChannelKind.PRODUCT, AD])
+def test_undetected_input_raises_before_bisecting(monkeypatch, kind):
+    # one verdict at p = 1 settles an input detected nowhere
+    def refuse(fired, size):
+        raise AssertionError("bisected an input detected nowhere")
+
+    monkeypatch.setattr(qnl.criteria, "bisect_threshold", refuse)
+    with pytest.raises(NoDetectionInRange, match="does not fire anywhere"):
+        critical_bisection(schmidt_state(3, [1.0, 0.0, 0.0]), kind)
 
 
 def test_grid_check_flags_reentrant_curves():

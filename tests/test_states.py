@@ -58,6 +58,14 @@ def test_qutrit_family_points():
     assert edge.coeffs[2] == 0.0 and edge.rank == 1
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, np.inf), (np.inf, np.nan),
+                                         (np.inf, 0.0), (0.3, -np.inf)])
+def test_qutrit_family_rejects_non_finite_angles(alpha, beta):
+    # rejected before any trigonometry, so numpy never warns
+    with pytest.raises(NotNormalizable, match="angles must be finite"):
+        qutrit_family(alpha, beta)
+
+
 def test_rank_k_state_support_is_top_levels():
     psi = rank_k_state(4, 2, np.full(2, 1 / np.sqrt(2)))
     assert psi.coeffs[0] == 0.0 and psi.coeffs[1] == 0.0
