@@ -182,7 +182,7 @@ def infinite_threshold() -> float:
     return float(np.pi / (4.0 * np.sqrt(catalan_constant())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _bell_block(d: int) -> np.ndarray:
     """M[i, j] = <ii|W|jj> of the Bell operator W with I(rho) = Tr(W rho).
 

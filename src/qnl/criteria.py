@@ -11,10 +11,13 @@ evaluates a batch of Schmidt inputs at once on the block form of
 tensor.py, for every channel and every metric; no density matrix is
 built.  A channel enters only through how its pair entries scale with p
 and through the populations P(p) of the noisy state.  One solver, _solve,
-bisects every input of a batch together and grid-checks it for
-monotonicity; critical_bisection is its single-input case, scan_surface
-batches the whole qutrit-family surface, and the Bell thresholds of
-bell.critical_lr use the same bisection.
+bisects every input of a batch together; critical_bisection is its
+single-input case, scan_surface batches the whole qutrit-family surface,
+and the Bell thresholds of bell.critical_lr use the same bisection.  A
+bisected threshold needs a verdict that switches once in p.  Where that
+is a theorem (MarginBatch.monotone: the scaling path, and damping with
+no weight on the diagonal generators) nothing more is checked; on every
+other path _solve grid-checks the verdicts for a second switch.
 """
 
 from __future__ import annotations
@@ -94,6 +97,15 @@ class MarginBatch:
     the noisy state's populations P(p).  White and local depolarizing
     noise scale the whole tensor as p and p^2, so their scalars are taken
     once at p = 1.  The block is built only when the metric weights it.
+
+    `monotone` is true where the verdict n - l > tol provably switches at
+    most once, from false to true, as p grows:
+    - scaling: with s = p or p^2 it reads s (n0 s - l0) > tol, and both
+      factors grow with s once the second is positive;
+    - damping without diagonal-generator weight: pair m scales as p^e_m,
+      e_m in {1, 2}, so the verdict holds iff for every m
+      p^e_m (sum_k w_k v_k^2 p^(2 e_k - e_m) - w_m |v_m|) > tol; every
+      exponent is at least 0, so each condition stays true once true.
     """
 
     def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
@@ -127,6 +139,8 @@ class MarginBatch:
             # pairs touching the ground level decay once, the others twice
             self._pair_pow = np.where(np.triu_indices(d, 1)[0] == 0, 1.0, 2.0)
             self.path = "damping"
+        self.monotone = self.path == "scaling" or (
+            self.path == "damping" and self._weights[2] is None)
 
     def _populations(self, p: np.ndarray) -> np.ndarray:
         """P(a, b) = <ab|rho(p)|ab> of each noisy input, (N, d, d)."""
@@ -222,14 +236,16 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
 
 
 def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(threshold, detected) per input: one bisection over the batch, and
-    the monotonicity grid on the inputs detected at p = 1.  Thresholds hold
-    only where detected; a batch detected nowhere is not bisected."""
+    """(threshold, detected) per input: one bisection over the batch, and,
+    unless the batch is proven monotone, the monotonicity grid on the
+    inputs detected at p = 1.  Thresholds hold only where detected; a batch
+    detected nowhere is not bisected."""
     detected = batch.entangled(1.0)
     if not detected.any():
         return np.ones(batch.size), detected
     threshold = bisect_threshold(batch.entangled, batch.size)
-    _verdict_grid_check(batch, detected)
+    if not batch.monotone:
+        _verdict_grid_check(batch, detected)
     return threshold, detected
 
 

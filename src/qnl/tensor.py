@@ -150,8 +150,19 @@ def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
 
 
 def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sigma_max(T_ij w_j) of each tensor in a stack; w is (n,) or (N, n)."""
-    return np.linalg.svd(t * w[..., None, :], compute_uv=False)[:, 0]
+    """sigma_max(T_ij w_j) of each tensor in an (N, n, n) stack; w is (n,)
+    or (N, n).
+
+    A 2 x 2 block (the diagonal-generator block at d = 3) takes the closed
+    form sigma_max = (hypot(a00 + a11, a01 - a10) + hypot(a00 - a11,
+    a01 + a10)) / 2, the half-sum of the moduli of its conformal and
+    anticonformal parts; blocks of any other size take the SVD."""
+    a = t * w[..., None, :]
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.svd(a, compute_uv=False)[:, 0]
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    return 0.5 * (np.hypot(a00 + a11, a01 - a10)
+                  + np.hypot(a00 - a11, a01 + a10))
 
 
 def norm_sqs(t: np.ndarray, w: np.ndarray) -> np.ndarray:

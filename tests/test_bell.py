@@ -577,6 +577,12 @@ def test_large_dimension_approaches_infinite_forms():
     assert i3000 <= 1.5e-4 and t3000 <= 3e-4
 
 
+def test_bell_block_cache_is_bounded():
+    # a block is d x d floats: an unbounded cache would pin every
+    # dimension a process has asked for (72 MB at d = 3000)
+    assert _bell_block.cache_info().maxsize is not None
+
+
 def test_optimizer_never_below_standard_settings():
     rho = channel_output(max_entangled(3), ChannelSpec(AD, 0.2))
     standard = cglmp_value(rho).i_d

@@ -1,8 +1,10 @@
 """CLI plumbing: parsing, output formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,11 @@ from qnl.cli import main, parse_state
 from qnl.criteria import critical_analytic, scan_surface
 from qnl.errors import QnlError
 from qnl.states import max_entangled
+
+
+# sha256 of the benchmarked 101 x 101 scan CSVs, "<channel>.<quantity>"
+SCAN_DIGESTS = json.loads((Path(__file__).resolve().parent / "data"
+                           / "scan_sha256.json").read_text())
 
 
 def run(args, capsys):
@@ -344,3 +351,15 @@ def test_tables_exit_codes(tmp_path, capsys):
                         "--tolerance", "1e-9"], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_DIGESTS))
+def test_benchmarked_scan_csv_bytes_pinned(name, capsys):
+    # every cell of the surface, byte for byte, not only to the benchmark's
+    # 1e-4 tolerance
+    channel, quantity = name.split(".")
+    code, out, _ = run(["scan", "--channel", channel, "--grid", "101",
+                        "--quantity", quantity], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == SCAN_DIGESTS[name]

@@ -152,6 +152,90 @@ def test_margin_curve_paths():
     assert MarginCurve(max_entangled(3), ChannelKind.COLORED).path == "colored"
 
 
+def sampled_rows(rng, d, size=8):
+    raw = rng.uniform(0.0, 1.0, size=(size, d))
+    raw[rng.random((size, d)) < 0.3] = 0.0  # reduced-rank rows too
+    raw[:, 0] += 1e-3
+    return np.sqrt(raw / raw.sum(axis=1, keepdims=True))
+
+
+def sampled_metric(rng, d, name):
+    n = d * d - 1
+    if name == "identity":
+        return identity_metric(d)
+    if name == "colored":
+        return colored_metric(d, rng.uniform(0.0, 1.0))
+    if name == "damping":
+        return damping_metric(d)
+    w = rng.uniform(0.0, 2.0, size=n)
+    w[rng.random(n) < 0.3] = 0.0
+    if name == "random, no diagonal weight":
+        w[d * (d - 1):] = 0.0
+    return Metric(d=d, g=w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(
+    [(WHITE, "identity"), (WHITE, "colored"), (WHITE, "damping"),
+     (WHITE, "random"), (DEPOL, "identity"), (DEPOL, "colored"),
+     (DEPOL, "damping"), (DEPOL, "random"), (AD, "damping"),
+     (AD, "random, no diagonal weight")]))
+def test_proven_monotone_batches_pass_the_grid_oracle(d, seed, case):
+    # _solve skips the grid where monotonicity is a theorem; the grid must
+    # then find no second switch, on the detected rows and on all the rows
+    kind, name = case
+    rng = np.random.default_rng(seed)
+    batch = MarginBatch(d, sampled_rows(rng, d), kind,
+                        sampled_metric(rng, d, name))
+    assert batch.monotone
+    _verdict_grid_check(batch, batch.entangled(1.0))
+    _verdict_grid_check(batch)
+
+
+def test_grid_check_runs_off_the_proven_paths(monkeypatch):
+    checked = []
+    grid_check = qnl.criteria._verdict_grid_check
+
+    def counted(batch, cells=True):
+        checked.append(batch.path)
+        grid_check(batch, cells)
+
+    monkeypatch.setattr(qnl.criteria, "_verdict_grid_check", counted)
+    psi = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
+    zero_block = Metric(d=3, g=np.r_[np.linspace(0.5, 1.5, 6), 0.0, 0.0])
+    for state, kind, g, runs in (
+            (psi, WHITE, None, 0), (psi, DEPOL, colored_metric(3, 0.3), 0),
+            (psi, AD, None, 0), (psi, AD, zero_block, 0),
+            (psi, ChannelKind.PRODUCT, None, 1),
+            (max_entangled(3), ChannelKind.COLORED, None, 1),
+            (psi, AD, identity_metric(3), 1)):
+        checked.clear()
+        critical_bisection(state, kind, g)
+        assert len(checked) == runs, (kind, g)
+    grid = np.linspace(0.0, np.pi / 2, 5)
+    for kind, paths in ((WHITE, []), (AD, []),
+                        (ChannelKind.PRODUCT, ["product"])):
+        checked.clear()
+        scan_surface(kind, grid, grid)
+        assert checked == paths
+
+
+def test_two_by_two_blocks_never_reach_the_svd(monkeypatch):
+    # the d = 3 diagonal-generator block takes the closed form
+    svd = np.linalg.svd
+
+    def guarded(a, *args, **kwargs):
+        assert a.shape[-2:] != (2, 2)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+    grid = np.linspace(0.0, np.pi / 2, 5)
+    for kind in (ChannelKind.PRODUCT, AD, DEPOL):
+        scan_surface(kind, grid, grid, quantity="xi")
+    critical_bisection(qutrit_family(0.9, 0.7), AD, identity_metric(3))
+    critical_bisection(max_entangled(3), ChannelKind.COLORED)
+
+
 def trace_tensor(psi, kind, p):
     """Oracle: build the noisy state, take its dense trace tensor."""
     spec = ChannelSpec.from_noise_free_fraction(kind, float(p))

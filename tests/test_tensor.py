@@ -13,7 +13,7 @@ from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         colored_metric, correlation_tensor, damping_metric,
                         diagonal_block, identity_metric, norm_sq,
                         pair_values, schmidt_correlation_tensor,
-                        spectral_norm)
+                        spectral_norm, spectral_norms)
 
 
 def random_schmidt(rng, d):
@@ -190,6 +190,59 @@ def test_max_entangled_tensor_norm_value():
         g = identity_metric(d)
         assert norm_sq(t, g) == pytest.approx((d + 1.0) / (d - 1.0), abs=1e-12)
         assert spectral_norm(t, g) == pytest.approx(1.0 / (d - 1.0), abs=1e-12)
+
+
+def svd_norms(t, w):
+    return np.linalg.svd(t * w[..., None, :], compute_uv=False)[:, 0]
+
+
+def assert_close_to_svd(t, w):
+    ref = svd_norms(t, w)
+    assert np.all(np.abs(spectral_norms(t, w) - ref) <= 2e-15 * ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_by_two_closed_form_matches_svd(seed):
+    # entries of both signs over twelve decades, per-row and shared weights
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(5000, 2, 2)) \
+        * 10.0 ** rng.uniform(-6.0, 6.0, size=(5000, 1, 1))
+    assert_close_to_svd(t, rng.uniform(0.0, 2.0, size=(5000, 2)))
+    assert_close_to_svd(t, rng.uniform(0.0, 2.0, size=2))
+
+
+def test_two_by_two_closed_form_special_blocks():
+    rng = np.random.default_rng(11)
+    u, v = rng.normal(size=(2, 200, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=200)
+    c, s = np.cos(angle), np.sin(angle)
+    rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    reflections = rotations * np.array([1.0, -1.0])
+    ones = np.ones(2)
+    assert np.array_equal(spectral_norms(np.zeros((3, 2, 2)), ones),
+                          np.zeros(3))
+    assert_close_to_svd(u[:, :, None] * v[:, None, :], ones)  # rank one
+    diag = rng.normal(size=(200, 2))
+    assert_close_to_svd(diag[:, :, None] * np.eye(2), ones)
+    assert np.allclose(spectral_norms(diag[:, :, None] * np.eye(2), ones),
+                       np.max(np.abs(diag), axis=1), rtol=2e-15, atol=0.0)
+    # equal singular values: scaled rotations and reflections
+    scale = rng.uniform(0.1, 10.0, size=(200, 1, 1))
+    for block in (scale * rotations, scale * reflections):
+        assert_close_to_svd(block, ones)
+    assert_close_to_svd(-np.abs(rng.normal(size=(200, 2, 2))), ones)
+    # colored noise at v = 0 gives the second diagonal generator no weight
+    w = colored_metric(3, 0.0).g[6:]
+    assert_close_to_svd(rng.normal(size=(200, 2, 2)), w)
+    assert_close_to_svd(rng.normal(size=(200, 2, 2)), w[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 8])
+def test_other_block_sizes_take_the_svd(n):
+    rng = np.random.default_rng(n)
+    t = rng.normal(size=(50, n, n))
+    w = rng.uniform(0.0, 2.0, size=(50, n))
+    assert np.array_equal(spectral_norms(t, w), svd_norms(t, w))
 
 
 @pytest.mark.parametrize("build, error", [
