@@ -9,8 +9,9 @@ from scipy.optimize import minimize
 import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
                       MeasurementSettings, _bell_block, _damping_quadratic,
-                      _inequality_value, _qubit_block_settings,
-                      _rotated_settings,
+                      _generator_eigh, _inequality_value,
+                      _outcome_weights, _qubit_block_settings,
+                      _rotated_settings, _value_and_gradient,
                       ad_probability_table, catalan_constant,
                       cglmp_ad_infinite, cglmp_ad_value, cglmp_settings,
                       cglmp_value, critical_lr, infinite_threshold,
@@ -97,6 +98,10 @@ def born_einsum_oracle(rho, m):
                                   m.a_vectors[s], m.b_vectors[t],
                                   optimize="greedy").real
     return out
+
+
+def rotate(base, thetas, mats):
+    return _rotated_settings(base, *_generator_eigh(thetas, mats))
 
 
 def rotated_settings_expm_oracle(base, thetas, mats):
@@ -189,6 +194,44 @@ def random_schmidt(rng, d):
     return schmidt_state(d, np.sqrt(raw / raw.sum()))
 
 
+def powell_oracle(rho, restarts, seed):
+    """The derivative-free settings search optimize_settings replaced:
+    Powell on the Born value from the same starts, at most 500 evaluations
+    each."""
+    d = rho.d
+    std = cglmp_settings(d)
+    mats = gellmann_basis(d).matrices
+    size = 4 * (d * d - 1)
+    rng = np.random.default_rng(seed)
+    starts = [(std, np.zeros(size)),
+              (_qubit_block_settings(d), np.zeros(size))]
+    starts += [(std, rng.normal(scale=0.4, size=size))
+               for _ in range(restarts)]
+
+    def value_at(base, x):
+        return cglmp_value(rho, rotate(base, x.reshape(4, -1), mats))
+
+    best = cglmp_value(rho, std)
+    for base, x0 in starts:
+        res = minimize(lambda x: -value_at(base, x).i_d, x0, method="Powell",
+                       options={"maxfev": 500, "xtol": 1e-4, "ftol": 1e-8})
+        if -res.fun > best.i_d:
+            best = value_at(base, res.x)
+    return best
+
+
+def central_difference_oracle(rho, base, thetas, mats, h=1e-5):
+    """dI/dtheta of the Born value, one central difference per angle."""
+    grad = np.empty_like(thetas)
+    for idx in np.ndindex(thetas.shape):
+        step = np.zeros_like(thetas)
+        step[idx] = h
+        grad[idx] = (cglmp_value(rho, rotate(base, thetas + step, mats)).i_d
+                     - cglmp_value(rho, rotate(base, thetas - step, mats))
+                     .i_d) / (2.0 * h)
+    return grad
+
+
 @pytest.mark.parametrize("d", range(2, 11))
 def test_settings_match_scalar_oracle(d):
     av, bv = settings_oracle(d)
@@ -212,8 +255,7 @@ def test_probability_table_matches_einsum_oracle(d):
     psi = random_schmidt(rng, d)
     mats = gellmann_basis(d).matrices
     std = cglmp_settings(d)
-    rotated = _rotated_settings(
-        std, 0.4 * rng.standard_normal((4, d * d - 1)), mats)
+    rotated = rotate(std, 0.4 * rng.standard_normal((4, d * d - 1)), mats)
     for kind in ChannelKind:
         # colored noise is defined for the max-entangled input only
         src = max_entangled(d) if kind is ChannelKind.COLORED else psi
@@ -232,7 +274,7 @@ def test_rotated_settings_match_expm_oracle(d):
     base = cglmp_settings(d)
     for scale in (0.05, 0.4, 1.5):
         thetas = scale * rng.standard_normal((4, d * d - 1))
-        m = _rotated_settings(base, thetas, mats)
+        m = rotate(base, thetas, mats)
         av, bv = rotated_settings_expm_oracle(base, thetas, mats)
         assert np.max(np.abs(m.a_vectors - av)) <= 1e-13, scale
         assert np.max(np.abs(m.b_vectors - bv)) <= 1e-13, scale
@@ -286,6 +328,16 @@ def test_bell_block_matches_unit_table_oracle(d):
     # the closed-form ramp weights and Toeplitz profile against the
     # weights _inequality_value gives each unit table
     assert np.max(np.abs(_bell_block(d) - bell_block_oracle(d))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_outcome_weights_match_unit_tables(d):
+    # the weights the settings gradient reads, against the value
+    # _inequality_value gives each of the 4 d^2 unit tables
+    units = np.eye(4 * d * d).reshape(-1, 2, 2, d, d)
+    w = np.array([_inequality_value(u) for u in units]).reshape(2, 2, d, d)
+    g = _outcome_weights(d).reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    assert np.max(np.abs(g - w)) <= 2.3e-16  # one ulp of 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,8 +400,8 @@ def test_qubit_embedding_start_is_finite(d):
 @pytest.mark.parametrize("d", range(2, 11))
 def test_qubit_block_settings_match_logm_oracle(d):
     mats = gellmann_basis(d).matrices
-    rotated = _rotated_settings(cglmp_settings(d),
-                                qubit_block_thetas_oracle(d, mats), mats)
+    rotated = rotate(cglmp_settings(d), qubit_block_thetas_oracle(d, mats),
+                     mats)
     direct = _qubit_block_settings(d)
     rng = np.random.default_rng(500 + d)
     for _ in range(3):
@@ -583,6 +635,82 @@ def test_bell_block_cache_is_bounded():
     assert _bell_block.cache_info().maxsize is not None
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.booleans(), st.floats(0.0, 1.5, allow_nan=False))
+def test_gradient_matches_central_differences(d, seed, mixed, qubit_base,
+                                              scale):
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, d) if mixed \
+        else to_density(random_schmidt(rng, d))
+    base = _qubit_block_settings(d) if qubit_base else cglmp_settings(d)
+    mats = gellmann_basis(d).matrices
+    thetas = scale * rng.standard_normal((4, d * d - 1))
+    value, grad = _value_and_gradient(rho, base, thetas, mats,
+                                      _outcome_weights(d))
+    born = cglmp_value(rho, rotate(base, thetas, mats)).i_d
+    assert abs(value - born) <= 1e-14
+    oracle = central_difference_oracle(rho, base, thetas, mats)
+    assert np.max(np.abs(grad - oracle)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_gradient_at_zero_angles(d):
+    # every generator eigenvalue is 0: each Daleckii-Krein weight is
+    # sinc(0), which must be exactly 1, not 0/0
+    rng = np.random.default_rng(700 + d)
+    rho = random_mixed(rng, d)
+    mats = gellmann_basis(d).matrices
+    zero = np.zeros((4, d * d - 1))
+    for base in (cglmp_settings(d), _qubit_block_settings(d)):
+        value, grad = _value_and_gradient(rho, base, zero, mats,
+                                          _outcome_weights(d))
+        assert abs(value - cglmp_value(rho, base).i_d) <= 1e-14
+        oracle = central_difference_oracle(rho, base, zero, mats)
+        assert np.max(np.abs(grad - oracle)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("sample", range(3))
+def test_optimizer_at_least_powell(d, sample):
+    rng = np.random.default_rng(800 + 10 * d + sample)
+    if sample == 2:
+        rho = random_mixed(rng, d)
+    else:
+        kind = (ChannelKind.WHITE, AD)[sample]
+        rho = channel_output(random_schmidt(rng, d),
+                             ChannelSpec(kind, rng.uniform(0.6, 0.95)))
+    assert optimize_settings(rho, restarts=0, seed=0).i_d \
+        >= powell_oracle(rho, restarts=0, seed=0).i_d - 1e-12
+
+
+ACIN_BOUND = 1.0 + np.sqrt(11.0 / 3.0)  # largest d = 3 value over states
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_optimizer_stays_below_qutrit_maximum(seed):
+    psi = random_schmidt(np.random.default_rng(seed), 3)
+    assert optimize_settings(to_density(psi), restarts=1, seed=0).i_d \
+        <= ACIN_BOUND + 1e-9
+
+
+@pytest.mark.parametrize("coeffs, restarts", [
+    ((0.6169, 0.4888, 0.6169), 0),
+    # the same state with its levels permuted: the standard settings give
+    # 2.78, and a random start must climb to the maximum
+    ((0.6169, 0.6169, 0.4888), 1),
+])
+def test_optimizer_reaches_qutrit_maximum(coeffs, restarts):
+    # Acin, Durt, Gisin and Latorre (2002): the state that maximizes the
+    # qutrit inequality, coefficients rounded to four digits
+    c = np.array(coeffs)
+    rho = to_density(schmidt_state(3, c / np.linalg.norm(c)))
+    value = optimize_settings(rho, restarts=restarts, seed=0).i_d
+    assert abs(value - ACIN_BOUND) <= 1e-8
+    assert value <= ACIN_BOUND
+
+
 def test_optimizer_never_below_standard_settings():
     rho = channel_output(max_entangled(3), ChannelSpec(AD, 0.2))
     standard = cglmp_value(rho).i_d
@@ -630,7 +758,7 @@ def test_rotated_settings_keep_probabilities_normalized():
     rho = channel_output(max_entangled(d), ChannelSpec(ChannelKind.WHITE, 0.6))
     for _ in range(5):
         thetas = 0.3 * rng.standard_normal((4, d * d - 1))
-        m = _rotated_settings(cglmp_settings(d), thetas, mats)
+        m = rotate(cglmp_settings(d), thetas, mats)
         table = probability_table(rho, m)
         assert np.max(np.abs(table.sum(axis=(2, 3)) - 1.0)) < 1e-8
         assert table.min() > -1e-12
