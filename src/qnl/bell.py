@@ -32,6 +32,7 @@ from .criteria import CriticalResult, bisect_threshold, describe_state
 from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
                      UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
+from .linalg import realign
 from .states import SchmidtState, TwoQuditState
 
 LOCAL_BOUND = 2.0
@@ -83,32 +84,26 @@ def cglmp_settings(d: int) -> MeasurementSettings:
 
 def probability_table(rho: TwoQuditState,
                       m: MeasurementSettings | None = None) -> np.ndarray:
-    """All joint probabilities, shape (2, 2, d, d) indexed [s, t, a, b].
-
-    P[s, t, a, b] = <A_s[a] B_t[b]| rho |A_s[a] B_t[b]>, contracted on rho
-    itself by four batched matmuls that serve all four setting pairs.  The
-    contraction order and each matmul's operand layout are those numpy's
-    einsum takes for the same sum, so the tables round alike.
-    """
+    """All joint probabilities, shape (2, 2, d, d) indexed [s, t, a, b]:
+    <A_s[a] B_t[b]| rho |A_s[a] B_t[b]>, the projector rows of A against
+    the realigned rho against those of B."""
     if m is None:
         m = cglmp_settings(rho.d)
     if rho.d != m.d:
         raise DimensionMismatch(f"state d={rho.d} vs settings d={m.d}")
     d = rho.d
-    av, bv = m.a_vectors, m.b_vectors
-    r4 = rho.rho.reshape(d, d, d, d)  # [i, j, k, l]
-    # i against conj(A_s): [s, a, (j, l), k]
-    x = (av.conj() @ r4.transpose(0, 1, 3, 2).reshape(d, d ** 3)) \
-        .reshape(2, d, d * d, d)
-    # k against A_s, a kept on the diagonal: [s, a, j, l] -> [s, (a, l), j]
-    y = (x @ av[..., None]).reshape(2, d, d, d).transpose(0, 1, 3, 2) \
-        .reshape(2, 1, d * d, d)
-    # j against conj(B_t): [s, t, (a, l), b] -> [s, t, b, a, l]
-    z = (y @ bv.conj().transpose(0, 2, 1)).reshape(2, 2, d, d, d) \
-        .transpose(0, 1, 4, 2, 3)
-    # l against B_t, b kept on the diagonal: [s, t, b, a]
-    p = (z @ bv[:, :, :, None])[..., 0]
-    return np.ascontiguousarray(p.real.transpose(0, 1, 3, 2))
+    p = _projector_rows(m.a_vectors) @ realign(rho.rho, d) \
+        @ _projector_rows(m.b_vectors).T  # [(s, a), (t, b)]
+    return np.ascontiguousarray(
+        p.real.reshape(2, d, 2, d).transpose(0, 2, 1, 3))
+
+
+def _projector_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows vec(|v><v|^T) = conj(v) (x) v of the outcome vectors (2, d, d)
+    of one party, shape (2d, d^2), ordered (setting, outcome)."""
+    d = vectors.shape[-1]
+    v = vectors.reshape(2 * d, d)
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(2 * d, d * d)
 
 
 def _inequality_value(table: np.ndarray) -> float:
@@ -284,28 +279,14 @@ def _outcome_weights(d: int) -> np.ndarray:
         .transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
 
 
-def _effective_rows(r4: np.ndarray, own: np.ndarray, other: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """F[(s, a)] = E_sa v_sa for the outcome vectors v = own of one party.
-
-    E_sa = sum_tb G[(s, a), (t, b)] <u_tb| rho |u_tb> is the operator the
-    other party's vectors u = other leave on this party, so that
-    I = sum_sa v_sa^dagger F[(s, a)].  r4 is rho as [i, j, k, l] with this
-    party on i and k.
-    """
-    d = r4.shape[0]
-    u = other.reshape(2 * d, d)
-    pairs = (u.conj()[:, :, None] * u[:, None, :]).reshape(2 * d, d * d)
-    e = pairs @ r4.transpose(1, 3, 0, 2).reshape(d * d, d * d)  # [tb, ik]
-    e = (weights @ e).reshape(2 * d, d, d)
-    return (e @ own.reshape(2 * d, d, 1)).reshape(2 * d, d)
-
-
 def _value_and_gradient(rho: TwoQuditState, base: MeasurementSettings,
                         thetas: np.ndarray, mats: np.ndarray,
                         weights: np.ndarray) -> tuple[float, np.ndarray]:
     """I at the rotated settings and dI/dtheta, shape (4, d^2 - 1).
 
+    Each outcome vector v_sa of one party sees the operator E_sa = sum_tb
+    G[(s, a), (t, b)] <u_tb| rho |u_tb> that the other party's vectors u
+    leave on it, so I = sum_sa v_sa^dagger F_sa with F_sa = E_sa v_sa.
     With v = exp(iH) v0 per slot, dI = 2 Re sum_a v_a^dagger E_a dv_a =
     2 Re Tr(dexp K), K = sum_a v0_a F_a^dagger.  Daleckii-Krein gives dexp
     in the eigenbasis of H: along X it is i U (Phi o U^dagger X U)
@@ -315,13 +296,17 @@ def _value_and_gradient(rho: TwoQuditState, base: MeasurementSettings,
     d = rho.d
     w, u = _generator_eigh(thetas, mats)
     m = _rotated_settings(base, w, u)
-    r4 = rho.rho.reshape(d, d, d, d)
-    rows_a = _effective_rows(r4, m.a_vectors, m.b_vectors, weights)
-    rows_b = _effective_rows(r4.transpose(1, 0, 3, 2), m.b_vectors,
-                             m.a_vectors, weights.T)
-    value = np.vdot(m.a_vectors, rows_a).real
-    rows = np.concatenate((rows_a, rows_b)).reshape(4, d, d)
-    v0 = np.concatenate((base.a_vectors, base.b_vectors))  # [slot, a, m]
+    r = realign(rho.rho, d)
+    # E for the A slots, then the B slots; a contiguous R^T keeps this
+    # product's rounding independent of how BLAS is handed a transposed view
+    e = np.concatenate((
+        weights @ (_projector_rows(m.b_vectors) @ np.ascontiguousarray(r.T)),
+        weights.T @ (_projector_rows(m.a_vectors) @ r)))
+    vecs = np.concatenate((m.a_vectors, m.b_vectors))  # [slot, a, m]
+    rows = (e.reshape(4 * d, d, d) @ vecs.reshape(4 * d, d, 1)) \
+        .reshape(4, d, d)
+    value = np.vdot(m.a_vectors, rows[:2]).real
+    v0 = np.concatenate((base.a_vectors, base.b_vectors))
     uh = u.conj().transpose(0, 2, 1)
     k = uh @ v0.transpose(0, 2, 1) @ rows.conj() @ u
     phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :])) \

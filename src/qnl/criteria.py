@@ -35,7 +35,6 @@ from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
-BISECTION_MAX_ITER = 60
 GRID_POINTS = 100
 
 
@@ -214,16 +213,16 @@ def bisect_threshold(fired, size: int) -> np.ndarray:
     """Bisect size inputs on [0, 1] together; midpoints of the brackets.
 
     fired(p) maps one p per input to one verdict per input; each input's
-    verdict is false below its threshold and true above it."""
-    lo, hi = np.zeros(size), np.ones(size)
-    for _ in range(BISECTION_MAX_ITER):
-        open_ = hi - lo > BISECTION_WIDTH
-        if not open_.any():
-            break
+    verdict is false below its threshold and true above it.  Every bracket
+    starts at [0, 1] and halves on every step, so all share one width, a
+    power of two: the loop always takes 27 steps to BISECTION_WIDTH."""
+    lo, hi, width = np.zeros(size), np.ones(size), 1.0
+    while width > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         fired_at = fired(mid)
-        hi = np.where(open_ & fired_at, mid, hi)
-        lo = np.where(open_ & ~fired_at, mid, lo)
+        hi = np.where(fired_at, mid, hi)
+        lo = np.where(fired_at, lo, mid)
+        width *= 0.5
     return 0.5 * (lo + hi)
 
 

@@ -34,6 +34,16 @@ def largest_singular_value(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def realign(rho: np.ndarray, d: int) -> np.ndarray:
+    """Realigned d*d bipartite matrix, R[(i, k), (j, l)] = rho[(i, j), (k, l)].
+
+    Local operators then contract as Tr[rho (X (x) Y)] = vec(X^T) R vec(Y^T),
+    vec flattening row by row; R is C-contiguous."""
+    if rho.shape != (d * d, d * d):
+        raise DimensionMismatch(f"expected {(d * d, d * d)}, got {rho.shape}")
+    return rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def partial_trace(rho: np.ndarray, d: int, keep: int) -> np.ndarray:
     """Reduce a d*d bipartite density matrix to subsystem 0 or 1."""
     if rho.shape != (d * d, d * d):

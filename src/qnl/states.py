@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeCoefficient,
-    NotHermitian,
     NotNormalizable,
     RankTooLarge,
 )
@@ -65,12 +64,12 @@ class TwoQuditState:
         if rho.shape != (d * d, d * d):
             raise DimensionMismatch(
                 f"rho shape {rho.shape} does not match d={d}")
-        if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
-            raise NotHermitian("density matrix is not Hermitian")
+        # raises NotHermitian first, so that wins over the trace check
+        smallest = hermitian_eigenvalues(rho)[0]
         tr = np.trace(rho).real
         if abs(tr - 1.0) > DENSITY_TOL:
             raise NotNormalizable(f"trace is {tr}, expected 1")
-        if hermitian_eigenvalues(rho)[0] < EIG_FLOOR:
+        if smallest < EIG_FLOOR:
             raise NotNormalizable("density matrix has a negative eigenvalue")
         rho.setflags(write=False)
 
@@ -84,7 +83,10 @@ def normalized_coeffs(c: np.ndarray) -> np.ndarray:
         raise NotNormalizable("Schmidt coefficients must be finite")
     if np.any(c < 0):
         raise NegativeCoefficient("Schmidt coefficients must be >= 0")
-    nsq = np.sum(c * c, axis=-1, keepdims=True)
+    # squares of huge finite coefficients overflow to inf, which the norm
+    # check below rejects
+    with np.errstate(over="ignore"):
+        nsq = np.sum(c * c, axis=-1, keepdims=True)
     if np.any(nsq == 0.0):
         raise NotNormalizable("all coefficients are zero")
     far = np.abs(nsq - 1.0) > NORM_SLACK

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .gellmann import check_dimension, gellmann_basis
+from .linalg import realign
 from .states import SchmidtState, TwoQuditState
 
 IMAG_RESIDUE_TOL = 1e-8
@@ -86,11 +87,11 @@ def damping_metric(d: int) -> Metric:
 
 
 def correlation_tensor(rho: TwoQuditState) -> CorrelationTensor:
+    """T = c(d) rows R rows^T, R the realigned rho and rows the basis
+    matrices B_i^T = conj(B_i) flattened."""
     d = rho.d
-    m = gellmann_basis(d).matrices
-    r4 = rho.rho.reshape(d, d, d, d)
-    z = np.einsum("abcd,ica->ibd", r4, m)
-    t = np.einsum("ibd,jdb->ij", z, m) * c_factor(d)
+    rows = gellmann_basis(d).matrices.conj().reshape(-1, d * d)
+    t = (rows @ realign(rho.rho, d) @ rows.T) * c_factor(d)
     if np.max(np.abs(t.imag)) > IMAG_RESIDUE_TOL:
         raise NotHermitian("correlation tensor has imaginary residue")
     return CorrelationTensor(d=d, t=t.real.copy())

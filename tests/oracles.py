@@ -3,15 +3,19 @@
 Each one recomputes something the package computes on its own faster
 path: the Heisenberg-Weyl Kraus form of local depolarizing noise (the
 package has only the affine form, channels.depolarize_pair), the
-single-qudit Kraus action, and the closed-form colored-noise scalars
-that criteria.MarginBatch evaluates on its block form.
+single-qudit Kraus action, the closed-form colored-noise scalars
+that criteria.MarginBatch evaluates on its block form, and the
+correlation tensor contracted on rho by two einsums (the package reads it
+from the realigned rho).
 """
 
 import numpy as np
 
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
+from qnl.gellmann import gellmann_basis
 from qnl.states import max_entangled
+from qnl.tensor import c_factor
 
 
 def depolarizing_kraus(d: int, r: float) -> KrausSet:
@@ -49,3 +53,12 @@ def colored_always_entangled(d: int, v_samples) -> bool:
     return bool(np.all((np.abs(l - l_closed) <= 1e-8)
                        & (np.abs(n - n_closed) <= 1e-8)
                        & (n - l > VERDICT_TOL)))
+
+
+def einsum_correlation_tensor(rho: np.ndarray, d: int) -> np.ndarray:
+    """c(d) Tr[rho (B_i (x) B_j)] by two einsums on rho as [i, j, k, l];
+    complex, so that an imaginary residue shows."""
+    m = gellmann_basis(d).matrices
+    r4 = rho.reshape(d, d, d, d)
+    z = np.einsum("abcd,ica->ibd", r4, m)
+    return np.einsum("ibd,jdb->ij", z, m) * c_factor(d)

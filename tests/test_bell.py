@@ -18,6 +18,7 @@ from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
                       optimize_settings, probability_table)
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
+from qnl.criteria import bisect_threshold
 from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
                         UnsupportedChannel)
 from qnl.gellmann import gellmann_basis
@@ -293,9 +294,17 @@ def test_inequality_value_matches_scalar_oracle(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
-def test_damping_threshold_matches_scalar_bisection(d):
+def test_damping_threshold_matches_scalar_bisection(monkeypatch, d):
+    # every bracket halves from [0, 1], so width 1e-8 takes 27 verdicts
+    calls = []
+
+    def counted(fired, size):
+        return bisect_threshold(lambda p: calls.append(p) or fired(p), size)
+
+    monkeypatch.setattr(qnl.bell, "bisect_threshold", counted)
     psi = max_entangled(d)
     assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
+    assert len(calls) == 27
 
 
 @pytest.mark.parametrize("d", [3, 4, 6, 10])

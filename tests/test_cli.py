@@ -192,6 +192,14 @@ def test_gap_detection_threshold_is_the_closed_form(d, capsys):
         d, ChannelKind.DEPOLARIZING).value
 
 
+def test_overflowing_coefficients_exit_2_with_one_error_line(capsys):
+    # the squared norm overflows to inf and is rejected without a warning
+    code, out, err = run(["crit", "--d", "3", "--state",
+                          "coeffs:1e200,1e200,1e200"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(["crit", "--d", "3", "--channel", "pink:0.5"], capsys)[0] == 2
     assert run(["crit", "--d", "3", "--state", "wat",

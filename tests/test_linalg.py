@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qnl.errors import NotHermitian
+from qnl.errors import DimensionMismatch, NotHermitian
 from qnl.linalg import (hermitian_eigenvalues, is_hermitian,
-                        largest_singular_value, partial_trace)
+                        largest_singular_value, partial_trace, realign)
 
 
 def power_iteration_sigma(a, iters=500):
@@ -67,3 +67,33 @@ def test_partial_trace_preserves_trace():
     rho /= np.trace(rho).real
     for keep in (0, 1):
         assert np.trace(partial_trace(rho, d, keep)).real == pytest.approx(1.0)
+
+
+def unit_complex(rng, *shape):
+    # complex Gaussian entries scaled to unit Frobenius norm per matrix
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_realign_contracts_local_operators(d):
+    # vec(X^T) R vec(Y^T) against the dense trace Tr[rho (X (x) Y)]
+    rng = np.random.default_rng(40 + d)
+    rho = unit_complex(rng, d * d, d * d)
+    xs, ys = unit_complex(rng, 5, d, d), unit_complex(rng, 5, d, d)
+    got = xs.transpose(0, 2, 1).reshape(5, d * d) @ realign(rho, d) \
+        @ ys.transpose(0, 2, 1).reshape(5, d * d).T
+    want = np.array([[np.trace(rho @ np.kron(x, y)) for y in ys]
+                     for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_realign_layout_and_shape_check():
+    d = 3
+    rho = np.arange(d ** 4, dtype=float).reshape(d * d, d * d)
+    r = realign(rho, d)
+    for i, j, k, l in np.ndindex(d, d, d, d):
+        assert r[i * d + k, j * d + l] == rho[i * d + j, k * d + l]
+    assert r.flags.c_contiguous
+    with pytest.raises(DimensionMismatch):
+        realign(rho, 2)

@@ -19,6 +19,12 @@ def test_schmidt_state_rejects_large_drift():
         schmidt_state(2, [0.6, 0.82])
 
 
+def test_schmidt_state_rejects_overflowing_norm():
+    # the squares overflow to inf; the norm check rejects it, no warning
+    with pytest.raises(NotNormalizable, match="off by more than"):
+        schmidt_state(3, [1e200] * 3)
+
+
 def test_schmidt_state_rejects_negative_and_zero():
     with pytest.raises(NegativeCoefficient):
         schmidt_state(2, [-0.6, 0.8])

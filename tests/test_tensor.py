@@ -15,6 +15,8 @@ from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         pair_values, schmidt_correlation_tensor,
                         spectral_norm, spectral_norms)
 
+from oracles import einsum_correlation_tensor
+
 
 def random_schmidt(rng, d):
     c = rng.random(d) + 1e-3
@@ -92,6 +94,19 @@ def test_stacked_tensors_and_scalars_equal_loop_forms(d):
                                          compute_uv=False)[0]) <= 1e-15
         assert abs(ns[k] - float(np.sum((t * t) * g.g[None, :]))) <= 1e-15
         assert abs(ns[k] - norm_sq(closed, g)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_trace_tensor_matches_einsum_oracle(d):
+    rng = np.random.default_rng(300 + d)
+    psi = random_schmidt(rng, d)
+    for kind in ChannelKind:
+        # colored noise is defined for the max-entangled input only
+        src = max_entangled(d) if kind is ChannelKind.COLORED else psi
+        rho = channel_output(src, ChannelSpec(kind, 0.3))
+        oracle = einsum_correlation_tensor(rho.rho, d)
+        assert np.max(np.abs(correlation_tensor(rho).t - oracle)) <= 1e-14, \
+            kind
 
 
 def test_trace_definition_matches_brute_force():
