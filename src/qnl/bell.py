@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import ChannelKind
 from .criteria import CriticalResult, bisect_threshold, describe_state
@@ -317,6 +316,16 @@ def _value_and_gradient(rho: TwoQuditState, base: MeasurementSettings,
     return float(value), -2.0 * grad.imag
 
 
+def minimize(fun, x0, args):
+    """BFGS descent of fun, which returns (value, gradient), from x0.
+
+    scipy is imported here, at the first optimizer call, so that no other
+    command pays its import.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, args=args, jac=True, method="BFGS")
+
+
 def optimize_settings(rho: TwoQuditState, restarts: int,
                       seed: int) -> BellValue:
     """Maximize the inequality over rotated settings.
@@ -347,7 +356,7 @@ def optimize_settings(rho: TwoQuditState, restarts: int,
 
     best = cglmp_value(rho, std)
     for base, x0 in starts:
-        res = minimize(negated, x0, args=(base,), jac=True, method="BFGS")
+        res = minimize(negated, x0, (base,))
         found = cglmp_value(rho, _rotated_settings(
             base, *_generator_eigh(res.x.reshape(4, -1), mats)))
         if found.i_d > best.i_d:

@@ -83,12 +83,13 @@ def normalized_coeffs(c: np.ndarray) -> np.ndarray:
         raise NotNormalizable("Schmidt coefficients must be finite")
     if np.any(c < 0):
         raise NegativeCoefficient("Schmidt coefficients must be >= 0")
-    # squares of huge finite coefficients overflow to inf, which the norm
-    # check below rejects
+    # on c, not on its squares, which underflow to 0 for tiny coefficients
+    if np.any(np.all(c == 0.0, axis=-1)):
+        raise NotNormalizable("all coefficients are zero")
+    # squares of huge finite coefficients overflow to inf and those of tiny
+    # ones underflow to 0; the norm check below rejects both
     with np.errstate(over="ignore"):
         nsq = np.sum(c * c, axis=-1, keepdims=True)
-    if np.any(nsq == 0.0):
-        raise NotNormalizable("all coefficients are zero")
     far = np.abs(nsq - 1.0) > NORM_SLACK
     if np.any(far):
         raise NotNormalizable(

@@ -200,6 +200,17 @@ def test_overflowing_coefficients_exit_2_with_one_error_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ("1e-170,1e-170,1e-170", "off by more than"),
+    ("0,0,0", "all coefficients are zero"),
+])
+def test_underflowing_and_zero_coefficients_exit_2(coeffs, message, capsys):
+    code, out, err = run(["crit", "--d", "3", "--state", f"coeffs:{coeffs}",
+                          "--channel", "white:0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(["crit", "--d", "3", "--channel", "pink:0.5"], capsys)[0] == 2
     assert run(["crit", "--d", "3", "--state", "wat",

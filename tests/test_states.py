@@ -25,6 +25,16 @@ def test_schmidt_state_rejects_overflowing_norm():
         schmidt_state(3, [1e200] * 3)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    # the squares underflow to 0, but the coefficients are not zero
+    ([1e-170] * 3, "off by more than"),
+    ([0.0] * 3, "all coefficients are zero"),
+])
+def test_schmidt_state_zero_test_reads_the_coefficients(coeffs, message):
+    with pytest.raises(NotNormalizable, match=message):
+        schmidt_state(3, coeffs)
+
+
 def test_schmidt_state_rejects_negative_and_zero():
     with pytest.raises(NegativeCoefficient):
         schmidt_state(2, [-0.6, 0.8])
