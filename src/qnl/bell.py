@@ -15,8 +15,8 @@ With these settings the joint probability depends on the outcomes only
 through a - b, which makes each sum d times any one of its terms; a
 property test pins that shortcut.  Settings, damping tables and the
 inequality value are array code; the scalar loops they replaced live on in
-the tests as bit-exact oracles.  Thresholds read I from the d x d block
-<ii|W|jj> of the Bell operator and build no density matrix.
+the tests as bit-exact oracles.  Thresholds read I from the profile
+m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers, no d x d array.
 """
 
 from __future__ import annotations
@@ -187,33 +187,34 @@ def _ramp_weights(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _bell_block(d: int) -> np.ndarray:
-    """M[i, j] = <ii|W|jj> of the Bell operator W with I(rho) = Tr(W rho).
+def _bell_profile(d: int) -> np.ndarray:
+    """m(delta), delta = 1-d..d-1, of the Toeplitz block M[i, j] = <ii|W|jj>
+    = m(i - j) of the Bell operator W, I(rho) = Tr(W rho); cached, read-only.
 
     With the weights w_st of _ramp_weights, <ii|A_s[a] B_t[b]> =
-    omega^{i(a - b + alpha_s + beta_t)}/d makes M Toeplitz: M[i, j] =
-    m(i - j), m(delta) = Re sum_st omega^{delta(alpha_s + beta_t)}
-    ifft(w_st)[delta mod d].  The weights sum to 0 and product-basis
-    amplitudes have modulus 1/d, so W has zero diagonal there: Schmidt
-    states and their damped images see only Re M."""
-    k, delta = np.arange(d), np.arange(1 - d, d)
+    omega^{i(a - b + alpha_s + beta_t)}/d gives m(delta) = Re sum_st
+    omega^{delta(alpha_s + beta_t)} ifft(w_st)[delta mod d].  The weights
+    sum to 0 and product-basis amplitudes have modulus 1/d, so W has zero
+    diagonal there: Schmidt states and their damped images see only Re M."""
+    delta = np.arange(1 - d, d)
     spectra = np.fft.ifft(_ramp_weights(d).reshape(4, d))  # [(s, t), k]
     phases = np.add.outer(ALPHA_PHASES, BETA_PHASES).reshape(4, 1)
     profile = (np.exp(2j * np.pi / d * phases * delta)
                * spectra[:, delta % d]).sum(axis=0).real
-    block = profile[k[:, None] - k + d - 1]  # m(i - j)
-    block.setflags(write=False)
-    return block
+    profile.setflags(write=False)
+    return profile
 
 
 def _damping_quadratic(state: SchmidtState) -> np.ndarray:
     """(q0, q1, q2) with I(p) = q0 + q1 p + q2 p^2 under local damping: the
     no-jump Kraus pair sends the state to a + p b, a = c_0 |00> and b its
-    excited part; the other pairs leave product basis states."""
-    a, b = np.zeros(state.d), state.coeffs.copy()
-    a[0], b[0] = b[0], 0.0
-    block = _bell_block(state.d)
-    return np.array([a @ block @ a, 2.0 * (a @ block @ b), b @ block @ b])
+    excited part; the other pairs leave product basis states.  q0 = c_0^2 m(0),
+    q1 = 2 c_0 sum_j m(-j) b_j, q2 = sum_{delta,j} m(delta) b_{j+delta} b_j."""
+    d, c0 = state.d, state.coeffs[0]
+    m, b = _bell_profile(d), np.concatenate(([0.0], state.coeffs[1:]))
+    row = c0 * m[d - 1::-1]  # c_0 M[0, j] = c_0 m(-j)
+    return np.array([row[0] * c0, 2.0 * (row @ b),
+                     m @ np.correlate(b, b, "full")])
 
 
 def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 table cells deviate from their references, 2 bad
-input or a solver error.
+input, a solver error or memory exhaustion.
 """
 
 from __future__ import annotations
@@ -372,8 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QnlError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (QnlError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

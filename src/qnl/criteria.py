@@ -31,7 +31,8 @@ from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
 from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
-                     identity_metric, norm_sq, pair_values, spectral_norm)
+                     diagonal_entries, identity_metric, norm_sq, pair_values,
+                     spectral_norm)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
@@ -115,11 +116,11 @@ class MarginBatch:
         # colored noise without a metric reweights with p on every call
         self._weights = None if g is None else block_weights(d, g.g)
         self._pairs, self._pair_pow = pair_values(coeffs), 1.0
-        self._csq = coeffs * coeffs
+        self._csq, self._dg = coeffs * coeffs, diagonal_entries(d)
         self._pure = self._csq[:, :, None] * np.eye(d)
         if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
-            self._l0, self._n0 = block_scalars(
-                self._pairs, diagonal_block(self._pure), self._weights)
+            self._l0, self._n0 = block_scalars(self._pairs, diagonal_block(
+                self._pure, self._dg), self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
@@ -169,7 +170,7 @@ class MarginBatch:
         pairs = self._pairs * p[:, None] ** self._pair_pow
         # weights[2] is None when the metric gives the block no weight
         block = None if weights[2] is None \
-            else diagonal_block(self._populations(p))
+            else diagonal_block(self._populations(p), self._dg)
         return block_scalars(pairs, block, weights)
 
     def entangled(self, p) -> np.ndarray:

@@ -73,9 +73,9 @@ def critical_fidelity(d: int, kind: ChannelKind) -> FidelityReport:
     p = critical_lr(psi, kind).value
     spec = ChannelSpec.from_noise_free_fraction(kind, p)
     direct = fidelity(psi, channel_output(psi, spec))
-    return FidelityReport(d=d, channel=kind, f_crit=_formula(d, kind, p),
-                          r_or_v_crit=spec.strength,
-                          formula_value=_formula(d, kind, p),
+    formula = _formula(d, kind, p)
+    return FidelityReport(d=d, channel=kind, f_crit=formula,
+                          r_or_v_crit=spec.strength, formula_value=formula,
                           direct_value=direct)
 
 

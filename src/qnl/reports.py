@@ -168,8 +168,6 @@ TABLES = {
             lambda kind, psi, _: werner_gap(psi.d, kind), GAP),
 }
 
-_KINDS = {"depol": ChannelKind.DEPOLARIZING, "ad": ChannelKind.AMPLITUDE_DAMPING}
-
 
 @dataclass(frozen=True)
 class TableBundle:
@@ -194,7 +192,8 @@ def reproduce_tables(tol: float = DEFAULT_CELL_TOL) -> TableBundle:
             flags, cell_tol = FLAGGED.get((table, noise, d, column),
                                           ((), None))
             value = infinite_threshold() if d == "inf" else rule(
-                _KINDS[noise], _cell_state(table, noise, d, column), solve)
+                ChannelKind(noise), _cell_state(table, noise, d, column),
+                solve)
             cells.append(TableCell(table, noise, str(d), column, value,
                                    expected, tol if cell_tol is None
                                    else cell_tol, flags))

@@ -12,16 +12,15 @@ Every noisy Schmidt state the solvers handle has a block-diagonal tensor:
 a diagonal matrix over the off-diagonal generators, +v and -v for the
 symmetric and antisymmetric generator of each level pair (pair_values,
 scaled by the channel), and the (d-1) x (d-1) block c(d) D P D^T over the
-diagonal ones, where D holds their diagonals and P(a, b) = <ab|rho|ab>
-the state's populations (diagonal_block).  block_scalars takes sigma_max
-of that form as the larger of the weighted pair entries and the block's
-sigma_max, and the squared norm as the sum over both blocks.
+diagonal ones, where D = diagonal_entries(d) holds their diagonals in closed
+form and P(a, b) = <ab|rho|ab> the state's populations (diagonal_block).
+block_scalars takes sigma_max as the larger of the weighted pair entries and
+the block's sigma_max, and the squared norm as the sum over both blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,19 +103,18 @@ def pair_values(coeffs: np.ndarray) -> np.ndarray:
     return 2.0 * coeffs[..., js] * coeffs[..., ks] * c_factor(d)
 
 
-@lru_cache(maxsize=32)
-def _diagonal_entries(d: int) -> np.ndarray:
-    """D[l, a], the diagonal of the l-th diagonal generator, (d-1, d)."""
-    m = gellmann_basis(d).matrices[d * (d - 1):]
-    return np.diagonal(m, axis1=1, axis2=2).real
+def diagonal_entries(d: int) -> np.ndarray:
+    """D[l - 1, a], the diagonal of generator D_l of gellmann_basis, (d-1, d):
+    s_l for a < l, -l s_l for a = l, 0 above; s_l = sqrt(2/(l(l+1)))."""
+    l, a = np.arange(1, d)[:, None], np.arange(d)
+    s = np.sqrt(2.0 / (l * (l + 1)))
+    return np.where(a < l, s, np.where(a == l, -l * s, 0.0))
 
 
-def diagonal_block(populations: np.ndarray) -> np.ndarray:
+def diagonal_block(populations: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """c(d) D P D^T from populations P(a, b) = <ab|rho|ab>, (d, d) or
-    (N, d, d)."""
-    d = populations.shape[-1]
-    dg = _diagonal_entries(d)
-    return c_factor(d) * (dg @ populations @ dg.T)
+    (N, d, d), and dg = diagonal_entries(d)."""
+    return c_factor(dg.shape[1]) * (dg @ populations @ dg.T)
 
 
 def block_weights(d: int, w: np.ndarray):
@@ -146,7 +144,8 @@ def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
     pairs = pair_values(psi.coeffs)
     t = np.diag(np.concatenate([pairs, -pairs, np.zeros(psi.d - 1)]))
     off = 2 * len(pairs)
-    t[off:, off:] = diagonal_block(np.diag(psi.coeffs * psi.coeffs))
+    t[off:, off:] = diagonal_block(np.diag(psi.coeffs * psi.coeffs),
+                                   diagonal_entries(psi.d))
     return CorrelationTensor(d=psi.d, t=t)
 
 

@@ -4,13 +4,16 @@ Each one recomputes something the package computes on its own faster
 path: the Heisenberg-Weyl Kraus form of local depolarizing noise (the
 package has only the affine form, channels.depolarize_pair), the
 single-qudit Kraus action, the closed-form colored-noise scalars
-that criteria.MarginBatch evaluates on its block form, and the
+that criteria.MarginBatch evaluates on its block form, the
 correlation tensor contracted on rho by two einsums (the package reads it
-from the realigned rho).
+from the realigned rho), and the damped Bell quadratic read from the
+d x d Toeplitz block (the package reads the block's 2d - 1 profile
+values).
 """
 
 import numpy as np
 
+from qnl.bell import _bell_profile
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
 from qnl.gellmann import gellmann_basis
@@ -62,3 +65,19 @@ def einsum_correlation_tensor(rho: np.ndarray, d: int) -> np.ndarray:
     r4 = rho.reshape(d, d, d, d)
     z = np.einsum("abcd,ica->ibd", r4, m)
     return np.einsum("ibd,jdb->ij", z, m) * c_factor(d)
+
+
+def profile_block(d: int) -> np.ndarray:
+    """The Toeplitz block M[i, j] = m(i - j) of the Bell profile."""
+    k = np.arange(d)
+    return _bell_profile(d)[k[:, None] - k + d - 1]
+
+
+def block_damping_quadratic(state) -> np.ndarray:
+    """(q0, q1, q2) of the damped inequality value as matrix-vector
+    products on the block: a^T M a, 2 a^T M b and b^T M b, with a = c_0 |00>
+    and b the excited coefficients."""
+    a, b = np.zeros(state.d), state.coeffs.copy()
+    a[0], b[0] = b[0], 0.0
+    block = profile_block(state.d)
+    return np.array([a @ block @ a, 2.0 * (a @ block @ b), b @ block @ b])

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
-                      MeasurementSettings, _bell_block, _damping_quadratic,
+                      MeasurementSettings, _damping_quadratic,
                       _generator_eigh, _inequality_value,
                       _outcome_weights, _qubit_block_settings,
                       _rotated_settings, _value_and_gradient,
@@ -24,6 +24,8 @@ from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
 from qnl.gellmann import gellmann_basis
 from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
                         schmidt_state, to_density)
+
+from oracles import block_damping_quadratic, profile_block
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 
@@ -329,14 +331,14 @@ def test_product_basis_states_have_zero_value(d):
 def test_bell_block_is_schmidt_block_of_dense_operator(d):
     schmidt = np.arange(d) * (d + 1)  # |ii> in the product basis
     dense = bell_operator_oracle(d)[np.ix_(schmidt, schmidt)]
-    assert np.max(np.abs(_bell_block(d) - dense.real)) <= 1e-14
+    assert np.max(np.abs(profile_block(d) - dense.real)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", range(2, 41))
 def test_bell_block_matches_unit_table_oracle(d):
     # the closed-form ramp weights and Toeplitz profile against the
     # weights _inequality_value gives each unit table
-    assert np.max(np.abs(_bell_block(d) - bell_block_oracle(d))) <= 1e-14
+    assert np.max(np.abs(profile_block(d) - bell_block_oracle(d))) <= 1e-14
 
 
 @pytest.mark.parametrize("d", range(2, 12))
@@ -361,15 +363,31 @@ def test_damping_quadratic_matches_born_value(d, seed, p):
 
 @pytest.mark.parametrize("m01, m11", [(-1.0, 8.0), (1.0, -2.0)])
 def test_dipping_damping_value_raises(monkeypatch, m01, m11):
-    # I(p) = 1 - p + 4 p^2 dips after p = 0; 2.5 + p - p^2 falls before
-    # p = 1; both end above the bound
+    # the quadratics the blocks [[m00, m01], [m01, m11]] give the d = 2
+    # max-entangled state: I(p) = 1 - p + 4 p^2 dips after p = 0;
+    # 2.5 + p - p^2 falls before p = 1; both end above the bound
     m00 = 2.0 if m01 < 0.0 else 5.0
-    block = np.array([[m00, m01], [m01, m11]])
-    monkeypatch.setattr(qnl.bell, "_bell_block", lambda d: block)
-    psi = max_entangled(2)
-    assert sum(_damping_quadratic(psi)) > LOCAL_BOUND
+    q = np.array([m00 / 2.0, m01, m11 / 2.0])
+    monkeypatch.setattr(qnl.bell, "_damping_quadratic", lambda state: q)
+    assert sum(q) > LOCAL_BOUND
     with pytest.raises(NonMonotonic):
-        critical_lr(psi, AD)
+        critical_lr(max_entangled(2), AD)
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_damping_quadratic_matches_block_oracle(monkeypatch, d):
+    # the profile sums against the matrix-vector products on the d x d
+    # block, and the damping thresholds bisected on each bit for bit
+    rng = np.random.default_rng(200 + d)
+    for psi in [max_entangled(d)] + [random_schmidt(rng, d)
+                                     for _ in range(4)]:
+        q, q_block = _damping_quadratic(psi), block_damping_quadratic(psi)
+        assert np.all(np.abs(q - q_block) <= 1e-14 * np.abs(q_block))
+        value = critical_lr(psi, AD).value
+        with monkeypatch.context() as patched:
+            patched.setattr(qnl.bell, "_damping_quadratic",
+                            block_damping_quadratic)
+            assert value == critical_lr(psi, AD).value
 
 
 def grid_verdict_oracle(state):
@@ -624,24 +642,23 @@ def test_large_dimension_approaches_infinite_forms():
     # the max-entangled value and damping threshold at finite d close in
     # on the paper's d -> infinity forms
     errors = []
-    try:
-        for d in (100, 1000, 3000):
-            psi = max_entangled(d)
-            value = psi.coeffs @ _bell_block(d) @ psi.coeffs
-            errors.append((abs(value - cglmp_ad_infinite(0.0)),
-                           abs(critical_lr(psi, AD).value
-                               - infinite_threshold())))
-    finally:
-        _bell_block.cache_clear()  # the d = 3000 block holds 72 MB
-    (i100, t100), (i1000, t1000), (i3000, t3000) = errors
-    assert i100 > i1000 > i3000 and t100 > t1000 > t3000
+    for d in (100, 1000, 3000, 20000):
+        psi = max_entangled(d)
+        value = sum(_damping_quadratic(psi))  # c^T M c
+        errors.append((abs(value - cglmp_ad_infinite(0.0)),
+                       abs(critical_lr(psi, AD).value
+                           - infinite_threshold())))
+    (i100, t100), (i1000, t1000), (i3000, t3000), (i20k, t20k) = errors
+    assert i100 > i1000 > i3000 > i20k and t100 > t1000 > t3000 > t20k
     assert i3000 <= 1.5e-4 and t3000 <= 3e-4
+    assert i20k <= 2e-5 and t20k <= 5e-5
 
 
 def test_bell_block_cache_is_bounded():
-    # a block is d x d floats: an unbounded cache would pin every
-    # dimension a process has asked for (72 MB at d = 3000)
-    assert _bell_block.cache_info().maxsize is not None
+    # the cache holds the block's 2d - 1 profile values per d, shared by
+    # every caller: bounded, and read-only
+    assert qnl.bell._bell_profile.cache_info().maxsize is not None
+    assert not qnl.bell._bell_profile(3).flags.writeable
 
 
 @settings(max_examples=25, deadline=None)

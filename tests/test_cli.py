@@ -4,15 +4,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qnl.bell import infinite_threshold
 from qnl.channels import ChannelKind
 from qnl.cli import main, parse_state
-from qnl.criteria import critical_analytic, scan_surface
+from qnl.criteria import VERDICT_TOL, critical_analytic, scan_surface
 from qnl.errors import QnlError
 from qnl.states import max_entangled
 
@@ -26,6 +30,31 @@ def run(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_LIMIT = 1_000_000 * 1024  # bytes; ulimit -v 1000000
+
+# the limit is set in the child, before numpy is imported
+LIMITED_CHILD = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qnl.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_limited(args):
+    """main(args) in a child process under the 1 GB address-space limit,
+    with one BLAS thread: (exit code, stdout, stderr)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, str(ADDRESS_LIMIT), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_parse_state_specifiers():
@@ -324,6 +353,51 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("args", [
+    ["basis", "--d", "120"],
+    ["tensor", "--d", "120", "--channel", "white:0.5"],
+    ["cglmp", "--d", "120"],
+    ["fidelity", "--d", "120", "--channel", "depol:0"],
+])
+def test_memory_exhaustion_exits_2_with_one_error_line(args):
+    # each builds a d^2 x d^2 or (d^2 - 1, d, d) array, several GB at d = 120
+    code, out, err = run_limited(args)
+    assert code == 2, err
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+
+
+def _tolerance_shifted_root(d):
+    """The root in s of s (n0 s - l0) = VERDICT_TOL for the max-entangled
+    state, n0 = (d + 1)/(d - 1) and l0 = 1/(d - 1): the verdict's tolerance
+    moves s = 1/(d + 1) up by about VERDICT_TOL (d - 1), 3e-8 at d = 300."""
+    l0, n0 = 1.0 / (d - 1.0), (d + 1.0) / (d - 1.0)
+    return (l0 + np.sqrt(l0 * l0 + 4.0 * n0 * VERDICT_TOL)) / (2.0 * n0)
+
+
+@pytest.mark.parametrize("channel", ["white", "depol", "ad"])
+def test_large_d_detection_threshold_fits_in_1_gb(channel):
+    # the threshold reads O(d^2) numbers, never the O(d^4) basis
+    code, out, err = run_limited(["crit", "--d", "300", "--state", "mes",
+                                  "--channel", channel + ":0.5"])
+    assert code == 0, err
+    value, s = json.loads(out)["value"], _tolerance_shifted_root(300)
+    expected = {"white": s, "depol": np.sqrt(s), "ad": critical_analytic(
+        300, ChannelKind.AMPLITUDE_DAMPING).value}[channel]
+    assert abs(value - expected) <= 1e-8
+    if channel == "white":
+        assert abs(value - 1.0 / 301.0) <= 4e-8
+
+
+def test_large_d_bell_threshold_fits_in_1_gb():
+    # the damping quadratic reads the 2d - 1 profile values, no d x d block
+    code, out, err = run_limited(["cglmp-crit", "--d", "20000",
+                                  "--channel", "ad:0"])
+    assert code == 0, err
+    assert abs(json.loads(out)["value"] - infinite_threshold()) <= 1e-4
 
 
 def test_basis_csv_and_json(capsys):

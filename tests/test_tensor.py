@@ -11,7 +11,8 @@ from qnl.gellmann import gellmann_basis
 from qnl.states import max_entangled, schmidt_state, to_density
 from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         colored_metric, correlation_tensor, damping_metric,
-                        diagonal_block, identity_metric, norm_sq,
+                        diagonal_block, diagonal_entries,
+                        identity_metric, norm_sq,
                         pair_values, schmidt_correlation_tensor,
                         spectral_norm, spectral_norms)
 
@@ -38,6 +39,14 @@ def brute_force_tensor(rho, d):
 def test_c_factor():
     assert c_factor(2) == pytest.approx(1.0)
     assert c_factor(3) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_diagonal_entries_equal_basis_diagonals(d):
+    # built uncached: the bases up to d = 64 would pin gigabytes
+    basis = gellmann_basis.__wrapped__(d).matrices[d * (d - 1):]
+    assert np.array_equal(diagonal_entries(d),
+                          np.diagonal(basis, axis1=1, axis2=2).real)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -84,7 +93,8 @@ def test_stacked_tensors_and_scalars_equal_loop_forms(d):
     c = np.array([s.coeffs for s in states])
     g = colored_metric(d, 0.37)
     ls, ns = block_scalars(pair_values(c),
-                           diagonal_block((c * c)[:, :, None] * np.eye(d)),
+                           diagonal_block((c * c)[:, :, None] * np.eye(d),
+                                          diagonal_entries(d)),
                            block_weights(d, g.g))
     for k, psi in enumerate(states):
         t = loop_schmidt_tensor(psi.coeffs)
