@@ -10,7 +10,9 @@ channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
 evaluates a batch of Schmidt inputs at once on the block form of
 tensor.py, for every channel and every metric; no density matrix is
 built.  A channel enters only through how its pair entries scale with p
-and through the populations P(p) of the noisy state.  One solver, _solve,
+and through the populations P(p) of the noisy state, a polynomial in p of
+degree at most 2 whose coefficient blocks each batch builds once and sums
+by Horner at every p.  One solver, _solve,
 bisects every input of a batch together; critical_bisection is its
 single-input case, scan_surface batches the whole qutrit-family surface,
 and the Bell thresholds of bell.critical_lr use the same bisection.  A
@@ -82,6 +84,24 @@ def default_metric(kind: ChannelKind, d: int, p: float) -> Metric:
     return identity_metric(d)
 
 
+def _damped_populations(csq: np.ndarray) -> list:
+    """Coefficients (P0, P1, P2) of the damped populations, (N, d, d) each:
+    with q = 1 - p and S the excited weight sum_k>0 c_k^2,
+    P(0, 0) = c_0^2 + q^2 S, P(0, k) = P(k, 0) = p q c_k^2 and
+    P(k, k) = p^2 c_k^2."""
+    size, d = csq.shape
+    excited = csq[:, 1:]
+    s = np.sum(excited, axis=1)
+    p0, p1, p2 = np.zeros((3, size, d, d))
+    p0[:, 0, 0] = csq[:, 0] + s
+    p1[:, 0, 0], p2[:, 0, 0] = -2.0 * s, s
+    p1[:, 0, 1:] = p1[:, 1:, 0] = excited
+    p2[:, 0, 1:] = p2[:, 1:, 0] = -excited
+    i = np.arange(1, d)
+    p2[:, i, i] = excited
+    return [p0, p1, p2]
+
+
 class MarginBatch:
     """Weighted tensor scalars of N noisy Schmidt inputs as functions of p.
 
@@ -93,10 +113,14 @@ class MarginBatch:
 
     Every channel keeps the tensor in the block form of tensor.py: the
     pure state's pair entries, scaled by p (by p^2 for damped pairs away
-    from the ground level), and the diagonal-generator block built from
-    the noisy state's populations P(p).  White and local depolarizing
-    noise scale the whole tensor as p and p^2, so their scalars are taken
-    once at p = 1.  The block is built only when the metric weights it.
+    from the ground level), and the diagonal-generator block c(d) D P(p) D^T
+    of the noisy state's populations.  White and local depolarizing noise
+    scale the whole tensor as p and p^2, so their scalars are taken once
+    at p = 1.  The other channels' populations are P0 + p P1 (+ p^2 P2
+    under damping), so the batch builds the coefficient blocks
+    c(d) D P_k D^T once and block(p) sums them by Horner; they are built
+    only when the metric weights them, and the batch keeps no (N, d, d)
+    population stack.
 
     `monotone` is true where the verdict n - l > tol provably switches at
     most once, from false to true, as p grows:
@@ -110,30 +134,30 @@ class MarginBatch:
 
     def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
                  g: Metric | None = None):
-        self.d, self.kind, self.size = d, kind, len(coeffs)
+        self.d, self.size = d, len(coeffs)
         if g is None and kind is not ChannelKind.COLORED:
             g = default_metric(kind, d, 1.0)
         # colored noise without a metric reweights with p on every call
         self._weights = None if g is None else block_weights(d, g.g)
         self._pairs, self._pair_pow = pair_values(coeffs), 1.0
-        self._csq, self._dg = coeffs * coeffs, diagonal_entries(d)
-        self._pure = self._csq[:, :, None] * np.eye(d)
+        csq, dg = coeffs * coeffs, diagonal_entries(d)
+        pure = csq[:, :, None] * np.eye(d)
         if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
             self._l0, self._n0 = block_scalars(self._pairs, diagonal_block(
-                self._pure, self._dg), self._weights)
+                pure, dg), self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
         elif kind is ChannelKind.PRODUCT:
             # populations blended in with weight 1 - p
-            self._noise = self._csq[:, :, None] * self._csq[:, None, :]
+            noise = csq[:, :, None] * csq[:, None, :]
             self.path = "product"
         elif kind is ChannelKind.COLORED:
             if np.any(np.abs(coeffs - 1.0 / np.sqrt(d)) > 1e-9):
                 raise UnsupportedChannel("colored noise is defined only "
                                          "for the max-entangled input")
-            self._noise = np.zeros((d, d))
-            self._noise[-1, -1] = 1.0
+            noise = np.zeros((d, d))
+            noise[-1, -1] = 1.0
             self.path = "colored"
         else:  # amplitude damping
             # pairs touching the ground level decay once, the others twice
@@ -141,20 +165,23 @@ class MarginBatch:
             self.path = "damping"
         self.monotone = self.path == "scaling" or (
             self.path == "damping" and self._weights[2] is None)
+        # the coefficient blocks of block(p), built where the metric weights
+        # them; the colored default metric weights them at every p > 0
+        self._blocks = None
+        if self.path != "scaling" and (self._weights is None
+                                       or self._weights[2] is not None):
+            populations = _damped_populations(csq) if self.path == "damping" \
+                else (noise, pure - noise)
+            self._blocks = [diagonal_block(c, dg) for c in populations]
 
-    def _populations(self, p: np.ndarray) -> np.ndarray:
-        """P(a, b) = <ab|rho(p)|ab> of each noisy input, (N, d, d)."""
-        if self.kind is not ChannelKind.AMPLITUDE_DAMPING:
-            pc = p[:, None, None]
-            return pc * self._pure + (1.0 - pc) * self._noise
-        # damped diagonal, with q = 1 - p
-        q, d, excited = 1.0 - p, self.d, self._csq[:, 1:]
-        table = np.zeros((self.size, d, d))
-        table[:, 0, 0] = self._csq[:, 0] + q * q * np.sum(excited, axis=1)
-        table[:, 0, 1:] = table[:, 1:, 0] = (p * q)[:, None] * excited
-        i = np.arange(1, d)
-        table[:, i, i] = (p * p)[:, None] * excited
-        return table
+    def block(self, p: np.ndarray) -> np.ndarray:
+        """Diagonal-generator blocks c(d) D P(p) D^T at one p per input,
+        (N, d-1, d-1), summed by Horner from the coefficient blocks of
+        P(p) = P0 + p P1 + p^2 P2."""
+        block = self._blocks[-1]
+        for coefficient in reversed(self._blocks[:-1]):
+            block = block * p[:, None, None] + coefficient
+        return block
 
     def scalars(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(spectral norms, squared norms) at noise-free fractions p."""
@@ -164,13 +191,13 @@ class MarginBatch:
             s = np.float_power(p, self._power)
             return s * self._l0, s * s * self._n0
         weights = self._weights
-        if weights is None:  # colored noise, default metric
-            weights = block_weights(self.d, np.array(
-                [colored_metric(self.d, x).g for x in p]))
+        if weights is None:  # colored noise: colored_metric(d, p) per input
+            w = np.ones((self.size, self.d * self.d - 1))
+            w[:, -1] = p
+            weights = block_weights(self.d, w)
         pairs = self._pairs * p[:, None] ** self._pair_pow
         # weights[2] is None when the metric gives the block no weight
-        block = None if weights[2] is None \
-            else diagonal_block(self._populations(p), self._dg)
+        block = None if weights[2] is None else self.block(p)
         return block_scalars(pairs, block, weights)
 
     def entangled(self, p) -> np.ndarray:

@@ -262,11 +262,14 @@ def write_tables(out_dir: str | Path,
 
 
 def surface_csv(scan: SurfaceScan) -> str:
+    """One line per cell, alpha-major, from Python floats; each axis value
+    is formatted once."""
+    fmt = f"{{:.{CSV_DECIMALS}f}}".format
+    betas = [fmt(b) for b in scan.betas.tolist()]
     lines = [f"alpha,beta,{scan.quantity},flag"]
-    for i, a in enumerate(scan.alphas):
-        for j, b in enumerate(scan.betas):
-            flag = FLAG_NO_DETECTION if scan.flags[i, j] else ""
-            lines.append(f"{a:.{CSV_DECIMALS}f},{b:.{CSV_DECIMALS}f},"
-                         f"{scan.values[i, j]:.{CSV_DECIMALS}f},{flag}")
+    for a, row, flags in zip(scan.alphas.tolist(), scan.values.tolist(),
+                             scan.flags.tolist()):
+        a = fmt(a)
+        lines.extend(f"{a},{b},{fmt(v)},{FLAG_NO_DETECTION if f else ''}"
+                     for b, v, f in zip(betas, row, flags))
     return "\n".join(lines) + "\n"
-

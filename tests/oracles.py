@@ -4,7 +4,9 @@ Each one recomputes something the package computes on its own faster
 path: the Heisenberg-Weyl Kraus form of local depolarizing noise (the
 package has only the affine form, channels.depolarize_pair), the
 single-qudit Kraus action, the closed-form colored-noise scalars
-that criteria.MarginBatch evaluates on its block form, the
+that criteria.MarginBatch evaluates on its block form, the populations
+of the noisy state at one p (MarginBatch sums coefficient blocks by Horner
+instead), the scan CSV formatted cell by cell from numpy scalars, the
 correlation tensor contracted on rho by two einsums (the package reads it
 from the realigned rho), and the damped Bell quadratic read from the
 d x d Toeplitz block (the package reads the block's 2d - 1 profile
@@ -17,6 +19,7 @@ from qnl.bell import _bell_profile
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
 from qnl.gellmann import gellmann_basis
+from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
 from qnl.states import max_entangled
 from qnl.tensor import c_factor
 
@@ -56,6 +59,42 @@ def colored_always_entangled(d: int, v_samples) -> bool:
     return bool(np.all((np.abs(l - l_closed) <= 1e-8)
                        & (np.abs(n - n_closed) <= 1e-8)
                        & (n - l > VERDICT_TOL)))
+
+
+def populations(kind: ChannelKind, coeffs: np.ndarray,
+                p: np.ndarray) -> np.ndarray:
+    """P(a, b) = <ab|rho(p)|ab> of each noisy Schmidt input at its own p,
+    (N, d, d), for product, colored and amplitude-damping noise."""
+    size, d = coeffs.shape
+    csq = coeffs * coeffs
+    pure = csq[:, :, None] * np.eye(d)
+    if kind is not ChannelKind.AMPLITUDE_DAMPING:
+        if kind is ChannelKind.PRODUCT:
+            noise = csq[:, :, None] * csq[:, None, :]
+        else:  # colored: all weight on the top level pair
+            noise = np.zeros((d, d))
+            noise[-1, -1] = 1.0
+        pc = p[:, None, None]
+        return pc * pure + (1.0 - pc) * noise
+    # damped diagonal, with q = 1 - p
+    q, excited = 1.0 - p, csq[:, 1:]
+    table = np.zeros((size, d, d))
+    table[:, 0, 0] = csq[:, 0] + q * q * np.sum(excited, axis=1)
+    table[:, 0, 1:] = table[:, 1:, 0] = (p * q)[:, None] * excited
+    i = np.arange(1, d)
+    table[:, i, i] = (p * p)[:, None] * excited
+    return table
+
+
+def per_cell_surface_csv(scan) -> str:
+    """The scan CSV, each cell formatted from the numpy scalars."""
+    lines = [f"alpha,beta,{scan.quantity},flag"]
+    for i, a in enumerate(scan.alphas):
+        for j, b in enumerate(scan.betas):
+            flag = FLAG_NO_DETECTION if scan.flags[i, j] else ""
+            lines.append(f"{a:.{CSV_DECIMALS}f},{b:.{CSV_DECIMALS}f},"
+                         f"{scan.values[i, j]:.{CSV_DECIMALS}f},{flag}")
+    return "\n".join(lines) + "\n"
 
 
 def einsum_correlation_tensor(rho: np.ndarray, d: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Detection criterion, critical parameters, xi, and the surface scans."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,10 @@ from qnl.states import (SchmidtState, max_entangled, nmax_state,
                         qutrit_family, rank_k_state, schmidt_state,
                         to_density)
 from qnl.tensor import (Metric, colored_metric, correlation_tensor,
-                        damping_metric, identity_metric, norm_sq,
-                        spectral_norm)
+                        damping_metric, diagonal_block, diagonal_entries,
+                        identity_metric, norm_sq, spectral_norm)
 
-from oracles import colored_always_entangled
+from oracles import colored_always_entangled, populations
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -339,6 +342,32 @@ def test_damped_identity_threshold_d16_pinned():
     assert res.value == 0.5814153142273426
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_horner_blocks_match_population_oracle(d):
+    # the coefficient blocks C_k summed by Horner against c(d) D P(p) D^T
+    # from the populations at p, within 4e-15 of sum_k p^k |C_k|: where the
+    # block cancels (d = 2 under damping near p = 1/2, c(c0^2 + (1 - 2p)^2 S))
+    # the oracle itself misses the exact block by 1.5e-14 of its norm
+    rng = np.random.default_rng(200 + d)
+    rows = sampled_rows(rng, d, 20)
+    mes = np.tile(max_entangled(d).coeffs, (20, 1))
+    p = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 17)])
+    weighted = Metric(d=d, g=rng.uniform(0.5, 2.0, size=d * d - 1))
+    for coeffs, kind, g in (
+            (rows, ChannelKind.PRODUCT, None),
+            (rows, ChannelKind.PRODUCT, weighted),
+            (mes, ChannelKind.COLORED, None),
+            (mes, ChannelKind.COLORED, weighted),
+            (rows, AD, identity_metric(d)), (rows, AD, weighted)):
+        batch = MarginBatch(d, coeffs, kind, g)
+        ref = diagonal_block(populations(kind, coeffs, p),
+                             diagonal_entries(d))
+        err = np.linalg.norm(batch.block(p) - ref, axis=(1, 2))
+        scale = sum(p ** k * np.linalg.norm(c, axis=(-2, -1))
+                    for k, c in enumerate(batch._blocks))
+        assert np.all(err <= 4e-15 * scale), (kind, g)
+
+
 def test_colored_rejects_non_mes():
     with pytest.raises(UnsupportedChannel):
         MarginCurve(schmidt_state(3, [0.6, 0.0, 0.8]), ChannelKind.COLORED)
@@ -437,3 +466,33 @@ def test_scan_cells_equal_single_thresholds(kind):
 def test_scan_rejects_unknown_quantity():
     with pytest.raises(ValueError):
         scan_surface(WHITE, [0.5], [0.5], quantity="margin")
+
+
+# thresholds of the block-form engine as it built the populations on every
+# call (commit 7d0d1fc), pinned as threshold * 2**28 (an odd integer: the
+# midpoint of a width 2**-27 bracket) or null where the input is not
+# detected at p = 1; product noise's default metric is the identity
+PINNED_THRESHOLDS = json.loads((Path(__file__).resolve().parent / "data"
+                                / "pinned_thresholds.json").read_text())
+PIN_CASES = {"product": (ChannelKind.PRODUCT, None),
+             "ad default": (AD, None), "ad identity": (AD, identity_metric)}
+
+
+def pinned_rows(d):
+    """300 sampled coefficient rows, reduced-rank ones included, then the
+    max-entangled row: the inputs of PINNED_THRESHOLDS at dimension d."""
+    return np.vstack([sampled_rows(np.random.default_rng(d), d, 300),
+                      max_entangled(d).coeffs])
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 16])
+def test_thresholds_equal_pinned_values(d, case):
+    kind, metric = PIN_CASES[case]
+    batch = MarginBatch(d, pinned_rows(d), kind,
+                        None if metric is None else metric(d))
+    threshold, detected = qnl.criteria._solve(batch)
+    pinned = PINNED_THRESHOLDS[case][str(d)]
+    assert detected.tolist() == [k is not None for k in pinned]
+    assert np.where(detected, threshold, None).tolist() \
+        == [None if k is None else k / 2.0 ** 28 for k in pinned]

@@ -1,9 +1,19 @@
-"""Table reproduction: the reference list, solver reuse and output bytes."""
+"""Table reproduction: the reference list, solver reuse and output bytes;
+the scan CSV writer against its per-cell oracle."""
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 import qnl.reports as reports
-from qnl.reports import TABLES, TableCell, reproduce_tables, write_tables
+from qnl.channels import ChannelKind
+from qnl.criteria import SurfaceScan, scan_surface
+from qnl.reports import (TABLES, TableCell, reproduce_tables, surface_csv,
+                         write_tables)
+
+from oracles import per_cell_surface_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "tables"
 FILES = ("detection_critical.csv", "xi_critical.csv", "bell_critical.csv",
@@ -47,3 +57,37 @@ def test_nan_cell_fails():
     cell = TableCell("detection", "ad", "2", "max_entangled", float("nan"),
                      0.5, 5e-4)
     assert cell.failed
+
+
+# four-decimal rounding ties and their neighbours, beside arbitrary values
+UNIT_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.00005, 0.00015, 0.12345, 0.5, 0.99985, 0.99995,
+                     1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scan_csv_equals_per_cell_oracle(data):
+    rows, cols = data.draw(st.integers(2, 30)), data.draw(st.integers(2, 30))
+
+    def draw(size, elements):
+        return np.array(data.draw(st.lists(elements, min_size=size,
+                                           max_size=size)))
+
+    alphas, betas = draw(rows, UNIT_VALUES), draw(cols, UNIT_VALUES)
+    values = draw(rows * cols, UNIT_VALUES).reshape(rows, cols)
+    flags = draw(rows * cols, st.booleans()).reshape(rows, cols)
+    scan = SurfaceScan(ChannelKind.PRODUCT, data.draw(
+        st.sampled_from(["crit", "xi"])), alphas, betas, values, flags)
+    assert surface_csv(scan) == per_cell_surface_csv(scan)
+
+
+@pytest.mark.parametrize("kind, quantity", [
+    (ChannelKind.WHITE, "crit"), (ChannelKind.PRODUCT, "crit"),
+    (ChannelKind.AMPLITUDE_DAMPING, "crit"),
+    (ChannelKind.AMPLITUDE_DAMPING, "xi")])
+def test_benchmarked_scan_csvs_equal_per_cell_oracle(kind, quantity):
+    grid = np.linspace(0.0, np.pi / 2.0, 101)
+    scan = scan_surface(kind, grid, grid, quantity)
+    assert surface_csv(scan) == per_cell_surface_csv(scan)
