@@ -71,10 +71,13 @@ class MeasurementSettings:
 class BellValue:
     i_d: float
     probabilities: np.ndarray = field(repr=False)  # (2, 2, d, d)
-    violated: bool = False
 
     def __post_init__(self):
         self.probabilities.setflags(write=False)
+
+    @property
+    def violated(self) -> bool:
+        return bool(self.i_d > LOCAL_BOUND)
 
 
 def cglmp_settings(d: int) -> MeasurementSettings:
@@ -124,8 +127,7 @@ def _inequality_value(table: np.ndarray) -> float:
     part = a_eq_b[0, 0] + b_eq_a[1, 0, (n + 1) % d] + a_eq_b[1, 1] \
         + b_eq_a[0, 1]
     total = 0.0
-    for k in range(d // 2):
-        weight = 1.0 - 2.0 * k / (d - 1.0)
+    for k, weight in enumerate(_ramp_weights(d)[0, 0, :d // 2]):
         total += weight * (part[k] - part[-(k + 1)])
     return float(total)
 
@@ -134,8 +136,7 @@ def cglmp_value(rho: TwoQuditState,
                 m: MeasurementSettings | None = None) -> BellValue:
     table = probability_table(rho, m)
     value = _inequality_value(table)
-    return BellValue(i_d=value, probabilities=table,
-                     violated=value > LOCAL_BOUND)
+    return BellValue(i_d=value, probabilities=table)
 
 
 def ad_probability_table(d: int, r: float) -> np.ndarray:
@@ -160,16 +161,12 @@ def cglmp_ad_value(d: int, r: float) -> BellValue:
     """Inequality value for the damped max-entangled state, closed form."""
     table = ad_probability_table(d, r)
     value = _inequality_value(table)
-    return BellValue(i_d=value, probabilities=table,
-                     violated=value > LOCAL_BOUND)
+    return BellValue(i_d=value, probabilities=table)
 
 
-@lru_cache(maxsize=1)
 def catalan_constant() -> float:
-    """Sum (-1)^k / (2k+1)^2 by direct series, error below 1e-12."""
-    k = np.arange(300_000, dtype=float)
-    return float(np.sum(1.0 / (4.0 * k + 1.0) ** 2
-                        - 1.0 / (4.0 * k + 3.0) ** 2))
+    """Catalan's constant G, the double nearest 0.9159655941772190150546..."""
+    return 0.915965594177219
 
 
 def cglmp_ad_infinite(r: float) -> float:

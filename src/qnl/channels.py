@@ -88,7 +88,7 @@ class ChannelSpec:
         except ValueError:
             raise UnsupportedChannel(
                 f"bad strength {val!r} in channel spec {text!r}") from None
-        return cls(kind, check_strength(strength))
+        return cls(kind, strength)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def channel_output(psi: SchmidtState, spec: ChannelSpec) -> TwoQuditState:
     if kind is ChannelKind.PRODUCT:
         return product_noise(psi, spec.strength)
     if kind is ChannelKind.COLORED:
-        if not psi.is_max_entangled(1e-9):
+        if not psi.is_max_entangled():
             raise UnsupportedChannel(
                 "colored noise is defined only for the max-entangled input")
         return colored_noise(psi.d, spec.strength)

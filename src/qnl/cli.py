@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 table cells deviate from their references, 2 bad
-input, a solver error or memory exhaustion.
+input, a solver error, an unwritable output path or memory exhaustion.
 """
 
 from __future__ import annotations
@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .bell import cglmp_value, critical_lr, optimize_settings
 from .channels import ChannelSpec, channel_output
-from .criteria import (CriticalResult, critical_analytic, critical_bisection,
+from .criteria import (critical_analytic, critical_bisection,
                        default_metric, is_entangled, scan_surface)
 from .errors import QnlError
 from .fidelity import critical_fidelity, werner_gap
@@ -85,16 +86,6 @@ def _emit(text: str, out: str) -> None:
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _critical_json(res: CriticalResult) -> str:
-    return _json({
-        "parameter_name": res.parameter_name,
-        "value": res.value,
-        "method": res.method,
-        "channel": res.channel.value,
-        "state": res.state,
-    })
 
 
 def _csv_matrix(header: list[str], rows) -> str:
@@ -174,7 +165,7 @@ def cmd_crit(args) -> int:
     if args.method == "analytic":
         # the closed forms hold for the max-entangled input under the
         # channel's own metric only
-        if not psi.is_max_entangled(1e-12):
+        if not psi.is_max_entangled():
             raise QnlError("--method analytic needs the max-entangled state")
         default = default_metric(spec.kind, args.d, spec.noise_free_fraction)
         if g is not None and not np.array_equal(g.g, default.g):
@@ -183,7 +174,7 @@ def cmd_crit(args) -> int:
         res = critical_analytic(args.d, spec.kind)
     else:
         res = critical_bisection(psi, spec.kind, g)
-    _emit(_critical_json(res), args.out)
+    _emit(_json(asdict(res)), args.out)
     return 0
 
 
@@ -243,7 +234,7 @@ def cmd_cglmp_crit(args) -> int:
     spec = ChannelSpec.parse(args.channel)
     psi = parse_state(args.d, args.state)
     res = critical_lr(psi, spec.kind)
-    _emit(_critical_json(res), args.out)
+    _emit(_json(asdict(res)), args.out)
     return 0
 
 
@@ -372,7 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QnlError, MemoryError) as exc:
+    except (QnlError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 

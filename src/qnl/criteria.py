@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import ChannelKind
 from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
-from .states import SchmidtState, qutrit_family_coeffs
+from .states import SchmidtState, max_entangled_rows, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
                      diagonal_entries, identity_metric, norm_sq, pair_values,
@@ -59,7 +59,7 @@ class CriticalResult:
 
 
 def describe_state(psi: SchmidtState) -> str:
-    if psi.is_max_entangled(1e-12):
+    if psi.is_max_entangled():
         return f"max-entangled d={psi.d}"
     cs = ", ".join(f"{c:.6f}" for c in psi.coeffs)
     return f"schmidt d={psi.d} coeffs=({cs})"
@@ -153,7 +153,7 @@ class MarginBatch:
             noise = csq[:, :, None] * csq[:, None, :]
             self.path = "product"
         elif kind is ChannelKind.COLORED:
-            if np.any(np.abs(coeffs - 1.0 / np.sqrt(d)) > 1e-9):
+            if not np.all(max_entangled_rows(coeffs)):
                 raise UnsupportedChannel("colored noise is defined only "
                                          "for the max-entangled input")
             noise = np.zeros((d, d))

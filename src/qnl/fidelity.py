@@ -56,11 +56,8 @@ def _formula(d: int, kind: ChannelKind, p: float) -> float:
     if kind is ChannelKind.DEPOLARIZING:
         r = 1.0 - p
         return float(np.sqrt((1.0 - r) ** 2 + r * (2.0 - r) / d ** 2))
-    if kind is ChannelKind.AMPLITUDE_DAMPING:
-        return float(np.sqrt(1.0 + (d - 1.0) * (p * p + 1.0)
-                             + (d - 1.0) ** 2 * p * p) / d)
-    raise UnsupportedChannel(
-        f"no critical fidelity defined for channel {kind.value}")
+    return float(np.sqrt(1.0 + (d - 1.0) * (p * p + 1.0)  # damping
+                         + (d - 1.0) ** 2 * p * p) / d)
 
 
 def critical_fidelity(d: int, kind: ChannelKind) -> FidelityReport:

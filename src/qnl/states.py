@@ -27,6 +27,7 @@ NORM_SLACK = 1e-6
 
 DENSITY_TOL = 1e-10
 EIG_FLOOR = -1e-9
+MES_TOL = 1e-9  # max-entangled tolerance, below the 1e-8 bisection width
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class SchmidtState:
             v[i * self.d + i] = c
         return v
 
-    def is_max_entangled(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coeffs - 1.0 / np.sqrt(self.d))) <= tol)
+    def is_max_entangled(self) -> bool:
+        return bool(max_entangled_rows(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,12 @@ def normalized_coeffs(c: np.ndarray) -> np.ndarray:
             f"squared norm {nsq[far][0]} is off by more than {NORM_SLACK}; "
             "normalize the coefficients")
     return c / np.sqrt(nsq)
+
+
+def max_entangled_rows(coeffs: np.ndarray) -> np.ndarray:
+    """True per coefficient row (..., d) within MES_TOL of 1/sqrt(d)."""
+    d = coeffs.shape[-1]
+    return np.max(np.abs(coeffs - 1.0 / np.sqrt(d)), axis=-1) <= MES_TOL
 
 
 def schmidt_state(d: int, coeffs) -> SchmidtState:

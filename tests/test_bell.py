@@ -1,6 +1,8 @@
 """Inequality values, closed-form probabilities, thresholds, optimizer."""
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from qnl.gellmann import gellmann_basis
 from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
                         schmidt_state, to_density)
 
-from oracles import block_damping_quadratic, profile_block
+from oracles import block_damping_quadratic, catalan_series, profile_block
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DATA = Path(__file__).resolve().parent / "data"
@@ -622,7 +624,12 @@ def test_white_family_minimum_prefers_middle_slot():
 
 
 def test_catalan_constant():
-    assert catalan_constant() == pytest.approx(0.9159655941772190, abs=1e-12)
+    # the double nearest G = 0.91596559417721901505460351493238411077...
+    g = Fraction("0.91596559417721901505460351493238411077")
+    value = catalan_constant()
+    for neighbour in (math.nextafter(value, 0.0), math.nextafter(value, 1.0)):
+        assert abs(Fraction(value) - g) < abs(Fraction(neighbour) - g)
+    assert abs(value - catalan_series()) <= 1e-12
 
 
 def test_infinite_limit_values():

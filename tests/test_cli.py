@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qnl.bell import infinite_threshold
-from qnl.channels import ChannelKind
+from qnl.channels import ChannelKind, ChannelSpec, channel_output
 from qnl.cli import main, parse_state
-from qnl.criteria import VERDICT_TOL, critical_analytic, scan_surface
-from qnl.errors import QnlError
-from qnl.states import max_entangled
+from qnl.criteria import (VERDICT_TOL, critical_analytic, critical_bisection,
+                          describe_state, scan_surface)
+from qnl.errors import QnlError, UnsupportedChannel
+from qnl.states import max_entangled, schmidt_state
 
 
 # sha256 of the benchmarked 101 x 101 scan CSVs, "<channel>.<quantity>"
@@ -271,6 +272,43 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+
+
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+    existing = tmp_path / "existing.csv"
+    existing.write_text("")
+    for argv in (["tables", "--out", str(existing)],
+                 ["crit", "--d", "3", "--channel", "white:0",
+                  "--out", str(tmp_path)],
+                 ["crit", "--d", "3", "--channel", "white:0",
+                  "--out", "/dev/null/x.json"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_max_entangled_tolerance_is_shared(capsys):
+    # three coefficients about 1e-10 (accepted) and 1e-8 (rejected) from
+    # 1/sqrt(3); every caller that asks whether the input is maximally
+    # entangled gives the same answer
+    s, colored = 3.0 ** -0.5, ChannelKind.COLORED
+    for offset, accepted in ((1e-10, True), (1e-8, False)):
+        coeffs = [s + offset, s - offset, s]
+        psi = schmidt_state(3, coeffs)
+        answers = [describe_state(psi) == "max-entangled d=3"]
+        for solve in (lambda: channel_output(psi, ChannelSpec(colored, 0.5)),
+                      lambda: critical_bisection(psi, colored)):
+            try:
+                solve()
+                answers.append(True)
+            except UnsupportedChannel:
+                answers.append(False)
+        state = "coeffs:" + ",".join(repr(c) for c in coeffs)
+        code, _, _ = run(["crit", "--d", "3", "--state", state, "--channel",
+                          "white:0", "--method", "analytic"], capsys)
+        answers.append(code == 0)
+        assert answers == [accepted] * 4, offset
 
 
 @pytest.mark.parametrize("argv", [

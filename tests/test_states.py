@@ -68,7 +68,7 @@ def test_is_max_entangled():
 def test_qutrit_family_points():
     assert qutrit_family(0.0, 0.3).rank == 1
     mes = qutrit_family(np.arctan(np.sqrt(2.0)), np.pi / 4.0)
-    assert mes.is_max_entangled(1e-12)
+    assert np.max(np.abs(mes.coeffs - 3.0 ** -0.5)) <= 1e-12
     # quadrant edge must come out exactly zero, not -1e-17
     edge = qutrit_family(np.pi / 2.0, np.pi / 2.0)
     assert edge.coeffs[2] == 0.0 and edge.rank == 1
