@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, InvalidDimension,
                      NegativeCoefficient, NoDetectionInRange, NonMonotonic,
                      NotHermitian, NotNormalizable, NoViolation, QnlError,
                      RankTooLarge, StrengthOutOfRange, UnsupportedChannel)
-from .fidelity import (FidelityReport, critical_fidelity, fidelity,
+from .fidelity import (FidelityReport, WernerGap, critical_fidelity, fidelity,
                        werner_gap)
 from .gellmann import (GellMannBasis, bloch_vector, from_bloch_vector,
                        gellmann_basis, normalized_bloch_vector)
@@ -49,7 +49,8 @@ __all__ = [
     "NegativeCoefficient", "NoDetectionInRange", "NonMonotonic",
     "NotHermitian", "NotNormalizable", "NoViolation", "QnlError",
     "RankTooLarge", "StrengthOutOfRange", "UnsupportedChannel",
-    "FidelityReport", "critical_fidelity", "fidelity", "werner_gap",
+    "FidelityReport", "WernerGap", "critical_fidelity", "fidelity",
+    "werner_gap",
     "GellMannBasis", "bloch_vector", "from_bloch_vector", "gellmann_basis",
     "normalized_bloch_vector",
     "reproduce_tables", "write_tables",

@@ -21,8 +21,7 @@ from .criteria import (critical_analytic, critical_bisection,
 from .errors import QnlError
 from .fidelity import critical_fidelity, werner_gap
 from .gellmann import gellmann_basis
-from .reports import (CSV_DECIMALS, DEFAULT_CELL_TOL, diff_report,
-                      surface_csv, write_tables)
+from .reports import CSV_DECIMALS, DEFAULT_CELL_TOL, surface_csv, write_tables
 from .states import SchmidtState, max_entangled, qutrit_family, rank_k_state, schmidt_state
 from .tensor import (Metric, colored_metric, correlation_tensor,
                      damping_metric, identity_metric)
@@ -64,15 +63,14 @@ def parse_state(d: int, text: str) -> SchmidtState:
 
 
 def parse_metric(name: str, d: int, spec: ChannelSpec) -> Metric:
-    if name in ("", "default"):
+    """One of the --metric choices: default, identity, colored or ad."""
+    if name == "default":
         return default_metric(spec.kind, d, spec.noise_free_fraction)
     if name == "identity":
         return identity_metric(d)
     if name == "colored":
         return colored_metric(d, spec.noise_free_fraction)
-    if name == "ad":
-        return damping_metric(d)
-    raise QnlError(f"unknown metric {name!r}")
+    return damping_metric(d)
 
 
 def _emit(text: str, out: str) -> None:
@@ -146,11 +144,8 @@ def cmd_tensor(args) -> int:
         "d": args.d,
         "state": args.state,
         "channel": args.channel,
-        "metric": args.metric or "default",
-        "spectral_norm": verdict.spectral_norm,
-        "norm_sq": verdict.norm_sq,
-        "margin": verdict.margin,
-        "entangled": verdict.entangled,
+        "metric": args.metric,
+        **asdict(verdict),
         "tensor": t.t.tolist(),
     }
     _emit(_json(payload), args.out)
@@ -160,7 +155,7 @@ def cmd_tensor(args) -> int:
 def cmd_crit(args) -> int:
     spec = ChannelSpec.parse(args.channel)
     psi = parse_state(args.d, args.state)
-    g = None if args.metric in ("", "default") else \
+    g = None if args.metric == "default" else \
         parse_metric(args.metric, args.d, spec)
     if args.method == "analytic":
         # the closed forms hold for the max-entangled input under the
@@ -240,30 +235,13 @@ def cmd_cglmp_crit(args) -> int:
 
 def cmd_fidelity(args) -> int:
     spec = ChannelSpec.parse(args.channel)
-    rep = critical_fidelity(args.d, spec.kind)
-    payload = {
-        "d": rep.d,
-        "channel": rep.channel.value,
-        "f_crit": rep.f_crit,
-        "strength_at_threshold": rep.r_or_v_crit,
-        "formula_value": rep.formula_value,
-        "direct_value": rep.direct_value,
-    }
-    _emit(_json(payload), args.out)
+    _emit(_json(asdict(critical_fidelity(args.d, spec.kind))), args.out)
     return 0
 
 
 def cmd_werner_gap(args) -> int:
     spec = ChannelSpec.parse(args.channel)
-    gap = werner_gap(args.d, spec.kind)  # rejects the non-Kraus channels
-    payload = {
-        "d": args.d,
-        "channel": spec.kind.value,
-        "bell_threshold": critical_lr(max_entangled(args.d), spec.kind).value,
-        "detection_threshold": critical_analytic(args.d, spec.kind).value,
-        "gap": gap,
-    }
-    _emit(_json(payload), args.out)
+    _emit(_json(asdict(werner_gap(args.d, spec.kind))), args.out)
     return 0
 
 
@@ -271,8 +249,7 @@ def cmd_tables(args) -> int:
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise QnlError("--tolerance must be a finite number of at least 0")
     out_dir = args.out or "qnl_tables"
-    bundle = write_tables(out_dir, tol=args.tolerance)
-    report = diff_report(bundle)
+    report = write_tables(out_dir, tol=args.tolerance)
     for entry in report["entries"]:
         status = "ok" if entry["ok"] else "FAIL"
         if entry["flags"]:
@@ -283,7 +260,7 @@ def cmd_tables(args) -> int:
             f"expected={_opt(entry['expected'])} {status}\n")
     sys.stdout.write(f"{report['cells']} cells, {report['failures']} failures, "
                      f"{report['flagged']} flagged; written to {out_dir}\n")
-    return 1 if bundle.failures else 0
+    return 1 if report["failures"] else 0
 
 
 def _opt(x: float | None) -> str:
@@ -322,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", default="mes")
         p.add_argument("--channel", default="white:1")
         if name in ("tensor", "crit"):
-            # empty picks the channel's default metric
-            p.add_argument("--metric", default="",
-                           choices=("", "default", "identity", "colored", "ad"))
+            # default picks the channel's own metric
+            p.add_argument("--metric", default="default",
+                           choices=("default", "identity", "colored", "ad"))
         if name == "crit":
             p.add_argument("--method", default="bisection",
                            choices=("bisection", "analytic"))

@@ -31,7 +31,7 @@ class FidelityReport:
     d: int
     channel: ChannelKind
     f_crit: float
-    r_or_v_crit: float     # channel strength at the threshold
+    strength_at_threshold: float
     formula_value: float
     direct_value: float
 
@@ -40,6 +40,15 @@ class FidelityReport:
             raise QnlError(
                 "closed-form and direct fidelity disagree: "
                 f"{self.formula_value} vs {self.direct_value}")
+
+
+@dataclass(frozen=True)
+class WernerGap:
+    d: int
+    channel: ChannelKind
+    bell_threshold: float
+    detection_threshold: float
+    gap: float
 
 
 def fidelity(psi: SchmidtState, rho: TwoQuditState) -> float:
@@ -72,16 +81,17 @@ def critical_fidelity(d: int, kind: ChannelKind) -> FidelityReport:
     direct = fidelity(psi, channel_output(psi, spec))
     formula = _formula(d, kind, p)
     return FidelityReport(d=d, channel=kind, f_crit=formula,
-                          r_or_v_crit=spec.strength, formula_value=formula,
-                          direct_value=direct)
+                          strength_at_threshold=spec.strength,
+                          formula_value=formula, direct_value=direct)
 
 
-def werner_gap(d: int, kind: ChannelKind) -> float:
-    """Bell threshold minus detection threshold, both internally computed."""
+def werner_gap(d: int, kind: ChannelKind) -> WernerGap:
+    """Bell and detection thresholds of the damaged max-entangled state and
+    their difference, the gap."""
     if kind not in (ChannelKind.DEPOLARIZING, ChannelKind.AMPLITUDE_DAMPING):
         raise UnsupportedChannel(
             f"gap defined only for the Kraus channels, not {kind.value}")
     psi = max_entangled(d)
     p_lr = critical_lr(psi, kind).value
     p_ent = critical_analytic(d, kind).value
-    return float(p_lr - p_ent)
+    return WernerGap(d, kind, p_lr, p_ent, float(p_lr - p_ent))

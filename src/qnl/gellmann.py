@@ -64,41 +64,32 @@ class GellMannBasis:
         raise IndexOutOfRange(f"no generator {group}({j},{k}) for d={self.d}")
 
 
+def diagonal_entries(d: int) -> np.ndarray:
+    """D[l - 1, a], the diagonal of generator D_l, (d-1, d): s_l for a < l,
+    -l s_l for a = l, 0 above; s_l = sqrt(2/(l(l+1)))."""
+    l, a = np.arange(1, d)[:, None], np.arange(d)
+    s = np.sqrt(2.0 / (l * (l + 1)))
+    return np.where(a < l, s, np.where(a == l, -l * s, 0.0))
+
+
 @lru_cache(maxsize=32)
 def gellmann_basis(d: int) -> GellMannBasis:
     d = check_dimension(d)
-    mats = []
-    groups = []
-    pairs = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-            groups.append(SYMMETRIC)
-            pairs.append((j, k))
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-            groups.append(ANTISYMMETRIC)
-            pairs.append((j, k))
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            m[j, j] = 1.0
-        m[l, l] = -l
-        m *= np.sqrt(2.0 / (l * (l + 1)))
-        mats.append(m)
-        groups.append(DIAGONAL)
-        pairs.append((l, l))
-    arr = np.array(mats)
+    js, ks = np.triu_indices(d, 1)
+    sym, anti = np.arange(len(js)), np.arange(len(js), 2 * len(js))
+    levels = np.arange(d)
+    arr = np.zeros((d * d - 1, d, d), dtype=complex)
+    arr[sym, js, ks] = arr[sym, ks, js] = 1.0
+    arr[anti, js, ks] = -1.0j
+    arr[anti, ks, js] = 1.0j
+    arr[2 * len(js):, levels, levels] = diagonal_entries(d)
     arr.setflags(write=False)
-    return GellMannBasis(d=d, matrices=arr, group_of=tuple(groups),
-                         pair_of=tuple(pairs))
+    pairs = list(zip(js.tolist(), ks.tolist()))
+    return GellMannBasis(
+        d=d, matrices=arr,
+        group_of=(SYMMETRIC,) * len(js) + (ANTISYMMETRIC,) * len(js)
+        + (DIAGONAL,) * (d - 1),
+        pair_of=tuple(pairs + pairs + [(l, l) for l in range(1, d)]))
 
 
 def bloch_vector(rho: np.ndarray, basis: GellMannBasis) -> np.ndarray:

@@ -165,7 +165,7 @@ TABLES = {
                  lambda kind, psi, _: critical_fidelity(psi.d, kind).f_crit,
                  FIDELITY),
     "gap": ("werner_gap.csv",
-            lambda kind, psi, _: werner_gap(psi.d, kind), GAP),
+            lambda kind, psi, _: werner_gap(psi.d, kind).gap, GAP),
 }
 
 
@@ -246,19 +246,18 @@ def diff_report(bundle: TableBundle) -> dict:
     }
 
 
-def write_tables(out_dir: str | Path,
-                 tol: float = DEFAULT_CELL_TOL) -> TableBundle:
-    """Write the five CSV tables plus the JSON diff report."""
+def write_tables(out_dir: str | Path, tol: float = DEFAULT_CELL_TOL) -> dict:
+    """Write the five CSV tables and the JSON diff report it returns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = reproduce_tables(tol)
     for table, (fname, _, _) in TABLES.items():
         (out / fname).write_text(table_csv(bundle.cells, table),
                                  encoding="utf-8", newline="\n")
+    report = diff_report(bundle)
     (out / "diff_report.json").write_text(
-        json.dumps(diff_report(bundle), indent=2) + "\n",
-        encoding="utf-8", newline="\n")
-    return bundle
+        json.dumps(report, indent=2) + "\n", encoding="utf-8", newline="\n")
+    return report
 
 
 def surface_csv(scan: SurfaceScan) -> str:

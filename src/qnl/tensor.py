@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
-from .gellmann import check_dimension, gellmann_basis
+from .gellmann import check_dimension, diagonal_entries, gellmann_basis
 from .linalg import realign
 from .states import SchmidtState, TwoQuditState
 
@@ -101,14 +101,6 @@ def pair_values(coeffs: np.ndarray) -> np.ndarray:
     d = coeffs.shape[-1]
     js, ks = np.triu_indices(d, 1)
     return 2.0 * coeffs[..., js] * coeffs[..., ks] * c_factor(d)
-
-
-def diagonal_entries(d: int) -> np.ndarray:
-    """D[l - 1, a], the diagonal of generator D_l of gellmann_basis, (d-1, d):
-    s_l for a < l, -l s_l for a = l, 0 above; s_l = sqrt(2/(l(l+1)))."""
-    l, a = np.arange(1, d)[:, None], np.arange(d)
-    s = np.sqrt(2.0 / (l * (l + 1)))
-    return np.where(a < l, s, np.where(a == l, -l * s, 0.0))
 
 
 def diagonal_block(populations: np.ndarray, dg: np.ndarray) -> np.ndarray:

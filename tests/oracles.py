@@ -10,8 +10,9 @@ instead), the scan CSV formatted cell by cell from numpy scalars, the
 correlation tensor contracted on rho by two einsums (the package reads it
 from the realigned rho), the damped Bell quadratic read from the
 d x d Toeplitz block (the package reads the block's 2d - 1 profile
-values), and Catalan's constant summed from its series (the package holds
-the double nearest it).
+values), Catalan's constant summed from its series (the package holds
+the double nearest it), and the generator basis built one matrix at a time
+(the package scatters it from index arrays and diagonal_entries).
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from qnl.bell import _bell_profile
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
-from qnl.gellmann import gellmann_basis
+from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
+                          gellmann_basis)
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
 from qnl.states import max_entangled
 from qnl.tensor import c_factor
@@ -128,3 +130,35 @@ def catalan_series() -> float:
     k = np.arange(300_000, dtype=float)
     return float(np.sum(1.0 / (4.0 * k + 1.0) ** 2
                         - 1.0 / (4.0 * k + 3.0) ** 2))
+
+
+def loop_basis(d: int):
+    """(matrices, group tags, pairs) of the generator basis as lists, in
+    storage order, each matrix filled entry by entry."""
+    mats, groups, pairs = [], [], []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(m)
+            groups.append(SYMMETRIC)
+            pairs.append((j, k))
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+            groups.append(ANTISYMMETRIC)
+            pairs.append((j, k))
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for j in range(l):
+            m[j, j] = 1.0
+        m[l, l] = -l
+        m *= np.sqrt(2.0 / (l * (l + 1)))
+        mats.append(m)
+        groups.append(DIAGONAL)
+        pairs.append((l, l))
+    return mats, groups, pairs

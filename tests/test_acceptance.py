@@ -207,7 +207,7 @@ def test_criterion_10_fidelity_table():
         for kind, quotes in ((DEPOL, (0.2637, 0.3344, 0.3838)),
                              (AD, (0.2071, 0.2934, 0.3408))):
             for d, quoted in zip((2, 3, 4), quotes):
-                assert abs(werner_gap(d, kind) - quoted) <= 1e-3
+                assert abs(werner_gap(d, kind).gap - quoted) <= 1e-3
 
 
 def test_criterion_11_surfaces():

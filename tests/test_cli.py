@@ -22,9 +22,12 @@ from qnl.errors import QnlError, UnsupportedChannel
 from qnl.states import max_entangled, schmidt_state
 
 
+DATA = Path(__file__).resolve().parent / "data"
 # sha256 of the benchmarked 101 x 101 scan CSVs, "<channel>.<quantity>"
-SCAN_DIGESTS = json.loads((Path(__file__).resolve().parent / "data"
-                           / "scan_sha256.json").read_text())
+SCAN_DIGESTS = json.loads((DATA / "scan_sha256.json").read_text())
+# argv, exit code, stdout and stderr of sample fidelity, werner-gap and
+# tensor commands, error paths included
+CLI_RECORDS = json.loads((DATA / "cli_records.json").read_text())
 
 
 def run(args, capsys):
@@ -210,6 +213,55 @@ def test_fidelity_and_gap_json(capsys):
     assert payload["gap"] == pytest.approx(0.2071, abs=1e-3)
     assert payload["bell_threshold"] == pytest.approx(
         payload["detection_threshold"] + payload["gap"], abs=1e-12)
+
+
+@pytest.mark.parametrize("record", CLI_RECORDS,
+                         ids=lambda r: " ".join(r["argv"]))
+def test_record_bytes_pinned(record, capsys):
+    assert run(record["argv"], capsys) == (
+        record["exit"], record["stdout"], record["stderr"])
+
+
+def _spy(monkeypatch, modules, names):
+    """Wrap each name where a module binds it; the list of calls made."""
+    calls = []
+    for module in modules:
+        for name in names:
+            if not hasattr(module, name):
+                continue
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_werner_gap_solves_each_threshold_once(monkeypatch, capsys):
+    # the package attribute qnl.fidelity is the function of that name, so
+    # the module is reached through sys.modules
+    calls = _spy(monkeypatch, (sys.modules["qnl.fidelity"],
+                               sys.modules["qnl.cli"]),
+                 ("critical_lr", "critical_analytic"))
+    code, _, _ = run(["werner-gap", "--d", "3", "--channel", "ad:0"], capsys)
+    assert code == 0
+    assert calls == ["critical_lr", "critical_analytic"]
+
+
+def test_tables_builds_its_diff_report_once(tmp_path, monkeypatch, capsys):
+    calls = _spy(monkeypatch, (sys.modules["qnl.reports"],
+                               sys.modules["qnl.cli"]), ("diff_report",))
+    code, _, _ = run(["tables", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == ["diff_report"]
+
+
+def test_empty_metric_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", "--d", "3", "--metric", ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("d", [9, 14])

@@ -4,7 +4,7 @@ import pytest
 from qnl.channels import ChannelKind, ChannelSpec, channel_output, white_noise
 from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.bell import critical_lr
-from qnl.criteria import critical_bisection
+from qnl.criteria import critical_analytic, critical_bisection
 from qnl.fidelity import critical_fidelity, fidelity, werner_gap
 from qnl.states import max_entangled, schmidt_state, to_density
 
@@ -71,7 +71,7 @@ def test_critical_fidelity_white_equals_depol():
     (AD, (0.2071, 0.2934, 0.3408)),
 ])
 def test_werner_gap_table(kind, gaps):
-    vals = [werner_gap(d, kind) for d in (2, 3, 4)]
+    vals = [werner_gap(d, kind).gap for d in (2, 3, 4)]
     for got, expect in zip(vals, gaps):
         assert got == pytest.approx(expect, abs=1e-3)
     # the separation widens with dimension
@@ -89,9 +89,18 @@ def werner_gap_bisected(d, kind):
 def test_werner_gap_positive_and_cross_checked():
     for kind in (DEPOL, AD):
         for d in (2, 3):
-            g = werner_gap(d, kind)
+            g = werner_gap(d, kind).gap
             assert g > 0.0
             assert g == pytest.approx(werner_gap_bisected(d, kind), abs=1e-5)
+
+
+def test_werner_gap_record_holds_both_thresholds():
+    for kind in (DEPOL, AD):
+        rec = werner_gap(3, kind)
+        assert (rec.d, rec.channel) == (3, kind)
+        assert rec.bell_threshold == critical_lr(max_entangled(3), kind).value
+        assert rec.detection_threshold == critical_analytic(3, kind).value
+        assert rec.gap == rec.bell_threshold - rec.detection_threshold
 
 
 def test_werner_gap_requires_kraus_channel():

@@ -8,6 +8,8 @@ from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC, bloch_vector,
                           check_dimension, from_bloch_vector, gellmann_basis,
                           normalized_bloch_vector)
 
+from oracles import loop_basis
+
 SQ3 = 1.0 / np.sqrt(3.0)
 
 # the standard qutrit generator set, written out entrywise
@@ -41,6 +43,16 @@ def test_orthogonality_and_tracelessness(d):
         for j in range(i, basis.size):
             tr = np.trace(mi @ basis.matrices[j]).real
             assert abs(tr - (2.0 if i == j else 0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_basis_equals_loop_oracle(d):
+    # byte for byte, so signed zeros count too
+    basis = gellmann_basis.__wrapped__(d)
+    mats, groups, pairs = loop_basis(d)
+    assert basis.matrices.tobytes() == np.array(mats).tobytes()
+    assert basis.group_of == tuple(groups)
+    assert basis.pair_of == tuple(pairs)
 
 
 def test_qubit_basis_is_pauli():

@@ -1,6 +1,7 @@
 """Table reproduction: the reference list, solver reuse and output bytes;
 the scan CSV writer against its per-cell oracle."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,12 @@ def test_written_files_match_golden_bytes(tmp_path):
     for name in FILES:
         assert (tmp_path / name).read_bytes() == \
             (GOLDEN / name).read_bytes(), name
+
+
+def test_write_tables_returns_the_report_it_wrote(tmp_path):
+    report = write_tables(tmp_path)
+    assert json.dumps(report, indent=2) + "\n" == \
+        (tmp_path / "diff_report.json").read_text(encoding="utf-8")
 
 
 def test_nan_cell_fails():

@@ -16,7 +16,7 @@ from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         pair_values, schmidt_correlation_tensor,
                         spectral_norm, spectral_norms)
 
-from oracles import einsum_correlation_tensor
+from oracles import einsum_correlation_tensor, loop_basis
 
 
 def random_schmidt(rng, d):
@@ -43,10 +43,9 @@ def test_c_factor():
 
 @pytest.mark.parametrize("d", range(2, 65))
 def test_diagonal_entries_equal_basis_diagonals(d):
-    # built uncached: the bases up to d = 64 would pin gigabytes
-    basis = gellmann_basis.__wrapped__(d).matrices[d * (d - 1):]
+    diagonal = np.array(loop_basis(d)[0][d * (d - 1):])
     assert np.array_equal(diagonal_entries(d),
-                          np.diagonal(basis, axis1=1, axis2=2).real)
+                          np.diagonal(diagonal, axis1=1, axis2=2).real)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
