@@ -19,12 +19,15 @@ and the Bell thresholds of bell.critical_lr use the same bisection.  A
 bisected threshold needs a verdict that switches once in p.  Where that
 is a theorem (MarginBatch.monotone: the scaling path, and damping with
 no weight on the diagonal generators) nothing more is checked; on every
-other path _solve grid-checks the verdicts for a second switch.
+other path _certify proves it per input from the margin's polynomial form
+(MarginBatch.polynomial_form): the verdict is false on [0, lo] and true on
+[hi, 1] for the final bracket [lo, hi], or _solve raises NonMonotonic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +37,29 @@ from .states import SchmidtState, max_entangled_rows, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
                      diagonal_entries, identity_metric, norm_sq, pair_values,
-                     spectral_norm)
+                     spectral_norm, spectral_norms, supporting_functionals)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
-GRID_POINTS = 100
+# a certificate's bounds must clear the tolerance by this share of the
+# scale of the margin's terms, so that rounding never yields a proof
+CERTIFICATE_SLACK = 64 * np.finfo(float).eps
+# the certificate's work list holds at most this many pieces per input
+CERTIFICATE_PIECES = 16
+# inputs certified together: bounds the certificate's work arrays, which
+# hold a few dozen numbers per piece, near the bisection's own
+CERTIFICATE_INPUTS = 1024
+# q(a + (b - a) t) = sum_j beta_j C(4, j) t^j (1 - t)^(4 - j) for q of
+# degree <= 4: beta = _TO_BERNSTEIN @ (q at a + (b - a) _NODES), and the
+# smallest and largest beta_j bound q on [a, b].  The matrix is the exact
+# inverse of the Bernstein basis at the nodes, written out: inverting it
+# at import would load LAPACK into every command
+_NODES = np.linspace(0.0, 1.0, 5)
+_TO_BERNSTEIN = np.array([[36, 0, 0, 0, 0],
+                          [-39, 144, -108, 48, -9],
+                          [26, -128, 240, -128, 26],
+                          [-9, 48, -108, 144, -39],
+                          [0, 0, 0, 0, 36]]) / 36.0
 
 
 @dataclass(frozen=True)
@@ -102,6 +123,32 @@ def _damped_populations(csq: np.ndarray) -> list:
     return [p0, p1, p2]
 
 
+def _horner(coefficients, x):
+    """sum_k x^k coefficients[k], summed by Horner from the top."""
+    total = coefficients[-1]
+    for coefficient in reversed(coefficients[:-1]):
+        total = total * x + coefficient
+    return total
+
+
+class MarginPolynomials(NamedTuple):  # a dataclass costs every import
+    """A batch's margin as polynomials in p, per input (N inputs).
+
+    n (N, 5) holds the coefficients of the weighted squared norm in powers
+    p^0 .. p^4.  The weighted spectral norm is l(p) = max(max_m pairs_m
+    p^powers_m, sigma_max(sum_k p^k blocks[k])): pairs (N, d(d-1)/2) are
+    the weighted pair entries' moduli at p = 1, powers (d(d-1)/2,) their
+    exponents, and blocks, at most 3 coefficients (N, d-1, d-1) of the
+    weighted diagonal-generator block, None where the metric gives that
+    block no weight.  scale (N,) bounds the moduli of the terms that sum
+    to n and l at any p in [0, 1]: rounding errors are a share of it."""
+    n: np.ndarray
+    pairs: np.ndarray
+    powers: np.ndarray
+    blocks: list | None
+    scale: np.ndarray
+
+
 class MarginBatch:
     """Weighted tensor scalars of N noisy Schmidt inputs as functions of p.
 
@@ -123,7 +170,8 @@ class MarginBatch:
     population stack.
 
     `monotone` is true where the verdict n - l > tol provably switches at
-    most once, from false to true, as p grows:
+    most once, from false to true, as p grows (elsewhere _solve proves it
+    per input, by _certify):
     - scaling: with s = p or p^2 it reads s (n0 s - l0) > tol, and both
       factors grow with s once the second is positive;
     - damping without diagonal-generator weight: pair m scales as p^e_m,
@@ -172,33 +220,76 @@ class MarginBatch:
                                        or self._weights[2] is not None):
             populations = _damped_populations(csq) if self.path == "damping" \
                 else (noise, pure - noise)
-            self._blocks = [diagonal_block(c, dg) for c in populations]
+            # colored noise's one noise block is a view per input
+            self._blocks = [np.broadcast_to(diagonal_block(c, dg),
+                                            (self.size, d - 1, d - 1))
+                            for c in populations]
 
-    def block(self, p: np.ndarray) -> np.ndarray:
-        """Diagonal-generator blocks c(d) D P(p) D^T at one p per input,
-        (N, d-1, d-1), summed by Horner from the coefficient blocks of
-        P(p) = P0 + p P1 + p^2 P2."""
-        block = self._blocks[-1]
-        for coefficient in reversed(self._blocks[:-1]):
-            block = block * p[:, None, None] + coefficient
-        return block
+    def block(self, p: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Diagonal-generator blocks c(d) D P(p) D^T at one p per input (or
+        per entry of rows), (N, d-1, d-1), summed by Horner from the
+        coefficient blocks of P(p) = P0 + p P1 + p^2 P2."""
+        return _horner([c[rows] for c in self._blocks], p[:, None, None])
 
-    def scalars(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(spectral norms, squared norms) at noise-free fractions p."""
-        p = np.broadcast_to(np.asarray(p, dtype=float), (self.size,))
+    def scalars(self, p, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(spectral norms, squared norms) at noise-free fractions p, one
+        per input, or one per entry of rows, the indices of the inputs
+        taken."""
+        pairs = self._pairs[rows]
+        p = np.broadcast_to(np.asarray(p, dtype=float), (len(pairs),))
         if self.path == "scaling":
             # float_power rounds as Python's scalar power does
             s = np.float_power(p, self._power)
-            return s * self._l0, s * s * self._n0
+            return s * self._l0[rows], s * s * self._n0[rows]
         weights = self._weights
         if weights is None:  # colored noise: colored_metric(d, p) per input
-            w = np.ones((self.size, self.d * self.d - 1))
+            w = np.ones((len(p), self.d * self.d - 1))
             w[:, -1] = p
             weights = block_weights(self.d, w)
-        pairs = self._pairs * p[:, None] ** self._pair_pow
+        pairs = pairs * p[:, None] ** self._pair_pow
         # weights[2] is None when the metric gives the block no weight
-        block = None if weights[2] is None else self.block(p)
+        block = None if weights[2] is None else self.block(p, rows)
         return block_scalars(pairs, block, weights)
+
+    def polynomial_form(self, rows=slice(None)) -> MarginPolynomials:
+        """The margin's terms as polynomials in p, per input or per entry
+        of rows, on every path but `scaling`.  The weighted block is
+        M(p) = B(p) diag(w(p)), with B(p) the Horner sum of block() and
+        w(p) the diagonal generators' weights, which colored noise without
+        a metric makes p on the last one: one more factor of p.  n(p) sums
+        pair_sum_m v_m^2 p^(2 e_m) and sum_ij w_j(p) B_ij(p)^2."""
+        d = self.d
+        if self._weights is None:
+            pair_max, pair_sum, _ = block_weights(d, np.ones(d * d - 1))
+            w0 = np.ones(d - 1)
+            w0[-1] = 0.0
+            ws = [w0, 1.0 - w0]
+        else:
+            pair_max, pair_sum, w0 = self._weights
+            ws = [w0]
+        powers = np.broadcast_to(self._pair_pow, pair_max.shape).astype(int)
+        values = self._pairs[rows]
+        n = np.zeros((len(values), 5))
+        terms = pair_sum * values * values
+        for e in (1, 2):
+            n[:, 2 * e] = np.sum(terms[:, powers == e], axis=1)
+        pairs = np.abs(values) * pair_max
+        scale = np.sum(terms, axis=1) + np.max(pairs, axis=1)
+        if w0 is None:
+            return MarginPolynomials(n, pairs, powers, None, scale)
+        populations = [c[rows] for c in self._blocks]
+        blocks = [0.0] * (len(populations) + len(ws) - 1)
+        norms = 0.0  # sum_k sqrt(sum_ij w_j(1) B_k,ij^2)
+        for k, b in enumerate(populations):
+            for j, w in enumerate(ws):
+                blocks[k + j] = blocks[k + j] + b * w
+                for k2, b2 in enumerate(populations):
+                    n[:, k + k2 + j] += np.sum(b * b2 * w, axis=(1, 2))
+            norms = norms + np.sqrt(np.sum(b * b * sum(ws), axis=(1, 2)))
+        # Cauchy-Schwarz bounds every term of n's block part by norms^2
+        scale += norms * norms + sum(
+            np.sqrt(np.sum(m * m, axis=(1, 2))) for m in blocks)
+        return MarginPolynomials(n, pairs, powers, blocks, scale)
 
     def entangled(self, p) -> np.ndarray:
         l, n = self.scalars(p)
@@ -223,25 +314,12 @@ class MarginCurve:
         return float(l[0]), float(n[0])
 
 
-def _verdict_grid_check(curve, cells=True) -> None:
-    """Raise NonMonotonic if a verdict switches more than once on the
-    GRID_POINTS grid of p.
-
-    curve.entangled(p) gives one verdict or one per input of a batch; cells
-    masks the inputs that are checked."""
-    flags = np.array([curve.entangled(p)
-                      for p in np.linspace(0.0, 1.0, GRID_POINTS)])
-    switches = np.count_nonzero(flags[1:] != flags[:-1], axis=0)
-    if np.any((switches > 1) & cells):
-        raise NonMonotonic(
-            "detection verdict switches more than once over the sweep")
-
-
-def bisect_threshold(fired, size: int) -> np.ndarray:
-    """Bisect size inputs on [0, 1] together; midpoints of the brackets.
+def bisect_bracket(fired, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect size inputs on [0, 1] together; the final brackets (lo, hi).
 
     fired(p) maps one p per input to one verdict per input; each input's
-    verdict is false below its threshold and true above it.  Every bracket
+    verdict is false below its threshold and true above it, so it is
+    false at every lo but 0 and true at every hi but 1.  Every bracket
     starts at [0, 1] and halves on every step, so all share one width, a
     power of two: the loop always takes 27 steps to BISECTION_WIDTH."""
     lo, hi, width = np.zeros(size), np.ones(size), 1.0
@@ -251,7 +329,157 @@ def bisect_threshold(fired, size: int) -> np.ndarray:
         hi = np.where(fired_at, mid, hi)
         lo = np.where(fired_at, lo, mid)
         width *= 0.5
+    return lo, hi
+
+
+def bisect_threshold(fired, size: int) -> np.ndarray:
+    """The midpoints of bisect_bracket's final brackets."""
+    lo, hi = bisect_bracket(fired, size)
     return 0.5 * (lo + hi)
+
+
+def _certify(batch: MarginBatch, lo: np.ndarray, hi: np.ndarray,
+             detected: np.ndarray) -> int:
+    """Prove that the verdict of each detected input is false on [0, lo]
+    and true on [hi, 1], its final bisection bracket [lo, hi]; return the
+    number of (input, p) points at which sigma_max was evaluated.
+
+    On a piece [a, b] of either side, with the margin's polynomial form
+    (MarginBatch.polynomial_form), weighted block M(p) = M0 + p M1 + p^2 M2:
+    - true side: M(p) = A(p) + (p - a)(p - b) M2 exactly, A the affine
+      interpolant of M between a and b.  sigma_max(A(p)) and the pair term
+      are convex in p, so l(p) <= chord(l(a), l(b)) + K (p - a)(b - p),
+      K = sigma_max(M2);
+    - false side: l(p) >= <F, M(p)>, F the supporting functional of M at
+      the endpoint with the larger margin (tensor.supporting_functionals),
+      or the top pair term there if it is larger; exact at that endpoint.
+    n minus the bound is a polynomial of degree <= 4, bounded on [a, b] by
+    its Bernstein coefficients; every comparison keeps CERTIFICATE_SLACK
+    of the form's scale.  A piece no bound settles is halved, with one
+    scalars call per round for all of them.  A halving point whose verdict
+    contradicts its side is a switch outside the bracket.  A piece that
+    touches the bracket and is narrower than BISECTION_WIDTH is dropped,
+    so the one switch lies within BISECTION_WIDTH of the bracket on either
+    side; a narrower piece elsewhere leaves the verdict undecided, as does
+    a work list longer than CERTIFICATE_PIECES per input.  Inputs whose
+    verdict is true at p = 0 get no false side.  Inputs are certified
+    CERTIFICATE_INPUTS at a time.  Raises NonMonotonic."""
+    rows = np.flatnonzero(detected)
+    evaluations = 0
+    for start in range(0, len(rows), CERTIFICATE_INPUTS):
+        chunk = rows[start:start + CERTIFICATE_INPUTS]
+        evaluations += _certify_inputs(batch, chunk, lo[chunk], hi[chunk])
+    return evaluations
+
+
+def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> int:
+    """_certify on the inputs `rows` of a batch, whose brackets are
+    [lo, hi]: one work list, the evaluation count."""
+    form = batch.polynomial_form(rows)
+    size = len(rows)
+    # K per input: the block's p^2 coefficient, zero where it is affine
+    curvature = np.zeros(size)
+    if form.blocks is not None and len(form.blocks) == 3:
+        curvature = spectral_norms(form.blocks[2], np.ones(batch.d - 1))
+    ends = np.stack([np.zeros(size), lo, hi, np.ones(size)])
+    # one call per end keeps the work arrays at the bisection's size
+    l, n = np.array([batch.scalars(p, rows) for p in ends]).transpose(1, 0, 2)
+    margin = n - l
+    has_false = (margin[0] <= VERDICT_TOL) & (lo > 0.0)
+    has_true = hi < 1.0
+    # one row per piece: a, b, l(a), l(b), margin(a), margin(b)
+    pieces = np.concatenate([
+        np.column_stack([ends[0], ends[1], l[0], l[1], margin[0],
+                         margin[1]])[has_false],
+        np.column_stack([ends[2], ends[3], l[2], l[3], margin[2],
+                         margin[3]])[has_true]])
+    # each piece's input, as a position in rows
+    owner = np.concatenate([np.flatnonzero(has_false),
+                            np.flatnonzero(has_true)])
+    true_side = np.repeat([False, True], [np.sum(has_false),
+                                          np.sum(has_true)])
+    evaluations = 4 * size
+    while len(owner):
+        settled = _settled(form, curvature, owner, true_side, pieces)
+        a, b = pieces[:, 0], pieces[:, 1]
+        narrow = b - a < BISECTION_WIDTH
+        at_bracket = np.where(true_side, a == hi[owner], b == lo[owner])
+        if np.any(narrow & ~settled & ~at_bracket):
+            p = a[narrow & ~settled & ~at_bracket][0]
+            raise NonMonotonic(
+                f"detection verdict undecided near p = {p:.9g}, away from "
+                "the bisection bracket")
+        keep = ~settled & ~narrow
+        if 2 * np.count_nonzero(keep) > CERTIFICATE_PIECES * size:
+            raise NonMonotonic(
+                "detection verdict undecided: proving one switch needs more "
+                f"than {CERTIFICATE_PIECES} pieces per input")
+        pieces, owner = pieces[keep], owner[keep]
+        true_side = true_side[keep]
+        if not len(owner):
+            break
+        mid = 0.5 * (pieces[:, 0] + pieces[:, 1])
+        l, n = batch.scalars(mid, rows[owner])
+        evaluations += len(mid)
+        wrong = (n - l > VERDICT_TOL) != true_side
+        if np.any(wrong):
+            verdict = "false" if true_side[wrong][0] else "true"
+            raise NonMonotonic(
+                f"detection verdict switches more than once: it is {verdict} "
+                f"at p = {mid[wrong][0]:.9g}, outside the bisection bracket")
+        left, right = pieces.copy(), pieces.copy()
+        left[:, 1], left[:, 3], left[:, 5] = mid, l, n - l
+        right[:, 0], right[:, 2], right[:, 4] = mid, l, n - l
+        pieces = np.concatenate([left, right])
+        owner, true_side = np.tile(owner, 2), np.tile(true_side, 2)
+    return evaluations
+
+
+def _settled(form: MarginPolynomials, curvature: np.ndarray,
+             owner: np.ndarray, true_side: np.ndarray,
+             pieces: np.ndarray) -> np.ndarray:
+    """Whether the bounds of _certify prove each piece's side."""
+    a, b, la, lb, ma, mb = pieces.T
+    t = _NODES
+    at = a[:, None] + (b - a)[:, None] * t
+    slack = CERTIFICATE_SLACK * form.scale[owner]
+    settled = np.zeros(len(owner), dtype=bool)
+    i = np.flatnonzero(true_side)
+    width = b[i] - a[i]
+    upper = la[i, None] * (1.0 - t) + lb[i, None] * t \
+        + (curvature[owner[i]] * width * width)[:, None] * (t * (1.0 - t))
+    beta = (_horner([c[:, None] for c in form.n[owner[i]].T], at[i])
+            - upper) @ _TO_BERNSTEIN.T
+    settled[i] = np.min(beta, axis=1) > VERDICT_TOL + slack[i]
+    i = np.flatnonzero(~true_side)
+    q = form.n[owner[i]] - _lower_bound(
+        form, owner[i], np.where(ma[i] >= mb[i], a[i], b[i]))
+    beta = _horner([c[:, None] for c in q.T], at[i]) @ _TO_BERNSTEIN.T
+    settled[i] = np.max(beta, axis=1) <= VERDICT_TOL - slack[i]
+    return settled
+
+
+def _lower_bound(form: MarginPolynomials, rows: np.ndarray,
+                 e: np.ndarray) -> np.ndarray:
+    """Coefficients in p^0 .. p^4 of a polynomial below l(p) on [0, 1]
+    that meets it at p = e, per entry of rows: the top pair term at e, or
+    <F, M(p)> for the supporting functional F of the block at e."""
+    take = np.arange(len(rows))
+    pair_at = form.pairs[rows] * e[:, None] ** form.powers
+    top = np.argmax(pair_at, axis=1)
+    coeffs = np.zeros((len(rows), 5))
+    coeffs[take, form.powers[top]] = form.pairs[rows, top]
+    if form.blocks is None:
+        return coeffs
+    blocks = [m[rows] for m in form.blocks]
+    block = _horner(blocks, e[:, None, None])
+    f = supporting_functionals(block)
+    use = np.sum(f * block, axis=(1, 2)) > pair_at[take, top]
+    coeffs[use] = 0.0
+    for j, m in enumerate(blocks):
+        coeffs[use, j] = np.sum(f[use] * m[use], axis=(1, 2))
+    return coeffs
 
 
 def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
@@ -264,16 +492,16 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
 
 def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
     """(threshold, detected) per input: one bisection over the batch, and,
-    unless the batch is proven monotone, the monotonicity grid on the
-    inputs detected at p = 1.  Thresholds hold only where detected; a batch
-    detected nowhere is not bisected."""
+    unless the batch is proven monotone, the certificate of one switch on
+    the inputs detected at p = 1.  Thresholds hold only where detected; a
+    batch detected nowhere is not bisected."""
     detected = batch.entangled(1.0)
     if not detected.any():
         return np.ones(batch.size), detected
-    threshold = bisect_threshold(batch.entangled, batch.size)
+    lo, hi = bisect_bracket(batch.entangled, batch.size)
     if not batch.monotone:
-        _verdict_grid_check(batch, detected)
-    return threshold, detected
+        _certify(batch, lo, hi, detected)
+    return 0.5 * (lo + hi), detected
 
 
 def critical_bisection(state: SchmidtState, kind: ChannelKind,

@@ -152,9 +152,38 @@ def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     a = t * w[..., None, :]
     if a.shape[-2:] != (2, 2):
         return np.linalg.svd(a, compute_uv=False)[:, 0]
+    (x1, y1), (x2, y2) = _conformal_parts(a)
+    return 0.5 * (np.hypot(x1, y1) + np.hypot(x2, y2))
+
+
+def _conformal_parts(a: np.ndarray):
+    """The conformal (a00 + a11, a01 - a10) and anticonformal
+    (a00 - a11, a01 + a10) parts of each 2 x 2 matrix of a stack."""
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-    return 0.5 * (np.hypot(a00 + a11, a01 - a10)
-                  + np.hypot(a00 - a11, a01 + a10))
+    return (a00 + a11, a01 - a10), (a00 - a11, a01 + a10)
+
+
+def supporting_functionals(a: np.ndarray) -> np.ndarray:
+    """F with sum_ij F_ij a_ij = sigma_max(a) and sum_ij F_ij x_ij <=
+    sigma_max(x) for every x, one per matrix of an (N, n, n) stack.
+
+    F is u v^T for the top singular pair; a 2 x 2 matrix takes it in
+    closed form: sigma_max(x) is the half-sum of the moduli of x's two
+    parts (spectral_norms), so half the sum of the parts' unit phases at
+    a, read as (cos, sin) pairs, is a functional that meets it at a and
+    stays below it everywhere (Cauchy-Schwarz)."""
+    if a.shape[-2:] != (2, 2):
+        u, _, vt = np.linalg.svd(a)
+        return u[:, :, :1] * vt[:, :1, :]
+    phases = []
+    for x, y in _conformal_parts(a):
+        h = np.hypot(x, y)
+        # a zero part has no phase; the zero vector keeps F below sigma_max
+        phases.append(np.divide(np.stack([x, y]), h,
+                                out=np.zeros((2, len(h))), where=h > 0.0))
+    (c1, s1), (c2, s2) = phases
+    return 0.5 * np.stack([np.stack([c1 + c2, s1 + s2], -1),
+                           np.stack([s2 - s1, c1 - c2], -1)], -2)
 
 
 def norm_sqs(t: np.ndarray, w: np.ndarray) -> np.ndarray:

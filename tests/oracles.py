@@ -11,8 +11,10 @@ correlation tensor contracted on rho by two einsums (the package reads it
 from the realigned rho), the damped Bell quadratic read from the
 d x d Toeplitz block (the package reads the block's 2d - 1 profile
 values), Catalan's constant summed from its series (the package holds
-the double nearest it), and the generator basis built one matrix at a time
-(the package scatters it from index arrays and diagonal_entries).
+the double nearest it), the generator basis built one matrix at a time
+(the package scatters it from index arrays and diagonal_entries), and a
+sampled check that each detection verdict switches once (the package
+proves it from the margin's polynomial form).
 """
 
 import numpy as np
@@ -20,11 +22,14 @@ import numpy as np
 from qnl.bell import _bell_profile
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
+from qnl.errors import NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
 from qnl.states import max_entangled
 from qnl.tensor import c_factor
+
+GRID_POINTS = 100
 
 
 def depolarizing_kraus(d: int, r: float) -> KrausSet:
@@ -62,6 +67,29 @@ def colored_always_entangled(d: int, v_samples) -> bool:
     return bool(np.all((np.abs(l - l_closed) <= 1e-8)
                        & (np.abs(n - n_closed) <= 1e-8)
                        & (n - l > VERDICT_TOL)))
+
+
+def verdict_grid_check(curve, cells=True) -> None:
+    """Raise NonMonotonic if a verdict switches more than once on the
+    GRID_POINTS grid of p.
+
+    curve.entangled(p) gives one verdict or one per input of a batch; cells
+    masks the inputs that are checked."""
+    flags = np.array([curve.entangled(p)
+                      for p in np.linspace(0.0, 1.0, GRID_POINTS)])
+    switches = np.count_nonzero(flags[1:] != flags[:-1], axis=0)
+    if np.any((switches > 1) & cells):
+        raise NonMonotonic(
+            "detection verdict switches more than once over the sweep")
+
+
+def grid_verdicts(batch: MarginBatch, points: int) -> np.ndarray:
+    """Verdicts of every input of a batch at `points` evenly spaced values
+    of p in [0, 1], (points, N), from one scalars call."""
+    p = np.linspace(0.0, 1.0, points)
+    l, n = batch.scalars(np.repeat(p, batch.size),
+                         np.tile(np.arange(batch.size), points))
+    return (n - l > VERDICT_TOL).reshape(points, batch.size)
 
 
 def populations(kind: ChannelKind, coeffs: np.ndarray,

@@ -460,6 +460,21 @@ def test_memory_exhaustion_exits_2_with_one_error_line(args):
     assert err.count("\n") == 1
 
 
+def test_reentrant_detection_verdict_exits_2_with_one_error_line():
+    # the verdict of this input also fires on a window about 4e-4 wide near
+    # p = 0.37, below the bisected threshold; a 100-point grid missed it
+    # and the command printed 0.4193742610514164 with exit 0
+    code, out, err = run_limited([
+        "crit", "--d", "2", "--state",
+        "coeffs:0.5335533202133944,0.8457664302212893", "--channel", "ad:0",
+        "--metric", "identity"])
+    assert code == 2, err
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: detection verdict switches more than once")
+    assert "outside the bisection bracket" in err
+    assert err.count("\n") == 1
+
+
 def _tolerance_shifted_root(d):
     """The root in s of s (n0 s - l0) = VERDICT_TOL for the max-entangled
     state, n0 = (d + 1)/(d - 1) and l0 = 1/(d - 1): the verdict's tolerance

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import qnl.criteria
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
-from qnl.criteria import (VERDICT_TOL, MarginBatch, MarginCurve,
-                          _verdict_grid_check, bisect_threshold,
+from qnl.criteria import (BISECTION_WIDTH, CERTIFICATE_PIECES, VERDICT_TOL,
+                          MarginBatch, MarginCurve, MarginPolynomials,
+                          _certify, bisect_bracket, bisect_threshold,
                           critical_analytic, critical_bisection,
                           default_metric, is_entangled, scan_surface, xi)
 from qnl.errors import (NoDetectionInRange, NonMonotonic, UnsupportedChannel)
@@ -21,7 +22,8 @@ from qnl.tensor import (Metric, colored_metric, correlation_tensor,
                         damping_metric, diagonal_block, diagonal_entries,
                         identity_metric, norm_sq, spectral_norm)
 
-from oracles import colored_always_entangled, populations
+from oracles import (colored_always_entangled, grid_verdicts, populations,
+                     verdict_grid_check)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -111,7 +113,7 @@ def test_undetected_input_raises_before_bisecting(monkeypatch, kind):
     def refuse(fired, size):
         raise AssertionError("bisected an input detected nowhere")
 
-    monkeypatch.setattr(qnl.criteria, "bisect_threshold", refuse)
+    monkeypatch.setattr(qnl.criteria, "bisect_bracket", refuse)
     with pytest.raises(NoDetectionInRange, match="does not fire anywhere"):
         critical_bisection(schmidt_state(3, [1.0, 0.0, 0.0]), kind)
 
@@ -122,13 +124,13 @@ def test_grid_check_flags_reentrant_curves():
             return 0.2 < p < 0.4 or p > 0.8
 
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Wobble())
+        verdict_grid_check(Wobble())
     # a single switch is the expected shape and passes
     class Clean:
         def entangled(self, p):
             return p > 0.3
 
-    _verdict_grid_check(Clean())
+    verdict_grid_check(Clean())
 
 
 def test_grid_check_flags_reentrant_cells_of_a_batch():
@@ -138,11 +140,11 @@ def test_grid_check_flags_reentrant_cells_of_a_batch():
             return np.array([p > 0.3, 0.2 < p < 0.4 or p > 0.8])
 
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Batch())
+        verdict_grid_check(Batch())
     with pytest.raises(NonMonotonic):
-        _verdict_grid_check(Batch(), np.array([False, True]))
+        verdict_grid_check(Batch(), np.array([False, True]))
     # only the clean cell is checked
-    _verdict_grid_check(Batch(), np.array([True, False]))
+    verdict_grid_check(Batch(), np.array([True, False]))
 
 
 def test_margin_curve_paths():
@@ -191,19 +193,18 @@ def test_proven_monotone_batches_pass_the_grid_oracle(d, seed, case):
     batch = MarginBatch(d, sampled_rows(rng, d), kind,
                         sampled_metric(rng, d, name))
     assert batch.monotone
-    _verdict_grid_check(batch, batch.entangled(1.0))
-    _verdict_grid_check(batch)
+    verdict_grid_check(batch, batch.entangled(1.0))
+    verdict_grid_check(batch)
 
 
-def test_grid_check_runs_off_the_proven_paths(monkeypatch):
-    checked = []
-    grid_check = qnl.criteria._verdict_grid_check
+def test_certificate_runs_off_the_proven_paths(monkeypatch):
+    certified = []
 
-    def counted(batch, cells=True):
-        checked.append(batch.path)
-        grid_check(batch, cells)
+    def counted(batch, lo, hi, detected):
+        certified.append(batch.path)
+        return _certify(batch, lo, hi, detected)
 
-    monkeypatch.setattr(qnl.criteria, "_verdict_grid_check", counted)
+    monkeypatch.setattr(qnl.criteria, "_certify", counted)
     psi = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
     zero_block = Metric(d=3, g=np.r_[np.linspace(0.5, 1.5, 6), 0.0, 0.0])
     for state, kind, g, runs in (
@@ -212,15 +213,194 @@ def test_grid_check_runs_off_the_proven_paths(monkeypatch):
             (psi, ChannelKind.PRODUCT, None, 1),
             (max_entangled(3), ChannelKind.COLORED, None, 1),
             (psi, AD, identity_metric(3), 1)):
-        checked.clear()
+        certified.clear()
         critical_bisection(state, kind, g)
-        assert len(checked) == runs, (kind, g)
+        assert len(certified) == runs, (kind, g)
     grid = np.linspace(0.0, np.pi / 2, 5)
     for kind, paths in ((WHITE, []), (AD, []),
                         (ChannelKind.PRODUCT, ["product"])):
-        checked.clear()
+        certified.clear()
         scan_surface(kind, grid, grid)
-        assert checked == paths
+        assert certified == paths
+
+
+# re-enters: the verdict is true on a window about 4e-4 wide near p = 0.37,
+# below the bisected threshold 0.4193742610514164, between two points of
+# the 100-point grid
+REENTRANT_D2 = [0.5335533202133944, 0.8457664302212893]
+
+
+def test_certificate_flags_a_switch_below_the_bracket():
+    psi = schmidt_state(2, REENTRANT_D2)
+    with pytest.raises(NonMonotonic, match="outside the bisection bracket"):
+        critical_bisection(psi, AD, identity_metric(2))
+    # the sampled grid saw one switch only
+    verdict_grid_check(MarginBatch(2, psi.coeffs[None, :], AD,
+                                   identity_metric(2)))
+
+
+class RootsMargin:
+    """A synthetic margin model: l(p) = 0 and n(p) = tol + prod_k (p - r_k)
+    for each input's roots r_k, evaluated as that product so that its sign
+    is exact."""
+    d = 2
+
+    def __init__(self, roots):
+        self.roots, self.size = roots, len(roots)
+
+    def polynomial_form(self, rows=slice(None)):
+        n = np.zeros((self.size, 5))
+        for row, r in enumerate(self.roots):
+            n[row, :len(r) + 1] = np.poly(r)[::-1]
+        n[:, 0] += VERDICT_TOL
+        n = n[rows]
+        return MarginPolynomials(
+            n=n, pairs=np.zeros((len(n), 1)), powers=np.array([1]),
+            blocks=None, scale=np.sum(np.abs(n), axis=1))
+
+    def scalars(self, p, rows=slice(None)):
+        rows = np.arange(self.size)[rows]
+        p = np.broadcast_to(p, rows.shape)
+        n = VERDICT_TOL + np.array(
+            [np.prod(x - np.asarray(self.roots[row]))
+             for row, x in zip(rows, p)])
+        return np.zeros_like(n), n
+
+    def entangled(self, p):
+        l, n = self.scalars(p)
+        return n - l > VERDICT_TOL
+
+
+# the first input's verdict switches once, at 0.7, but touches the
+# tolerance at 0.3 (false side) or 0.9 (true side); CLEAN switches cleanly
+TANGENT_BELOW, TANGENT_ABOVE, CLEAN = (0.3, 0.3, 0.7), (0.7, 0.9, 0.9), (0.7,)
+
+
+@pytest.mark.parametrize("tangent, size, message", [
+    (TANGENT_BELOW, 8, " near p = 0.3"),
+    (TANGENT_ABOVE, 16, " near p = 0.9"),
+    (TANGENT_BELOW, 1,
+     f": proving one switch needs more than {CERTIFICATE_PIECES} pieces")])
+def test_certificate_refuses_a_tangent_verdict(tangent, size, message):
+    # with clean inputs beside it the tangent input's pieces narrow below
+    # BISECTION_WIDTH within the work list's cap; alone, they outgrow it
+    model = RootsMargin([tangent] + [CLEAN] * (size - 1))
+    lo, hi = bisect_bracket(model.entangled, size)
+    assert np.all(np.abs(hi - 0.7) < BISECTION_WIDTH)
+    clean = np.arange(size) > 0
+    # the clean inputs settle at their four ends
+    assert _certify(model, lo, hi, clean) == 4 * (size - 1)
+    with pytest.raises(NonMonotonic,
+                       match="detection verdict undecided" + message):
+        _certify(model, lo, hi, np.ones(size, dtype=bool))
+
+
+class BulgeMargin(RootsMargin):
+    """RootsMargin with l(p) = |M(p)| for the concave 1 x 1 block
+    M(p) = 2p - p^2, added to n as well: the margin is unchanged, but l
+    lies above its chord on [a, b] by (p - a)(b - p), which only the
+    certificate's curvature term covers."""
+
+    def polynomial_form(self, rows=slice(None)):
+        form = super().polynomial_form(rows)
+        n = form.n + [0.0, 2.0, -1.0, 0.0, 0.0]
+        blocks = [np.full((len(n), 1, 1), c) for c in (0.0, 2.0, -1.0)]
+        return form._replace(n=n, blocks=blocks, scale=form.scale + 6.0)
+
+    def scalars(self, p, rows=slice(None)):
+        _, n = super().scalars(p, rows)
+        l = 2.0 * np.broadcast_to(p, n.shape) - np.square(p)
+        return l, n + l
+
+
+def test_certificate_bounds_a_concave_block_by_its_curvature():
+    # false on (0.6, 0.62), above the threshold 0.3, by at most 3.1e-5:
+    # the chord alone lies up to 0.12 below l on [0.3, 1], and would
+    # settle that piece in the first round
+    model = BulgeMargin([(0.3, 0.6, 0.62)])
+    lo, hi = bisect_bracket(model.entangled, 1)
+    assert abs(hi[0] - 0.3) < BISECTION_WIDTH
+    with pytest.raises(NonMonotonic, match="it is false at p = 0.6"):
+        _certify(model, lo, hi, np.array([True]))
+
+
+@pytest.mark.parametrize("roots, verdict", [
+    ((0.2, 0.5, 0.6), "true"),    # a window below the threshold 0.6
+    ((0.3, 0.8, 0.9), "false")])  # a gap above the threshold 0.3
+def test_certificate_flags_a_switch_outside_the_bracket(roots, verdict):
+    model = RootsMargin([roots])
+    lo, hi = bisect_bracket(model.entangled, 1)
+    with pytest.raises(NonMonotonic, match=f"it is {verdict} at p = "
+                       ".*, outside the bisection bracket"):
+        _certify(model, lo, hi, np.array([True]))
+
+
+def test_certificate_skips_the_false_side_of_inputs_detected_at_zero():
+    # true on [0, 0.1), false on (0.1, 0.6), true again above 0.6: only
+    # [hi, 1] is proven; critical_bisection refuses such an input for
+    # firing at zero
+    model = RootsMargin([(0.1, 0.6)])
+    lo, hi = bisect_bracket(model.entangled, 1)
+    assert model.entangled(0.0)[0] and abs(lo[0] - 0.6) < BISECTION_WIDTH
+    assert _certify(model, lo, hi, np.array([True])) == 4
+
+
+def test_certificate_cost_on_the_product_surface(monkeypatch):
+    counts = []
+
+    def counted(*args):
+        counts.append(_certify(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(qnl.criteria, "_certify", counted)
+    grid = np.linspace(0.0, np.pi / 2, 101)
+    scan = scan_surface(ChannelKind.PRODUCT, grid, grid)
+    assert len(counts) == 1
+    assert counts[0] <= 8 * np.count_nonzero(~scan.flags)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(
+    [(ChannelKind.PRODUCT, None), (ChannelKind.COLORED, None),
+     (AD, "identity"), (AD, "colored"), (AD, "random")]))
+def test_certified_batches_switch_once_inside_the_bracket(d, seed, case):
+    # wherever the certificate passes, a 2,001-point grid sees at most one
+    # switch per detected input that is not detected at p = 0, inside the
+    # bracket the certificate proved: [lo, hi] widened by BISECTION_WIDTH
+    kind, name = case
+    rng = np.random.default_rng(seed)
+    if kind is ChannelKind.COLORED:
+        rows = np.tile(max_entangled(d).coeffs, (4, 1))
+        metrics = [None, colored_metric(d, rng.uniform(0.05, 1.0))]
+        g = metrics[rng.integers(2)]
+    else:
+        rows = sampled_rows(rng, d)
+        g = None if name is None else sampled_metric(rng, d, name)
+        if name == "random":
+            g = Metric(d=d, g=np.r_[g.g[:d * (d - 1)],
+                                    rng.uniform(0.1, 2.0, d - 1)])
+    batch = MarginBatch(d, rows, kind, g)
+    assert not batch.monotone
+    detected = batch.entangled(1.0)
+    if not detected.any():
+        return
+    lo, hi = bisect_bracket(batch.entangled, batch.size)
+    try:
+        _certify(batch, lo, hi, detected)
+    except NonMonotonic:
+        return
+    # inputs detected at p = 0 get no false side, and no threshold
+    detected &= ~batch.entangled(0.0)
+    flags = grid_verdicts(batch, 2001)[:, detected]
+    p = np.linspace(0.0, 1.0, 2001)
+    switches = flags[1:] != flags[:-1]
+    assert np.all(np.count_nonzero(switches, axis=0) <= 1)
+    for column, (low, high) in zip(switches.T, zip(lo[detected],
+                                                   hi[detected])):
+        step = np.flatnonzero(column)
+        if len(step):
+            assert p[step[0]] <= high + BISECTION_WIDTH
+            assert p[step[0] + 1] >= low - BISECTION_WIDTH
 
 
 def test_two_by_two_blocks_never_reach_the_svd(monkeypatch):

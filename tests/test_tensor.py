@@ -1,11 +1,15 @@
 """Correlation tensors: closed form vs trace definition, metrics, norms."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnl.bell import MeasurementSettings
 from qnl.channels import (ChannelKind, ChannelSpec, KrausSet, channel_output,
                           white_noise)
+from qnl.criteria import CERTIFICATE_SLACK
 from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.gellmann import gellmann_basis
 from qnl.states import max_entangled, schmidt_state, to_density
@@ -14,7 +18,8 @@ from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         diagonal_block, diagonal_entries,
                         identity_metric, norm_sq,
                         pair_values, schmidt_correlation_tensor,
-                        spectral_norm, spectral_norms)
+                        spectral_norm, spectral_norms,
+                        supporting_functionals)
 
 from oracles import einsum_correlation_tensor, loop_basis
 
@@ -267,6 +272,62 @@ def test_other_block_sizes_take_the_svd(n):
     t = rng.normal(size=(50, n, n))
     w = rng.uniform(0.0, 2.0, size=(50, n))
     assert np.array_equal(spectral_norms(t, w), svd_norms(t, w))
+
+
+def exact_two_by_two_norm(m) -> float:
+    """sigma_max of a 2 x 2 matrix of doubles, rounded once from 60 digits:
+    the half-sum of the moduli of its conformal and anticonformal parts."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a00, a01, a10, a11 = (Decimal(float(v)) for v in m.ravel())
+        return float((((a00 + a11) ** 2 + (a01 - a10) ** 2).sqrt()
+                      + ((a00 - a11) ** 2 + (a01 + a10) ** 2).sqrt()) / 2)
+
+
+def functional_cases(rng, n):
+    """16 matrices a, and matrices x to try each functional on: random,
+    multiples of a, and a perturbed in its ninth digit."""
+    a = rng.normal(size=(16, n, n)) \
+        * 10.0 ** rng.uniform(-6.0, 6.0, size=(16, 1, 1))
+    if n == 2:  # purely conformal and purely anticonformal matrices too
+        a[:4, 1, 1], a[:4, 1, 0] = a[:4, 0, 0], -a[:4, 0, 1]
+        a[4:8, 1, 1], a[4:8, 1, 0] = -a[4:8, 0, 0], a[4:8, 0, 1]
+    x = [rng.normal(size=a.shape) * np.abs(a).max(axis=(1, 2))[:, None, None],
+         a * rng.uniform(0.1, 10.0, size=(16, 1, 1)),
+         a * (1.0 + 1e-9 * rng.normal(size=a.shape))]
+    return a, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_two_by_two_supporting_functional(seed):
+    # the d = 3 closed form: it meets sigma_max at its own matrix within 4
+    # ulps of the exact value (np.linalg.svd itself strays up to 7 ulps on
+    # random stacks, so against it the closed form's 2e-15 applies), and
+    # stays below sigma_max of any matrix but for the certificate's slack
+    a, xs = functional_cases(np.random.default_rng(seed), 2)
+    f = supporting_functionals(a)
+    own = np.sum(f * a, axis=(1, 2))
+    exact = np.array([exact_two_by_two_norm(m) for m in a])
+    assert np.all(np.abs(own - exact) <= 4.0 * np.spacing(exact))
+    svd = np.linalg.svd(a, compute_uv=False)[:, 0]
+    assert np.all(np.abs(own - svd) <= 2e-15 * svd)
+    for x in xs:
+        norm = np.linalg.svd(x, compute_uv=False)[:, 0]
+        assert np.all(np.sum(f * x, axis=(1, 2))
+                      <= norm * (1.0 + CERTIFICATE_SLACK))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_supporting_functional_of_the_svd(n):
+    a, xs = functional_cases(np.random.default_rng(n), n)
+    f = supporting_functionals(a)
+    svd = np.linalg.svd(a, compute_uv=False)[:, 0]
+    assert np.all(np.abs(np.sum(f * a, axis=(1, 2)) - svd) <= 1e-14 * svd)
+    for x in xs:
+        norm = np.linalg.svd(x, compute_uv=False)[:, 0]
+        assert np.all(np.sum(f * x, axis=(1, 2))
+                      <= norm * (1.0 + CERTIFICATE_SLACK))
 
 
 @pytest.mark.parametrize("build, error", [
