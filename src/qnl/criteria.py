@@ -22,6 +22,10 @@ no weight on the diagonal generators) nothing more is checked; on every
 other path _certify proves it per input from the margin's polynomial form
 (MarginBatch.polynomial_form): the verdict is false on [0, lo] and true on
 [hi, 1] for the final bracket [lo, hi], or _solve raises NonMonotonic.
+
+A batch keeps its inputs on the last axis of every array, as the batch
+kernels of tensor.py take them, and so do the certificate's work arrays:
+each per-input reduction reads contiguous rows of N numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from .states import SchmidtState, max_entangled_rows, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
                      diagonal_entries, identity_metric, norm_sq, pair_values,
-                     spectral_norm, spectral_norms, supporting_functionals)
+                     spectral_norm, spectral_norms, sum_per_input,
+                     supporting_functionals)
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
@@ -123,6 +128,18 @@ def _damped_populations(csq: np.ndarray) -> list:
     return [p0, p1, p2]
 
 
+def _inputs_last(blocks: np.ndarray) -> np.ndarray:
+    """An (N, n, n) stack as a contiguous (n, n, N) one."""
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0))
+
+
+def _inputs(x: np.ndarray, rows) -> np.ndarray:
+    """The inputs `rows` (a slice or indices) of an array that keeps them
+    last; indices are gathered by take, several times faster there than
+    fancy indexing."""
+    return x[..., rows] if isinstance(rows, slice) else x.take(rows, axis=-1)
+
+
 def _horner(coefficients, x):
     """sum_k x^k coefficients[k], summed by Horner from the top."""
     total = coefficients[-1]
@@ -132,13 +149,13 @@ def _horner(coefficients, x):
 
 
 class MarginPolynomials(NamedTuple):  # a dataclass costs every import
-    """A batch's margin as polynomials in p, per input (N inputs).
+    """A batch's margin as polynomials in p, per input (N inputs, last).
 
-    n (N, 5) holds the coefficients of the weighted squared norm in powers
+    n (5, N) holds the coefficients of the weighted squared norm in powers
     p^0 .. p^4.  The weighted spectral norm is l(p) = max(max_m pairs_m
-    p^powers_m, sigma_max(sum_k p^k blocks[k])): pairs (N, d(d-1)/2) are
+    p^powers_m, sigma_max(sum_k p^k blocks[k])): pairs (d(d-1)/2, N) are
     the weighted pair entries' moduli at p = 1, powers (d(d-1)/2,) their
-    exponents, and blocks, at most 3 coefficients (N, d-1, d-1) of the
+    exponents, and blocks, at most 3 coefficients (d-1, d-1, N) of the
     weighted diagonal-generator block, None where the metric gives that
     block no weight.  scale (N,) bounds the moduli of the terms that sum
     to n and l at any p in [0, 1]: rounding errors are a share of it."""
@@ -159,15 +176,19 @@ class MarginBatch:
     "product", "colored" or "damping".
 
     Every channel keeps the tensor in the block form of tensor.py: the
-    pure state's pair entries, scaled by p (by p^2 for damped pairs away
+    pure state's pair entries, scaled by p (by p * p for damped pairs away
     from the ground level), and the diagonal-generator block c(d) D P(p) D^T
     of the noisy state's populations.  White and local depolarizing noise
     scale the whole tensor as p and p^2, so their scalars are taken once
     at p = 1.  The other channels' populations are P0 + p P1 (+ p^2 P2
     under damping), so the batch builds the coefficient blocks
     c(d) D P_k D^T once and block(p) sums them by Horner; they are built
-    only when the metric weights them, and the batch keeps no (N, d, d)
-    population stack.
+    only when the metric weights them, and the batch keeps no population
+    stack.
+
+    Every array keeps the inputs on its last axis: pair entries
+    (d(d-1)/2, N), coefficient blocks (d-1, d-1, N), built (N, d-1, d-1)
+    by diagonal_block and transposed once.
 
     `monotone` is true where the verdict n - l > tol provably switches at
     most once, from false to true, as p grows (elsewhere _solve proves it
@@ -186,13 +207,16 @@ class MarginBatch:
         if g is None and kind is not ChannelKind.COLORED:
             g = default_metric(kind, d, 1.0)
         # colored noise without a metric reweights with p on every call
-        self._weights = None if g is None else block_weights(d, g.g)
-        self._pairs, self._pair_pow = pair_values(coeffs), 1.0
+        self._weights = None if g is None \
+            else block_weights(d, g.g[:, None])
+        self._pairs = pair_values(coeffs.T)
+        # the pairs from this one on decay as p^2 (only under damping)
+        self._far = len(self._pairs)
         csq, dg = coeffs * coeffs, diagonal_entries(d)
         pure = csq[:, :, None] * np.eye(d)
         if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
-            self._l0, self._n0 = block_scalars(self._pairs, diagonal_block(
-                pure, dg), self._weights)
+            self._l0, self._n0 = block_scalars(self._pairs, _inputs_last(
+                diagonal_block(pure, dg)), self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
@@ -204,12 +228,12 @@ class MarginBatch:
             if not np.all(max_entangled_rows(coeffs)):
                 raise UnsupportedChannel("colored noise is defined only "
                                          "for the max-entangled input")
-            noise = np.zeros((d, d))
-            noise[-1, -1] = 1.0
+            noise = np.zeros((1, d, d))  # one block, shared by the inputs
+            noise[0, -1, -1] = 1.0
             self.path = "colored"
         else:  # amplitude damping
-            # pairs touching the ground level decay once, the others twice
-            self._pair_pow = np.where(np.triu_indices(d, 1)[0] == 0, 1.0, 2.0)
+            # pairs (0, k) touch the ground level and come first
+            self._far = d - 1
             self.path = "damping"
         self.monotone = self.path == "scaling" or (
             self.path == "damping" and self._weights[2] is None)
@@ -220,36 +244,41 @@ class MarginBatch:
                                        or self._weights[2] is not None):
             populations = _damped_populations(csq) if self.path == "damping" \
                 else (noise, pure - noise)
-            # colored noise's one noise block is a view per input
-            self._blocks = [np.broadcast_to(diagonal_block(c, dg),
-                                            (self.size, d - 1, d - 1))
-                            for c in populations]
+            # colored noise's one noise block is a view of every input
+            self._blocks = [np.broadcast_to(_inputs_last(
+                diagonal_block(c, dg)), (d - 1, d - 1, self.size))
+                for c in populations]
 
     def block(self, p: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Diagonal-generator blocks c(d) D P(p) D^T at one p per input (or
-        per entry of rows), (N, d-1, d-1), summed by Horner from the
+        per entry of rows), (d-1, d-1, N), summed by Horner from the
         coefficient blocks of P(p) = P0 + p P1 + p^2 P2."""
-        return _horner([c[rows] for c in self._blocks], p[:, None, None])
+        return _horner([_inputs(c, rows) for c in self._blocks], p)
 
     def scalars(self, p, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(spectral norms, squared norms) at noise-free fractions p, one
         per input, or one per entry of rows, the indices of the inputs
         taken."""
-        pairs = self._pairs[rows]
-        p = np.broadcast_to(np.asarray(p, dtype=float), (len(pairs),))
+        pairs = _inputs(self._pairs, rows)
+        p = np.broadcast_to(np.asarray(p, dtype=float), pairs.shape[1:])
         if self.path == "scaling":
-            # float_power rounds as Python's scalar power does
-            s = np.float_power(p, self._power)
+            # float_power rounds p^2 as Python's scalar power does
+            s = p if self._power == 1 else np.float_power(p, 2)
             return s * self._l0[rows], s * s * self._n0[rows]
         weights = self._weights
         if weights is None:  # colored noise: colored_metric(d, p) per input
-            w = np.ones((len(p), self.d * self.d - 1))
-            w[:, -1] = p
+            w = np.ones((self.d * self.d - 1, len(p)))
+            w[-1] = p
             weights = block_weights(self.d, w)
-        pairs = pairs * p[:, None] ** self._pair_pow
+        far = self._far
+        scaled = pairs * p
+        if far < len(pairs):
+            # v * (p * p): numpy's vector power can miss p^2 by an ulp,
+            # and which ulp depends on the CPU it dispatches to
+            np.multiply(pairs[far:], p * p, out=scaled[far:])
         # weights[2] is None when the metric gives the block no weight
         block = None if weights[2] is None else self.block(p, rows)
-        return block_scalars(pairs, block, weights)
+        return block_scalars(scaled, block, weights)
 
     def polynomial_form(self, rows=slice(None)) -> MarginPolynomials:
         """The margin's terms as polynomials in p, per input or per entry
@@ -260,35 +289,35 @@ class MarginBatch:
         pair_sum_m v_m^2 p^(2 e_m) and sum_ij w_j(p) B_ij(p)^2."""
         d = self.d
         if self._weights is None:
-            pair_max, pair_sum, _ = block_weights(d, np.ones(d * d - 1))
-            w0 = np.ones(d - 1)
+            pair_max, pair_sum, _ = block_weights(d, np.ones((d * d - 1, 1)))
+            w0 = np.ones((d - 1, 1))
             w0[-1] = 0.0
             ws = [w0, 1.0 - w0]
         else:
             pair_max, pair_sum, w0 = self._weights
             ws = [w0]
-        powers = np.broadcast_to(self._pair_pow, pair_max.shape).astype(int)
-        values = self._pairs[rows]
-        n = np.zeros((len(values), 5))
+        values = _inputs(self._pairs, rows)
+        powers = np.where(np.arange(len(values)) < self._far, 1, 2)
+        n = np.zeros((5, values.shape[1]))
         terms = pair_sum * values * values
         for e in (1, 2):
-            n[:, 2 * e] = np.sum(terms[:, powers == e], axis=1)
+            n[2 * e] = sum_per_input(terms[powers == e])
         pairs = np.abs(values) * pair_max
-        scale = np.sum(terms, axis=1) + np.max(pairs, axis=1)
+        scale = sum_per_input(terms) + np.max(pairs, axis=0)
         if w0 is None:
             return MarginPolynomials(n, pairs, powers, None, scale)
-        populations = [c[rows] for c in self._blocks]
+        populations = [_inputs(c, rows) for c in self._blocks]
         blocks = [0.0] * (len(populations) + len(ws) - 1)
         norms = 0.0  # sum_k sqrt(sum_ij w_j(1) B_k,ij^2)
         for k, b in enumerate(populations):
             for j, w in enumerate(ws):
                 blocks[k + j] = blocks[k + j] + b * w
                 for k2, b2 in enumerate(populations):
-                    n[:, k + k2 + j] += np.sum(b * b2 * w, axis=(1, 2))
-            norms = norms + np.sqrt(np.sum(b * b * sum(ws), axis=(1, 2)))
+                    n[k + k2 + j] += sum_per_input(b * b2 * w)
+            norms = norms + np.sqrt(sum_per_input(b * b * sum(ws)))
         # Cauchy-Schwarz bounds every term of n's block part by norms^2
-        scale += norms * norms + sum(
-            np.sqrt(np.sum(m * m, axis=(1, 2))) for m in blocks)
+        scale += norms * norms + sum(np.sqrt(sum_per_input(m * m))
+                                     for m in blocks)
         return MarginPolynomials(n, pairs, powers, blocks, scale)
 
     def entangled(self, p) -> np.ndarray:
@@ -321,15 +350,14 @@ def bisect_bracket(fired, size: int) -> tuple[np.ndarray, np.ndarray]:
     verdict is false below its threshold and true above it, so it is
     false at every lo but 0 and true at every hi but 1.  Every bracket
     starts at [0, 1] and halves on every step, so all share one width, a
-    power of two: the loop always takes 27 steps to BISECTION_WIDTH."""
-    lo, hi, width = np.zeros(size), np.ones(size), 1.0
+    power of two: the loop always takes 27 steps to BISECTION_WIDTH, and
+    hi = lo + width exactly, as every end is a multiple of that width."""
+    lo, width = np.zeros(size), 1.0
     while width > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fired_at = fired(mid)
-        hi = np.where(fired_at, mid, hi)
-        lo = np.where(fired_at, lo, mid)
         width *= 0.5
-    return lo, hi
+        mid = lo + width
+        lo = np.where(fired(mid), lo, mid)
+    return lo, lo + width
 
 
 def bisect_threshold(fired, size: int) -> np.ndarray:
@@ -381,19 +409,17 @@ def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
     # K per input: the block's p^2 coefficient, zero where it is affine
     curvature = np.zeros(size)
     if form.blocks is not None and len(form.blocks) == 3:
-        curvature = spectral_norms(form.blocks[2], np.ones(batch.d - 1))
+        curvature = spectral_norms(form.blocks[2], np.ones((batch.d - 1, 1)))
     ends = np.stack([np.zeros(size), lo, hi, np.ones(size)])
     # one call per end keeps the work arrays at the bisection's size
     l, n = np.array([batch.scalars(p, rows) for p in ends]).transpose(1, 0, 2)
     margin = n - l
     has_false = (margin[0] <= VERDICT_TOL) & (lo > 0.0)
     has_true = hi < 1.0
-    # one row per piece: a, b, l(a), l(b), margin(a), margin(b)
+    # one column per piece: a, b, l(a), l(b), margin(a), margin(b)
     pieces = np.concatenate([
-        np.column_stack([ends[0], ends[1], l[0], l[1], margin[0],
-                         margin[1]])[has_false],
-        np.column_stack([ends[2], ends[3], l[2], l[3], margin[2],
-                         margin[3]])[has_true]])
+        np.concatenate([ends[:2], l[:2], margin[:2]])[:, has_false],
+        np.concatenate([ends[2:], l[2:], margin[2:]])[:, has_true]], axis=1)
     # each piece's input, as a position in rows
     owner = np.concatenate([np.flatnonzero(has_false),
                             np.flatnonzero(has_true)])
@@ -402,7 +428,7 @@ def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
     evaluations = 4 * size
     while len(owner):
         settled = _settled(form, curvature, owner, true_side, pieces)
-        a, b = pieces[:, 0], pieces[:, 1]
+        a, b = pieces[0], pieces[1]
         narrow = b - a < BISECTION_WIDTH
         at_bracket = np.where(true_side, a == hi[owner], b == lo[owner])
         if np.any(narrow & ~settled & ~at_bracket):
@@ -415,11 +441,11 @@ def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
             raise NonMonotonic(
                 "detection verdict undecided: proving one switch needs more "
                 f"than {CERTIFICATE_PIECES} pieces per input")
-        pieces, owner = pieces[keep], owner[keep]
+        pieces, owner = pieces[:, keep], owner[keep]
         true_side = true_side[keep]
         if not len(owner):
             break
-        mid = 0.5 * (pieces[:, 0] + pieces[:, 1])
+        mid = 0.5 * (pieces[0] + pieces[1])
         l, n = batch.scalars(mid, rows[owner])
         evaluations += len(mid)
         wrong = (n - l > VERDICT_TOL) != true_side
@@ -429,9 +455,9 @@ def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
                 f"detection verdict switches more than once: it is {verdict} "
                 f"at p = {mid[wrong][0]:.9g}, outside the bisection bracket")
         left, right = pieces.copy(), pieces.copy()
-        left[:, 1], left[:, 3], left[:, 5] = mid, l, n - l
-        right[:, 0], right[:, 2], right[:, 4] = mid, l, n - l
-        pieces = np.concatenate([left, right])
+        left[1], left[3], left[5] = mid, l, n - l
+        right[0], right[2], right[4] = mid, l, n - l
+        pieces = np.concatenate([left, right], axis=1)
         owner, true_side = np.tile(owner, 2), np.tile(true_side, 2)
     return evaluations
 
@@ -440,45 +466,45 @@ def _settled(form: MarginPolynomials, curvature: np.ndarray,
              owner: np.ndarray, true_side: np.ndarray,
              pieces: np.ndarray) -> np.ndarray:
     """Whether the bounds of _certify prove each piece's side."""
-    a, b, la, lb, ma, mb = pieces.T
-    t = _NODES
-    at = a[:, None] + (b - a)[:, None] * t
+    a, b, la, lb, ma, mb = pieces
+    t = _NODES[:, None]
+    at = a + (b - a) * t
     slack = CERTIFICATE_SLACK * form.scale[owner]
     settled = np.zeros(len(owner), dtype=bool)
     i = np.flatnonzero(true_side)
     width = b[i] - a[i]
-    upper = la[i, None] * (1.0 - t) + lb[i, None] * t \
-        + (curvature[owner[i]] * width * width)[:, None] * (t * (1.0 - t))
-    beta = (_horner([c[:, None] for c in form.n[owner[i]].T], at[i])
-            - upper) @ _TO_BERNSTEIN.T
-    settled[i] = np.min(beta, axis=1) > VERDICT_TOL + slack[i]
+    upper = la[i] * (1.0 - t) + lb[i] * t \
+        + (curvature[owner[i]] * width * width) * (t * (1.0 - t))
+    beta = _TO_BERNSTEIN @ (_horner(form.n[:, owner[i]], at[:, i]) - upper)
+    settled[i] = np.min(beta, axis=0) > VERDICT_TOL + slack[i]
     i = np.flatnonzero(~true_side)
-    q = form.n[owner[i]] - _lower_bound(
+    q = form.n[:, owner[i]] - _lower_bound(
         form, owner[i], np.where(ma[i] >= mb[i], a[i], b[i]))
-    beta = _horner([c[:, None] for c in q.T], at[i]) @ _TO_BERNSTEIN.T
-    settled[i] = np.max(beta, axis=1) <= VERDICT_TOL - slack[i]
+    beta = _TO_BERNSTEIN @ _horner(q, at[:, i])
+    settled[i] = np.max(beta, axis=0) <= VERDICT_TOL - slack[i]
     return settled
 
 
 def _lower_bound(form: MarginPolynomials, rows: np.ndarray,
                  e: np.ndarray) -> np.ndarray:
     """Coefficients in p^0 .. p^4 of a polynomial below l(p) on [0, 1]
-    that meets it at p = e, per entry of rows: the top pair term at e, or
+    that meets it at p = e, (5, len(rows)): the top pair term at e, or
     <F, M(p)> for the supporting functional F of the block at e."""
     take = np.arange(len(rows))
-    pair_at = form.pairs[rows] * e[:, None] ** form.powers
-    top = np.argmax(pair_at, axis=1)
-    coeffs = np.zeros((len(rows), 5))
-    coeffs[take, form.powers[top]] = form.pairs[rows, top]
+    pairs = _inputs(form.pairs, rows)
+    pair_at = pairs * np.where(form.powers[:, None] == 1, e, e * e)
+    top = np.argmax(pair_at, axis=0)
+    coeffs = np.zeros((5, len(rows)))
+    coeffs[form.powers[top], take] = pairs[top, take]
     if form.blocks is None:
         return coeffs
-    blocks = [m[rows] for m in form.blocks]
-    block = _horner(blocks, e[:, None, None])
+    blocks = [_inputs(m, rows) for m in form.blocks]
+    block = _horner(blocks, e)
     f = supporting_functionals(block)
-    use = np.sum(f * block, axis=(1, 2)) > pair_at[take, top]
-    coeffs[use] = 0.0
+    use = sum_per_input(f * block) > pair_at[top, take]
+    coeffs[:, use] = 0.0
     for j, m in enumerate(blocks):
-        coeffs[use, j] = np.sum(f[use] * m[use], axis=(1, 2))
+        coeffs[j, use] = sum_per_input(f * m)[use]
     return coeffs
 
 

@@ -16,10 +16,19 @@ diagonal ones, where D = diagonal_entries(d) holds their diagonals in closed
 form and P(a, b) = <ab|rho|ab> the state's populations (diagonal_block).
 block_scalars takes sigma_max as the larger of the weighted pair entries and
 the block's sigma_max, and the squared norm as the sum over both blocks.
+
+The batch kernels (block_scalars, spectral_norms, norm_sqs,
+supporting_functionals) keep the inputs on the last axis: pair entries
+(d(d-1)/2, N), blocks (d-1, d-1, N), weights (n, 1) for one metric or
+(n, N) for one per input.  Each per-input reduction then runs over the
+leading axes, one contiguous row of N numbers at a time, and sum_per_input
+adds those rows in the order numpy's pairwise sum takes along one row, so a
+batch's scalars equal each input's own bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,10 +106,11 @@ def correlation_tensor(rho: TwoQuditState) -> CorrelationTensor:
 
 
 def pair_values(coeffs: np.ndarray) -> np.ndarray:
-    """2 c_j c_k c(d) per level pair j < k of each coefficient row."""
-    d = coeffs.shape[-1]
+    """2 c_j c_k c(d) per level pair j < k of coefficients (d,) or of
+    coefficient columns (d, N): (d(d-1)/2,) or (d(d-1)/2, N)."""
+    d = len(coeffs)
     js, ks = np.triu_indices(d, 1)
-    return 2.0 * coeffs[..., js] * coeffs[..., ks] * c_factor(d)
+    return 2.0 * coeffs[js] * coeffs[ks] * c_factor(d)
 
 
 def diagonal_block(populations: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -110,21 +120,46 @@ def diagonal_block(populations: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def block_weights(d: int, w: np.ndarray):
-    """Split weights (n,) or (N, n) for block_scalars: (the larger of each
-    pair's two weights, their sum, the diagonal generators' weights or None
-    when all of those are zero)."""
+    """Split weights (n, 1) or (n, N) for block_scalars: (the larger of
+    each pair's two weights, their sum, the diagonal generators' weights or
+    None when all of those are zero)."""
     half = d * (d - 1) // 2
-    gs, ga, gd = w[..., :half], w[..., half:2 * half], w[..., 2 * half:]
+    gs, ga, gd = w[:half], w[half:2 * half], w[2 * half:]
     return np.maximum(gs, ga), gs + ga, gd if np.any(gd != 0.0) else None
+
+
+def sum_per_input(x: np.ndarray) -> np.ndarray:
+    """Sum of x over every axis but the last, the inputs' axis, in the
+    order numpy's pairwise sum takes along one contiguous row: up to 7
+    terms one after another, up to 128 in eight interleaved partial sums,
+    more by halving.  numpy sums a single column that way itself, and
+    several columns row after row, so the batch kernels' sums would
+    otherwise depend on the batch's size."""
+    *rows, inputs = x.shape
+    x = x.reshape(math.prod(rows), inputs)
+    size = len(x)
+    if size < 8 or inputs == 1:
+        return np.add.reduce(x, axis=0)
+    if size > 128:
+        half = size // 2 - size // 2 % 8
+        return sum_per_input(x[:half]) + sum_per_input(x[half:])
+    stop = size - size % 8
+    r = x[:8].copy()
+    for i in range(8, stop, 8):
+        r += x[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for rest in x[stop:]:
+        total += rest
+    return total
 
 
 def block_scalars(pairs: np.ndarray, block, weights):
     """Weighted (sigma_max, squared norm) of tensors in block form: pair
-    entries (N, d(d-1)/2) and diagonal-generator blocks (N, d-1, d-1), the
+    entries (d(d-1)/2, N) and diagonal-generator blocks (d-1, d-1, N), the
     blocks unused when block_weights found no weight on them."""
     pair_max, pair_sum, diag = weights
-    l = np.max(np.abs(pairs) * pair_max, axis=-1)
-    n = np.sum(pair_sum * pairs * pairs, axis=-1)
+    l = np.max(np.abs(pairs) * pair_max, axis=0)
+    n = sum_per_input(pair_sum * pairs * pairs)
     if diag is None:
         return l, n
     return np.maximum(l, spectral_norms(block, diag)), \
@@ -142,16 +177,16 @@ def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
 
 
 def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sigma_max(T_ij w_j) of each tensor in an (N, n, n) stack; w is (n,)
-    or (N, n).
+    """sigma_max(T_ij w_j) of each tensor in an (n, n, N) stack; w is
+    (n, 1) or (n, N).
 
     A 2 x 2 block (the diagonal-generator block at d = 3) takes the closed
     form sigma_max = (hypot(a00 + a11, a01 - a10) + hypot(a00 - a11,
     a01 + a10)) / 2, the half-sum of the moduli of its conformal and
     anticonformal parts; blocks of any other size take the SVD."""
-    a = t * w[..., None, :]
-    if a.shape[-2:] != (2, 2):
-        return np.linalg.svd(a, compute_uv=False)[:, 0]
+    a = t * w
+    if a.shape[:2] != (2, 2):
+        return np.linalg.svd(a.transpose(2, 0, 1), compute_uv=False)[:, 0]
     (x1, y1), (x2, y2) = _conformal_parts(a)
     return 0.5 * (np.hypot(x1, y1) + np.hypot(x2, y2))
 
@@ -159,22 +194,22 @@ def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _conformal_parts(a: np.ndarray):
     """The conformal (a00 + a11, a01 - a10) and anticonformal
     (a00 - a11, a01 + a10) parts of each 2 x 2 matrix of a stack."""
-    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
     return (a00 + a11, a01 - a10), (a00 - a11, a01 + a10)
 
 
 def supporting_functionals(a: np.ndarray) -> np.ndarray:
     """F with sum_ij F_ij a_ij = sigma_max(a) and sum_ij F_ij x_ij <=
-    sigma_max(x) for every x, one per matrix of an (N, n, n) stack.
+    sigma_max(x) for every x, one per matrix of an (n, n, N) stack.
 
     F is u v^T for the top singular pair; a 2 x 2 matrix takes it in
     closed form: sigma_max(x) is the half-sum of the moduli of x's two
     parts (spectral_norms), so half the sum of the parts' unit phases at
     a, read as (cos, sin) pairs, is a functional that meets it at a and
     stays below it everywhere (Cauchy-Schwarz)."""
-    if a.shape[-2:] != (2, 2):
-        u, _, vt = np.linalg.svd(a)
-        return u[:, :, :1] * vt[:, :1, :]
+    if a.shape[:2] != (2, 2):
+        u, _, vt = np.linalg.svd(a.transpose(2, 0, 1))
+        return u[:, :, 0].T[:, None] * vt[:, 0].T
     phases = []
     for x, y in _conformal_parts(a):
         h = np.hypot(x, y)
@@ -182,13 +217,12 @@ def supporting_functionals(a: np.ndarray) -> np.ndarray:
         phases.append(np.divide(np.stack([x, y]), h,
                                 out=np.zeros((2, len(h))), where=h > 0.0))
     (c1, s1), (c2, s2) = phases
-    return 0.5 * np.stack([np.stack([c1 + c2, s1 + s2], -1),
-                           np.stack([s2 - s1, c1 - c2], -1)], -2)
+    return 0.5 * np.array([[c1 + c2, s1 + s2], [s2 - s1, c1 - c2]])
 
 
 def norm_sqs(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_ij w_j T_ij^2 of every tensor in an (N, n, n) stack."""
-    return np.sum(((t * t) * w[..., None, :]).reshape(len(t), -1), axis=1)
+    """sum_ij w_j T_ij^2 of every tensor in an (n, n, N) stack."""
+    return sum_per_input((t * t) * w)
 
 
 def _check_pair(t: CorrelationTensor, g: Metric) -> None:
@@ -199,10 +233,10 @@ def _check_pair(t: CorrelationTensor, g: Metric) -> None:
 def norm_sq(t: CorrelationTensor, g: Metric) -> float:
     """Weighted squared norm sum_ij g_j T_ij^2."""
     _check_pair(t, g)
-    return float(norm_sqs(t.t[None], g.g)[0])
+    return float(norm_sqs(t.t[..., None], g.g[:, None])[0])
 
 
 def spectral_norm(t: CorrelationTensor, g: Metric) -> float:
     """Largest singular value of the weighted tensor T_ij g_j."""
     _check_pair(t, g)
-    return float(spectral_norms(t.t[None], g.g)[0])
+    return float(spectral_norms(t.t[..., None], g.g[:, None])[0])

@@ -20,7 +20,7 @@ from qnl.states import (SchmidtState, max_entangled, nmax_state,
                         to_density)
 from qnl.tensor import (Metric, colored_metric, correlation_tensor,
                         damping_metric, diagonal_block, diagonal_entries,
-                        identity_metric, norm_sq, spectral_norm)
+                        identity_metric, norm_sq, pair_values, spectral_norm)
 
 from oracles import (colored_always_entangled, grid_verdicts, populations,
                      verdict_grid_check)
@@ -249,14 +249,14 @@ class RootsMargin:
         self.roots, self.size = roots, len(roots)
 
     def polynomial_form(self, rows=slice(None)):
-        n = np.zeros((self.size, 5))
+        n = np.zeros((5, self.size))
         for row, r in enumerate(self.roots):
-            n[row, :len(r) + 1] = np.poly(r)[::-1]
-        n[:, 0] += VERDICT_TOL
-        n = n[rows]
+            n[:len(r) + 1, row] = np.poly(r)[::-1]
+        n[0] += VERDICT_TOL
+        n = n[:, rows]
         return MarginPolynomials(
-            n=n, pairs=np.zeros((len(n), 1)), powers=np.array([1]),
-            blocks=None, scale=np.sum(np.abs(n), axis=1))
+            n=n, pairs=np.zeros((1, n.shape[1])), powers=np.array([1]),
+            blocks=None, scale=np.sum(np.abs(n), axis=0))
 
     def scalars(self, p, rows=slice(None)):
         rows = np.arange(self.size)[rows]
@@ -303,8 +303,8 @@ class BulgeMargin(RootsMargin):
 
     def polynomial_form(self, rows=slice(None)):
         form = super().polynomial_form(rows)
-        n = form.n + [0.0, 2.0, -1.0, 0.0, 0.0]
-        blocks = [np.full((len(n), 1, 1), c) for c in (0.0, 2.0, -1.0)]
+        n = form.n + np.array([[0.0], [2.0], [-1.0], [0.0], [0.0]])
+        blocks = [np.full((1, 1, n.shape[1]), c) for c in (0.0, 2.0, -1.0)]
         return form._replace(n=n, blocks=blocks, scale=form.scale + 6.0)
 
     def scalars(self, p, rows=slice(None)):
@@ -491,15 +491,49 @@ def test_damped_closed_form_property(d, seed, p, kind, default):
     assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
 
 
-def test_damped_batch_matches_single_inputs():
-    rng = np.random.default_rng(7)
-    coeffs = np.array([random_schmidt(rng, 4).coeffs for _ in range(5)])
-    g = Metric(d=4, g=rng.uniform(0.0, 1.0, size=15))
-    p = rng.uniform(0.0, 1.0, size=5)
-    l, n = MarginBatch(4, coeffs, AD, g).scalars(p)
-    for k in range(5):
-        single = MarginCurve(SchmidtState(4, coeffs[k]), AD, g).scalars(p[k])
-        assert (l[k], n[k]) == single
+BATCH_PATHS = {"white": WHITE, "depolarizing": DEPOL,
+               "product": ChannelKind.PRODUCT, "colored": ChannelKind.COLORED,
+               "damping": AD}
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["default", "random"])
+@pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10])
+def test_batch_scalars_equal_single_input_scalars(d, path, weighted):
+    # a batch sums every input's terms in the order one input alone does:
+    # from d = 5 the pairs, and from d = 4 the block entries, number 8 or
+    # more, where numpy's pairwise sum interleaves them
+    kind = BATCH_PATHS[path]
+    rng = np.random.default_rng(d)
+    size = 64
+    coeffs = np.tile(max_entangled(d).coeffs, (size, 1)) \
+        if kind is ChannelKind.COLORED else sampled_rows(rng, d, size)
+    g = Metric(d=d, g=rng.uniform(0.0, 2.0, size=d * d - 1)) \
+        if weighted else None
+    p = rng.uniform(0.0, 1.0, size=size)
+    l, n = MarginBatch(d, coeffs, kind, g).scalars(p)
+    for k in range(size):
+        single = MarginCurve(SchmidtState(d, coeffs[k]), kind, g)
+        assert (l[k], n[k]) == single.scalars(p[k]), k
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_damped_far_pairs_scale_by_the_rounded_square(d):
+    # pairs away from the ground level carry v * (p * p), the square
+    # rounded once; a metric that weights only one such pair's symmetric
+    # generator reads it as l, and its square as n
+    rng = np.random.default_rng(d)
+    coeffs = sampled_rows(rng, d, 2049)
+    dyadic = np.arange(1025) / 1024.0
+    for p in (dyadic, rng.uniform(0.0, 1.0, size=1024)):
+        rows = coeffs[:len(p)]
+        for m in np.flatnonzero(np.triu_indices(d, 1)[0] > 0):
+            w = np.zeros(d * d - 1)
+            w[m] = 1.0
+            l, n = MarginBatch(d, rows, AD, Metric(d=d, g=w)).scalars(p)
+            scaled = pair_values(rows.T)[m] * (p * p)
+            assert np.array_equal(l, np.abs(scaled))
+            assert np.array_equal(n, scaled * scaled)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -522,6 +556,15 @@ def test_damped_identity_threshold_d16_pinned():
     assert res.value == 0.5814153142273426
 
 
+def oracle_coefficient_blocks(kind, coeffs, d):
+    """The blocks C_k of c(d) D P(p) D^T = C0 + p C1 + p^2 C2, interpolated
+    from the population oracle at p = 0, 1/2 and 1, (N, d-1, d-1) each."""
+    at = [diagonal_block(populations(kind, coeffs, np.full(len(coeffs), x)),
+                         diagonal_entries(d)) for x in (0.0, 0.5, 1.0)]
+    return [at[0], 4.0 * at[1] - 3.0 * at[0] - at[2],
+            2.0 * (at[2] - 2.0 * at[1] + at[0])]
+
+
 @pytest.mark.parametrize("d", range(2, 17))
 def test_horner_blocks_match_population_oracle(d):
     # the coefficient blocks C_k summed by Horner against c(d) D P(p) D^T
@@ -542,9 +585,10 @@ def test_horner_blocks_match_population_oracle(d):
         batch = MarginBatch(d, coeffs, kind, g)
         ref = diagonal_block(populations(kind, coeffs, p),
                              diagonal_entries(d))
-        err = np.linalg.norm(batch.block(p) - ref, axis=(1, 2))
-        scale = sum(p ** k * np.linalg.norm(c, axis=(-2, -1))
-                    for k, c in enumerate(batch._blocks))
+        err = np.linalg.norm(np.moveaxis(batch.block(p), -1, 0) - ref,
+                             axis=(1, 2))
+        scale = sum(p ** k * np.linalg.norm(c, axis=(1, 2)) for k, c in
+                    enumerate(oracle_coefficient_blocks(kind, coeffs, d)))
         assert np.all(err <= 4e-15 * scale), (kind, g)
 
 

@@ -18,7 +18,7 @@ from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
                         diagonal_block, diagonal_entries,
                         identity_metric, norm_sq,
                         pair_values, schmidt_correlation_tensor,
-                        spectral_norm, spectral_norms,
+                        spectral_norm, spectral_norms, sum_per_input,
                         supporting_functionals)
 
 from oracles import einsum_correlation_tensor, loop_basis
@@ -96,10 +96,9 @@ def test_stacked_tensors_and_scalars_equal_loop_forms(d):
     states = [random_schmidt(rng, d) for _ in range(4)]
     c = np.array([s.coeffs for s in states])
     g = colored_metric(d, 0.37)
-    ls, ns = block_scalars(pair_values(c),
-                           diagonal_block((c * c)[:, :, None] * np.eye(d),
-                                          diagonal_entries(d)),
-                           block_weights(d, g.g))
+    ls, ns = block_scalars(pair_values(c.T), inputs_last(
+        diagonal_block((c * c)[:, :, None] * np.eye(d), diagonal_entries(d))),
+        block_weights(d, g.g[:, None]))
     for k, psi in enumerate(states):
         t = loop_schmidt_tensor(psi.coeffs)
         closed = schmidt_correlation_tensor(psi)
@@ -221,13 +220,23 @@ def test_max_entangled_tensor_norm_value():
         assert spectral_norm(t, g) == pytest.approx(1.0 / (d - 1.0), abs=1e-12)
 
 
+def inputs_last(stack):
+    """An (N, n, n) stack in the kernels' (n, n, N) layout."""
+    return np.moveaxis(stack, 0, -1)
+
+
+def stacked_norms(t, w):
+    """spectral_norms of an (N, n, n) stack under weights (n,) or (N, n)."""
+    return spectral_norms(inputs_last(t), np.atleast_2d(w).T)
+
+
 def svd_norms(t, w):
     return np.linalg.svd(t * w[..., None, :], compute_uv=False)[:, 0]
 
 
 def assert_close_to_svd(t, w):
     ref = svd_norms(t, w)
-    assert np.all(np.abs(spectral_norms(t, w) - ref) <= 2e-15 * ref)
+    assert np.all(np.abs(stacked_norms(t, w) - ref) <= 2e-15 * ref)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -248,12 +257,12 @@ def test_two_by_two_closed_form_special_blocks():
     rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
     reflections = rotations * np.array([1.0, -1.0])
     ones = np.ones(2)
-    assert np.array_equal(spectral_norms(np.zeros((3, 2, 2)), ones),
+    assert np.array_equal(stacked_norms(np.zeros((3, 2, 2)), ones),
                           np.zeros(3))
     assert_close_to_svd(u[:, :, None] * v[:, None, :], ones)  # rank one
     diag = rng.normal(size=(200, 2))
     assert_close_to_svd(diag[:, :, None] * np.eye(2), ones)
-    assert np.allclose(spectral_norms(diag[:, :, None] * np.eye(2), ones),
+    assert np.allclose(stacked_norms(diag[:, :, None] * np.eye(2), ones),
                        np.max(np.abs(diag), axis=1), rtol=2e-15, atol=0.0)
     # equal singular values: scaled rotations and reflections
     scale = rng.uniform(0.1, 10.0, size=(200, 1, 1))
@@ -271,7 +280,23 @@ def test_other_block_sizes_take_the_svd(n):
     rng = np.random.default_rng(n)
     t = rng.normal(size=(50, n, n))
     w = rng.uniform(0.0, 2.0, size=(50, n))
-    assert np.array_equal(spectral_norms(t, w), svd_norms(t, w))
+    assert np.array_equal(stacked_norms(t, w), svd_norms(t, w))
+
+
+@pytest.mark.parametrize("inputs", [1, 2, 9, 64])
+def test_sum_per_input_equals_each_inputs_own_sum(inputs):
+    # every count of terms the kernels meet, from d = 2 pairs to d = 16
+    # blocks and a d = 300 pair row, plus terms over twelve decades, so
+    # that each association shows in the last bits
+    rng = np.random.default_rng(inputs)
+    for terms in [*range(1, 300), 1000, 44850]:
+        x = rng.normal(size=(terms, inputs)) \
+            * 10.0 ** rng.uniform(-6.0, 6.0, size=(terms, inputs))
+        own = [np.sum(x[:, k]) for k in range(inputs)]
+        assert sum_per_input(x).tolist() == own, terms
+    blocks = rng.normal(size=(15, 15, inputs))
+    assert sum_per_input(blocks).tolist() \
+        == [np.sum(blocks[:, :, k]) for k in range(inputs)]
 
 
 def exact_two_by_two_norm(m) -> float:
@@ -306,7 +331,7 @@ def test_two_by_two_supporting_functional(seed):
     # random stacks, so against it the closed form's 2e-15 applies), and
     # stays below sigma_max of any matrix but for the certificate's slack
     a, xs = functional_cases(np.random.default_rng(seed), 2)
-    f = supporting_functionals(a)
+    f = np.moveaxis(supporting_functionals(inputs_last(a)), -1, 0)
     own = np.sum(f * a, axis=(1, 2))
     exact = np.array([exact_two_by_two_norm(m) for m in a])
     assert np.all(np.abs(own - exact) <= 4.0 * np.spacing(exact))
@@ -321,7 +346,7 @@ def test_two_by_two_supporting_functional(seed):
 @pytest.mark.parametrize("n", [1, 3, 4, 8])
 def test_supporting_functional_of_the_svd(n):
     a, xs = functional_cases(np.random.default_rng(n), n)
-    f = supporting_functionals(a)
+    f = np.moveaxis(supporting_functionals(inputs_last(a)), -1, 0)
     svd = np.linalg.svd(a, compute_uv=False)[:, 0]
     assert np.all(np.abs(np.sum(f * a, axis=(1, 2)) - svd) <= 1e-14 * svd)
     for x in xs:
