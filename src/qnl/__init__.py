@@ -21,8 +21,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, InvalidDimension,
                      NegativeCoefficient, NoDetectionInRange, NonMonotonic,
                      NotHermitian, NotNormalizable, NoViolation, QnlError,
                      RankTooLarge, StrengthOutOfRange, UnsupportedChannel)
-from .fidelity import (FidelityReport, WernerGap, critical_fidelity, fidelity,
-                       werner_gap)
+from .fidelity import FidelityReport, WernerGap, critical_fidelity, werner_gap
 from .gellmann import (GellMannBasis, bloch_vector, from_bloch_vector,
                        gellmann_basis, normalized_bloch_vector)
 from .reports import reproduce_tables, write_tables
@@ -49,8 +48,7 @@ __all__ = [
     "NegativeCoefficient", "NoDetectionInRange", "NonMonotonic",
     "NotHermitian", "NotNormalizable", "NoViolation", "QnlError",
     "RankTooLarge", "StrengthOutOfRange", "UnsupportedChannel",
-    "FidelityReport", "WernerGap", "critical_fidelity", "fidelity",
-    "werner_gap",
+    "FidelityReport", "WernerGap", "critical_fidelity", "werner_gap",
     "GellMannBasis", "bloch_vector", "from_bloch_vector", "gellmann_basis",
     "normalized_bloch_vector",
     "reproduce_tables", "write_tables",

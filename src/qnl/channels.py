@@ -9,7 +9,9 @@ Two conventions coexist on purpose:
   the channel strength r, applied identically to both subsystems.
 
 Either way p = 1 means no noise; for Kraus kinds the noise-free fraction is
-p = 1 - r.  Solvers sweep p.
+p = 1 - r.  Solvers sweep p.  block_form states each kind's noise once, as
+the populations and coherences of its output; the mixing builders,
+criteria.MarginBatch and fidelity.critical_fidelity read it from there.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .errors import (
     UnsupportedChannel,
 )
 from .gellmann import check_dimension
-from .states import SchmidtState, TwoQuditState, max_entangled, to_density
+from .states import (SchmidtState, TwoQuditState, max_entangled,
+                     max_entangled_rows, to_density)
 
 COMPLETENESS_TOL = 1e-10
 
@@ -104,20 +107,57 @@ class KrausSet:
         self.operators.setflags(write=False)
 
 
+def block_form(coeffs: np.ndarray, kind: ChannelKind) -> tuple[list, int]:
+    """(stacks, far) of the noisy Schmidt inputs with coefficient rows
+    (N, d): the coefficients P_k of their populations
+    P(p) = <ab|rho|ab> = sum_k p^k P_k, each (N, d, d) or one (1, d, d)
+    shared by every input (P_0 is the noise's for the mixing kinds), and
+    the index, in np.triu_indices(d, 1) order, of the first level pair
+    whose coherence <jj|rho|kk> = c_j c_k p^e has e = 2, not 1.  Raises
+    UnsupportedChannel for colored noise on rows not max-entangled."""
+    size, d = coeffs.shape
+    csq = coeffs * coeffs
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        # with q = 1 - p and S the excited weight sum_k>0 c_k^2,
+        # P(0, 0) = c_0^2 + q^2 S, P(0, k) = P(k, 0) = p q c_k^2 and
+        # P(k, k) = p^2 c_k^2; the pairs (0, k) come first
+        excited = csq[:, 1:]
+        s = np.sum(excited, axis=1)
+        p0, p1, p2 = np.zeros((3, size, d, d))
+        p0[:, 0, 0] = csq[:, 0] + s
+        p1[:, 0, 0], p2[:, 0, 0] = -2.0 * s, s
+        p1[:, 0, 1:] = p1[:, 1:, 0] = excited
+        p2[:, 0, 1:] = p2[:, 1:, 0] = -excited
+        i = np.arange(1, d)
+        p2[:, i, i] = excited
+        return [p0, p1, p2], d - 1
+    pure = csq[:, :, None] * np.eye(d)
+    uniform = np.full((1, d, d), 1.0 / (d * d))
+    if kind is ChannelKind.DEPOLARIZING:
+        # P(a, b) = p^2 c_a^2 [a = b] + p q (c_a^2 + c_b^2) / d + q^2 / d^2
+        marginals = (csq[:, :, None] + csq[:, None, :]) / d
+        return [uniform, marginals - 2.0 * uniform,
+                pure - marginals + uniform], 0
+    if kind is ChannelKind.WHITE:
+        noise = uniform
+    elif kind is ChannelKind.PRODUCT:  # the marginals' product
+        noise = csq[:, :, None] * csq[:, None, :]
+    else:  # colored: the product state |d-1, d-1>
+        if not np.all(max_entangled_rows(coeffs)):
+            raise UnsupportedChannel(
+                "colored noise is defined only for the max-entangled input")
+        noise = np.zeros((1, d, d))
+        noise[0, -1, -1] = 1.0
+    return [noise, pure - noise], d * (d - 1) // 2
+
+
 def white_noise(psi: SchmidtState, v: float) -> TwoQuditState:
-    v = check_strength(v)
-    d = psi.d
-    rho = v * to_density(psi).rho + (1.0 - v) * np.eye(d * d) / (d * d)
-    return TwoQuditState(d=d, rho=rho)
+    return channel_output(psi, ChannelSpec(ChannelKind.WHITE, v))
 
 
 def product_noise(psi: SchmidtState, v: float) -> TwoQuditState:
     """Mix with the product of the state's own marginals diag(c^2)."""
-    v = check_strength(v)
-    d = psi.d
-    marg = np.diag(psi.coeffs ** 2).astype(complex)
-    rho = v * to_density(psi).rho + (1.0 - v) * np.kron(marg, marg)
-    return TwoQuditState(d=d, rho=rho)
+    return channel_output(psi, ChannelSpec(ChannelKind.PRODUCT, v))
 
 
 def colored_noise(d: int, v: float) -> TwoQuditState:
@@ -125,11 +165,8 @@ def colored_noise(d: int, v: float) -> TwoQuditState:
 
     Defined only for the max-entangled input, so the state is fixed by d.
     """
-    d = check_dimension(d)
-    v = check_strength(v)
-    rho = v * to_density(max_entangled(d)).rho
-    rho[d * d - 1, d * d - 1] += 1.0 - v
-    return TwoQuditState(d=d, rho=rho)
+    return channel_output(max_entangled(d),
+                          ChannelSpec(ChannelKind.COLORED, v))
 
 
 def amplitude_damping_kraus(d: int, r: float) -> KrausSet:
@@ -177,20 +214,17 @@ def depolarize_pair(rho: TwoQuditState, r: float) -> TwoQuditState:
 
 
 def channel_output(psi: SchmidtState, spec: ChannelSpec) -> TwoQuditState:
-    """Dispatch a channel spec on a pure input state."""
-    kind = spec.kind
-    if kind is ChannelKind.WHITE:
-        return white_noise(psi, spec.strength)
-    if kind is ChannelKind.PRODUCT:
-        return product_noise(psi, spec.strength)
-    if kind is ChannelKind.COLORED:
-        if not psi.is_max_entangled():
-            raise UnsupportedChannel(
-                "colored noise is defined only for the max-entangled input")
-        return colored_noise(psi.d, spec.strength)
+    """Dispatch a channel spec on a pure input state.  A mixing kind gives
+    v |psi><psi| + (1 - v) diag(noise populations), colored noise with
+    max_entangled(d) itself as |psi>."""
+    kind, v = spec.kind, check_strength(spec.strength)
     if kind is ChannelKind.DEPOLARIZING:
-        return depolarize_pair(to_density(psi), spec.strength)
+        return depolarize_pair(to_density(psi), v)
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         return apply_local_channel(
-            to_density(psi), amplitude_damping_kraus(psi.d, spec.strength))
-    raise UnsupportedChannel(str(kind))
+            to_density(psi), amplitude_damping_kraus(psi.d, v))
+    noise = block_form(psi.coeffs[None, :], kind)[0][0]
+    if kind is ChannelKind.COLORED:
+        psi = max_entangled(psi.d)
+    rho = v * to_density(psi).rho + (1.0 - v) * np.diag(noise.ravel())
+    return TwoQuditState(d=psi.d, rho=rho)

@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common("csv")],
                        help="critical-value surface over the qutrit family")
     p.add_argument("--channel", required=True,
-                   help="channel kind, strength part ignored (white, product, ad)")
+                   help="channel kind, strength part ignored (white, product, "
+                        "depol, ad)")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--quantity", default="crit",
                    choices=("crit", "xi"))

@@ -9,10 +9,10 @@ Solvers sweep the noise-free fraction p in [0, 1] (p = v for mixing
 channels, p = 1 - r for Kraus channels).  One margin model, MarginBatch,
 evaluates a batch of Schmidt inputs at once on the block form of
 tensor.py, for every channel and every metric; no density matrix is
-built.  A channel enters only through how its pair entries scale with p
-and through the populations P(p) of the noisy state, a polynomial in p of
-degree at most 2 whose coefficient blocks each batch builds once and sums
-by Horner at every p.  One solver, _solve,
+built.  A channel enters only through its block form (channels.block_form):
+how its pair entries scale with p, and the populations P(p) of the noisy
+state, a polynomial in p of degree at most 2 whose coefficient blocks
+each batch builds once and sums by Horner at every p.  One solver, _solve,
 bisects every input of a batch together; critical_bisection is its
 single-input case, scan_surface batches the whole qutrit-family surface,
 and the Bell thresholds of bell.critical_lr use the same bisection.  A
@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelKind
+from .channels import ChannelKind, block_form
 from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
-from .states import SchmidtState, max_entangled_rows, qutrit_family_coeffs
+from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
                      diagonal_entries, identity_metric, norm_sq, pair_values,
@@ -110,24 +110,6 @@ def default_metric(kind: ChannelKind, d: int, p: float) -> Metric:
     return identity_metric(d)
 
 
-def _damped_populations(csq: np.ndarray) -> list:
-    """Coefficients (P0, P1, P2) of the damped populations, (N, d, d) each:
-    with q = 1 - p and S the excited weight sum_k>0 c_k^2,
-    P(0, 0) = c_0^2 + q^2 S, P(0, k) = P(k, 0) = p q c_k^2 and
-    P(k, k) = p^2 c_k^2."""
-    size, d = csq.shape
-    excited = csq[:, 1:]
-    s = np.sum(excited, axis=1)
-    p0, p1, p2 = np.zeros((3, size, d, d))
-    p0[:, 0, 0] = csq[:, 0] + s
-    p1[:, 0, 0], p2[:, 0, 0] = -2.0 * s, s
-    p1[:, 0, 1:] = p1[:, 1:, 0] = excited
-    p2[:, 0, 1:] = p2[:, 1:, 0] = -excited
-    i = np.arange(1, d)
-    p2[:, i, i] = excited
-    return [p0, p1, p2]
-
-
 def _inputs_last(blocks: np.ndarray) -> np.ndarray:
     """An (N, n, n) stack as a contiguous (n, n, N) one."""
     return np.ascontiguousarray(blocks.transpose(1, 2, 0))
@@ -180,11 +162,11 @@ class MarginBatch:
     from the ground level), and the diagonal-generator block c(d) D P(p) D^T
     of the noisy state's populations.  White and local depolarizing noise
     scale the whole tensor as p and p^2, so their scalars are taken once
-    at p = 1.  The other channels' populations are P0 + p P1 (+ p^2 P2
-    under damping), so the batch builds the coefficient blocks
-    c(d) D P_k D^T once and block(p) sums them by Horner; they are built
-    only when the metric weights them, and the batch keeps no population
-    stack.
+    at p = 1.  The other channels' populations P(p) = sum_k p^k P_k and
+    the index of their first p^2 pair come from channels.block_form, so
+    the batch builds the coefficient blocks c(d) D P_k D^T once and
+    block(p) sums them by Horner; they are built only when the metric
+    weights them, and the batch keeps no population stack.
 
     Every array keeps the inputs on its last axis: pair entries
     (d(d-1)/2, N), coefficient blocks (d-1, d-1, N), built (N, d-1, d-1)
@@ -210,44 +192,30 @@ class MarginBatch:
         self._weights = None if g is None \
             else block_weights(d, g.g[:, None])
         self._pairs = pair_values(coeffs.T)
-        # the pairs from this one on decay as p^2 (only under damping)
-        self._far = len(self._pairs)
-        csq, dg = coeffs * coeffs, diagonal_entries(d)
-        pure = csq[:, :, None] * np.eye(d)
+        self._blocks = None
         if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
+            csq = coeffs * coeffs
+            pure = csq[:, :, None] * np.eye(d)
             self._l0, self._n0 = block_scalars(self._pairs, _inputs_last(
-                diagonal_block(pure, dg)), self._weights)
+                diagonal_block(pure, diagonal_entries(d))), self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
-        elif kind is ChannelKind.PRODUCT:
-            # populations blended in with weight 1 - p
-            noise = csq[:, :, None] * csq[:, None, :]
-            self.path = "product"
-        elif kind is ChannelKind.COLORED:
-            if not np.all(max_entangled_rows(coeffs)):
-                raise UnsupportedChannel("colored noise is defined only "
-                                         "for the max-entangled input")
-            noise = np.zeros((1, d, d))  # one block, shared by the inputs
-            noise[0, -1, -1] = 1.0
-            self.path = "colored"
-        else:  # amplitude damping
-            # pairs (0, k) touch the ground level and come first
-            self._far = d - 1
-            self.path = "damping"
+        else:
+            populations, self._far = block_form(coeffs, kind)
+            self.path = "damping" \
+                if kind is ChannelKind.AMPLITUDE_DAMPING else kind.value
+            # the coefficient blocks of block(p), built where the metric
+            # weights them; the colored default metric weights them at
+            # every p > 0
+            if self._weights is None or self._weights[2] is not None:
+                dg = diagonal_entries(d)
+                # colored noise's one noise block is a view of every input
+                self._blocks = [np.broadcast_to(_inputs_last(
+                    diagonal_block(c, dg)), (d - 1, d - 1, self.size))
+                    for c in populations]
         self.monotone = self.path == "scaling" or (
             self.path == "damping" and self._weights[2] is None)
-        # the coefficient blocks of block(p), built where the metric weights
-        # them; the colored default metric weights them at every p > 0
-        self._blocks = None
-        if self.path != "scaling" and (self._weights is None
-                                       or self._weights[2] is not None):
-            populations = _damped_populations(csq) if self.path == "damping" \
-                else (noise, pure - noise)
-            # colored noise's one noise block is a view of every input
-            self._blocks = [np.broadcast_to(_inputs_last(
-                diagonal_block(c, dg)), (d - 1, d - 1, self.size))
-                for c in populations]
 
     def block(self, p: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Diagonal-generator blocks c(d) D P(p) D^T at one p per input (or

@@ -5,8 +5,9 @@ path: the Heisenberg-Weyl Kraus form of local depolarizing noise (the
 package has only the affine form, channels.depolarize_pair), the
 single-qudit Kraus action, the closed-form colored-noise scalars
 that criteria.MarginBatch evaluates on its block form, the populations
-of the noisy state at one p (MarginBatch sums coefficient blocks by Horner
-instead), the scan CSV formatted cell by cell from numpy scalars, the
+of the noisy state at one p under every channel (channels.block_form
+gives their coefficients in p, which MarginBatch sums by Horner), the
+scan CSV formatted cell by cell from numpy scalars, the
 correlation tensor contracted on rho by two einsums (the package reads it
 from the realigned rho), the damped Bell quadratic read from the
 d x d Toeplitz block (the package reads the block's 2d - 1 profile
@@ -14,7 +15,8 @@ values), Catalan's constant summed from its series (the package holds
 the double nearest it), the generator basis built one matrix at a time
 (the package scatters it from index arrays and diagonal_entries), and a
 sampled check that each detection verdict switches once (the package
-proves it from the margin's polynomial form).
+proves it from the margin's polynomial form), and the fidelity read from
+the dense rho (critical_fidelity sums the block form).
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from qnl.bell import _bell_profile
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
-from qnl.errors import NonMonotonic
+from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
@@ -95,17 +97,24 @@ def grid_verdicts(batch: MarginBatch, points: int) -> np.ndarray:
 def populations(kind: ChannelKind, coeffs: np.ndarray,
                 p: np.ndarray) -> np.ndarray:
     """P(a, b) = <ab|rho(p)|ab> of each noisy Schmidt input at its own p,
-    (N, d, d), for product, colored and amplitude-damping noise."""
+    (N, d, d), for every channel kind, each written from its noise at p."""
     size, d = coeffs.shape
     csq = coeffs * coeffs
     pure = csq[:, :, None] * np.eye(d)
+    pc = p[:, None, None]
+    if kind is ChannelKind.DEPOLARIZING:
+        # each side keeps its level with 1 - r = p, else is uniform
+        qc = 1.0 - pc
+        marginals = csq[:, :, None] + csq[:, None, :]
+        return pc * pc * pure + pc * qc * marginals / d + qc * qc / (d * d)
     if kind is not ChannelKind.AMPLITUDE_DAMPING:
-        if kind is ChannelKind.PRODUCT:
+        if kind is ChannelKind.WHITE:
+            noise = np.full((d, d), 1.0 / (d * d))
+        elif kind is ChannelKind.PRODUCT:
             noise = csq[:, :, None] * csq[:, None, :]
         else:  # colored: all weight on the top level pair
             noise = np.zeros((d, d))
             noise[-1, -1] = 1.0
-        pc = p[:, None, None]
         return pc * pure + (1.0 - pc) * noise
     # damped diagonal, with q = 1 - p
     q, excited = 1.0 - p, csq[:, 1:]
@@ -115,6 +124,16 @@ def populations(kind: ChannelKind, coeffs: np.ndarray,
     i = np.arange(1, d)
     table[:, i, i] = (p * p)[:, None] * excited
     return table
+
+
+def fidelity(psi, rho) -> float:
+    """sqrt(<psi|rho|psi>) on the dense rho (fidelity.critical_fidelity
+    sums the noisy state's block form instead)."""
+    if psi.d != rho.d:
+        raise DimensionMismatch(f"state d={psi.d} vs rho d={rho.d}")
+    v = psi.ket()
+    val = float(np.real(v.conj() @ rho.rho @ v))
+    return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
 def per_cell_surface_csv(scan) -> str:

@@ -239,8 +239,6 @@ def _spy(monkeypatch, modules, names):
 
 
 def test_werner_gap_solves_each_threshold_once(monkeypatch, capsys):
-    # the package attribute qnl.fidelity is the function of that name, so
-    # the module is reached through sys.modules
     calls = _spy(monkeypatch, (sys.modules["qnl.fidelity"],
                                sys.modules["qnl.cli"]),
                  ("critical_lr", "critical_analytic"))
@@ -449,7 +447,6 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     ["basis", "--d", "120"],
     ["tensor", "--d", "120", "--channel", "white:0.5"],
     ["cglmp", "--d", "120"],
-    ["fidelity", "--d", "120", "--channel", "depol:0"],
 ])
 def test_memory_exhaustion_exits_2_with_one_error_line(args):
     # each builds a d^2 x d^2 or (d^2 - 1, d, d) array, several GB at d = 120
@@ -458,6 +455,16 @@ def test_memory_exhaustion_exits_2_with_one_error_line(args):
     assert out == "" and "Traceback" not in err
     assert err.startswith("error: Unable to allocate")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("channel", ["white:1", "depol:0", "ad:0"])
+def test_critical_fidelity_fits_in_1_gb(channel):
+    # the cross-check sums the block form's O(d^2) numbers, no d^2 x d^2 rho
+    code, out, err = run_limited(["fidelity", "--d", "120",
+                                  "--channel", channel])
+    assert code == 0, err
+    assert err == ""
+    assert json.loads(out)["d"] == 120
 
 
 def test_reentrant_detection_verdict_exits_2_with_one_error_line():

@@ -5,8 +5,10 @@ from qnl.channels import ChannelKind, ChannelSpec, channel_output, white_noise
 from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.bell import critical_lr
 from qnl.criteria import critical_analytic, critical_bisection
-from qnl.fidelity import critical_fidelity, fidelity, werner_gap
+from qnl.fidelity import critical_fidelity, werner_gap
 from qnl.states import max_entangled, schmidt_state, to_density
+
+from oracles import fidelity
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -55,6 +57,18 @@ def test_critical_fidelity_table(kind, d, expect):
     assert rep.f_crit == pytest.approx(expect, abs=5e-4)
     # constructor enforces the formula/direct cross-check at 1e-8
     assert abs(rep.formula_value - rep.direct_value) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.WHITE, DEPOL, AD])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_direct_value_matches_the_dense_fidelity(d, kind):
+    # direct_value sums the block form; <psi|rho|psi> on the dense rho of
+    # the same spec is the oracle
+    rep = critical_fidelity(d, kind)
+    psi = max_entangled(d)
+    dense = fidelity(psi, channel_output(
+        psi, ChannelSpec(kind, rep.strength_at_threshold)))
+    assert abs(rep.direct_value - dense) <= 4 * np.spacing(dense)
 
 
 def test_critical_fidelity_white_equals_depol():
