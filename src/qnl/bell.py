@@ -82,13 +82,18 @@ class BellValue:
 
 def cglmp_settings(d: int) -> MeasurementSettings:
     d = check_dimension(d)
+    return MeasurementSettings(d, *_standard_vectors(d))
+
+
+def _standard_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The A- and B-side outcome vectors of cglmp_settings, unvalidated."""
     j = np.arange(d)  # outcome index (axis 1) and component index (axis 2)
     omega = np.exp(2j * np.pi / d)
     av = omega ** (j * (j[:, None] + np.array(ALPHA_PHASES)[:, None, None])) \
         / np.sqrt(d)
     bv = omega ** (j * (-j[:, None] + np.array(BETA_PHASES)[:, None, None])) \
         / np.sqrt(d)
-    return MeasurementSettings(d=d, a_vectors=av, b_vectors=bv)
+    return av, bv
 
 
 def probability_table(rho: TwoQuditState,
@@ -254,14 +259,20 @@ def _generator_eigh(thetas: np.ndarray,
     return np.linalg.eigh((thetas @ mats.reshape(-1, d * d)).reshape(4, d, d))
 
 
+def _rotated_vectors(v0: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     uh: np.ndarray) -> np.ndarray:
+    """Outcome vectors (4, d, d), [slot, a, m] in slot order [A_0, A_1, B_0,
+    B_1], each slot's rows v0 conjugated by exp(iH) = U diag(e^{iw})
+    U^dagger of the generators _generator_eigh decomposed; uh = U^dagger."""
+    rot = (u * np.exp(1j * w)[:, None, :]) @ uh
+    return v0 @ rot.transpose(0, 2, 1)  # each row rotated by exp(iH)^T
+
+
 def _rotated_settings(base: MeasurementSettings, w: np.ndarray,
                       u: np.ndarray) -> MeasurementSettings:
-    """Conjugate each (party, setting) basis by exp(iH) = U diag(e^{iw})
-    U^dagger, for the generators _generator_eigh decomposed."""
-    rot = (u * np.exp(1j * w)[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    # slots [A_0, A_1, B_0, B_1], each row rotated by U^T
-    vecs = np.concatenate((base.a_vectors, base.b_vectors)) \
-        @ rot.transpose(0, 2, 1)
+    """base rotated as _rotated_vectors does it, validated."""
+    vecs = _rotated_vectors(np.concatenate((base.a_vectors, base.b_vectors)),
+                            w, u, u.conj().transpose(0, 2, 1))
     return MeasurementSettings(d=base.d, a_vectors=vecs[:2],
                                b_vectors=vecs[2:])
 
@@ -269,9 +280,8 @@ def _rotated_settings(base: MeasurementSettings, w: np.ndarray,
 def _qubit_block_settings(d: int) -> MeasurementSettings:
     """The d=2 standard settings on levels {0, 1}; the other levels are
     measured directly."""
-    two = cglmp_settings(2)
     vecs = np.tile(np.eye(d, dtype=complex), (4, 1, 1))
-    vecs[:, :2, :2] = np.concatenate((two.a_vectors, two.b_vectors))
+    vecs[:, :2, :2] = np.concatenate(_standard_vectors(2))
     return MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
 
 
@@ -283,10 +293,13 @@ def _outcome_weights(d: int) -> np.ndarray:
         .transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
 
 
-def _value_and_gradient(rho: TwoQuditState, base: MeasurementSettings,
-                        thetas: np.ndarray, mats: np.ndarray,
-                        weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """I at the rotated settings and dI/dtheta, shape (4, d^2 - 1).
+def _settings_objective(rho: TwoQuditState, mats: np.ndarray):
+    """value_and_gradient(thetas, v0) -> (I, dI/dtheta): the inequality value
+    at the base outcome vectors v0 (4, d, d) rotated by the angles thetas
+    (4, d^2 - 1) along the generators mats, and its gradient, shape (4,
+    d^2 - 1).  What does not depend on the angles (the realigned rho, its
+    contiguous transpose, the outcome weights, the generators' columns) is
+    built here, once per state; v0 is built once per start.
 
     Each outcome vector v_sa of one party sees the operator E_sa = sum_tb
     G[(s, a), (t, b)] <u_tb| rho |u_tb> that the other party's vectors u
@@ -298,27 +311,33 @@ def _value_and_gradient(rho: TwoQuditState, base: MeasurementSettings,
     dI/dtheta_c = -2 Im Tr(B_c U (Phi o U^dagger K U) U^dagger).
     """
     d = rho.d
-    w, u = _generator_eigh(thetas, mats)
-    m = _rotated_settings(base, w, u)
     r = realign(rho.rho, d)
-    # E for the A slots, then the B slots; a contiguous R^T keeps this
-    # product's rounding independent of how BLAS is handed a transposed view
-    e = np.concatenate((
-        weights @ (_projector_rows(m.b_vectors) @ np.ascontiguousarray(r.T)),
-        weights.T @ (_projector_rows(m.a_vectors) @ r)))
-    vecs = np.concatenate((m.a_vectors, m.b_vectors))  # [slot, a, m]
-    rows = (e.reshape(4 * d, d, d) @ vecs.reshape(4 * d, d, 1)) \
-        .reshape(4, d, d)
-    value = np.vdot(m.a_vectors, rows[:2]).real
-    v0 = np.concatenate((base.a_vectors, base.b_vectors))
-    uh = u.conj().transpose(0, 2, 1)
-    k = uh @ v0.transpose(0, 2, 1) @ rows.conj() @ u
-    phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :])) \
-        * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
-    dexp = u @ (phi * k) @ uh
-    grad = dexp.transpose(0, 2, 1).reshape(4, d * d) \
-        @ mats.reshape(-1, d * d).T
-    return float(value), -2.0 * grad.imag
+    # a contiguous R^T keeps the B-side product's rounding independent of
+    # how BLAS is handed a transposed view
+    rt = np.ascontiguousarray(r.T)
+    weights = _outcome_weights(d)
+    weights_t = weights.T
+    mat_cols = mats.reshape(-1, d * d).T
+
+    def value_and_gradient(thetas: np.ndarray,
+                           v0: np.ndarray) -> tuple[float, np.ndarray]:
+        w, u = _generator_eigh(thetas, mats)
+        uh = u.conj().transpose(0, 2, 1)
+        vecs = _rotated_vectors(v0, w, u, uh)
+        # E for the A slots, then the B slots
+        e = np.concatenate((weights @ (_projector_rows(vecs[2:]) @ rt),
+                            weights_t @ (_projector_rows(vecs[:2]) @ r)))
+        rows = (e.reshape(4 * d, d, d) @ vecs.reshape(4 * d, d, 1)) \
+            .reshape(4, d, d)
+        value = np.vdot(vecs[:2], rows[:2]).real
+        k = uh @ v0.transpose(0, 2, 1) @ rows.conj() @ u
+        phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :])) \
+            * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
+        dexp = u @ (phi * k) @ uh
+        grad = dexp.transpose(0, 2, 1).reshape(4, d * d) @ mat_cols
+        return float(value), -2.0 * grad.imag
+
+    return value_and_gradient
 
 
 class MinimizeResult(NamedTuple):  # a dataclass costs every import ~1 ms
@@ -444,8 +463,11 @@ def optimize_settings(rho: TwoQuditState, restarts: int,
     standard settings and the two-level embedding of the qubit settings
     at zero angles always, then restarts random angles about the standard
     settings.  BFGS climbs from each start on the exact gradient of I in
-    the 4(d^2 - 1) angles.  Each end point's value is taken again by the
-    Born rule, and the best is kept; never returns less than the
+    the 4(d^2 - 1) angles; the objective (_settings_objective) is built once
+    per call and each start's base vectors once, so an evaluation does only
+    the work that depends on the angles and validates no settings.  Each
+    end point's value is taken again by the Born rule on validated
+    settings, and the best is kept; never returns less than the
     standard-settings value; deterministic for a fixed seed.
     """
     d = rho.d
@@ -457,16 +479,16 @@ def optimize_settings(rho: TwoQuditState, restarts: int,
               (_qubit_block_settings(d), np.zeros(size))]
     starts += [(std, rng.normal(scale=0.4, size=size))
                for _ in range(restarts)]
-    weights = _outcome_weights(d)
+    objective = _settings_objective(rho, mats)
 
-    def negated(x, base):
-        value, grad = _value_and_gradient(rho, base, x.reshape(4, -1), mats,
-                                          weights)
+    def negated(x, v0):
+        value, grad = objective(x.reshape(4, -1), v0)
         return -value, -grad.ravel()
 
     best = cglmp_value(rho, std)
     for base, x0 in starts:
-        res = minimize(negated, x0, (base,))
+        v0 = np.concatenate((base.a_vectors, base.b_vectors))
+        res = minimize(negated, x0, (v0,))
         found = cglmp_value(rho, _rotated_settings(
             base, *_generator_eigh(res.x.reshape(4, -1), mats)))
         if found.i_d > best.i_d:

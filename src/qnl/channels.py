@@ -64,7 +64,8 @@ class ChannelSpec:
     strength: float  # v for mixing kinds, r for Kraus kinds
 
     def __post_init__(self):
-        check_strength(self.strength)
+        # stored as the float it was checked as, so "0.5" reads as 0.5
+        object.__setattr__(self, "strength", check_strength(self.strength))
 
     @property
     def noise_free_fraction(self) -> float:

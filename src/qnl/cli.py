@@ -267,34 +267,33 @@ def _opt(x: float | None) -> str:
     return "   n/a" if x is None else f"{x:.{CSV_DECIMALS}f}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # fresh parent per subcommand: argparse set_defaults mutates shared
-    # action objects, so a single parent would leak defaults across commands;
-    # --format only where a subcommand can write CSV
-    def common(fmt=None):
-        parent = argparse.ArgumentParser(add_help=False)
-        if fmt:
-            parent.add_argument("--format", dest="fmt",
-                                choices=("json", "csv"), default=fmt)
-        parent.add_argument("--out", default="",
-                            help="output path (tables: output directory)")
-        return parent
+def _add_output_options(p: argparse.ArgumentParser,
+                        fmt: str | None = None) -> None:
+    """--format (only where a subcommand can write CSV) and --out."""
+    if fmt:
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"),
+                       default=fmt)
+    p.add_argument("--out", default="",
+                   help="output path (tables: output directory)")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnl",
         description="Entanglement detection and Bell analysis for noisy "
                     "two-qudit states.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("basis", parents=[common("json")],
+    p = sub.add_parser("basis",
                        help="dump the traceless Hermitian operator basis")
+    _add_output_options(p, "json")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_basis)
 
     for name, func in (("tensor", cmd_tensor), ("crit", cmd_crit),
                        ("cglmp", cmd_cglmp), ("cglmp-crit", cmd_cglmp_crit)):
-        p = sub.add_parser(name, parents=[
-            common("json" if name == "tensor" else None)])
+        p = sub.add_parser(name)
+        _add_output_options(p, "json" if name == "tensor" else None)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--state", default="mes")
         p.add_argument("--channel", default="white:1")
@@ -311,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("scan", parents=[common("csv")],
+    p = sub.add_parser("scan",
                        help="critical-value surface over the qutrit family")
+    _add_output_options(p, "csv")
     p.add_argument("--channel", required=True,
                    help="channel kind, strength part ignored (white, product, "
                         "depol, ad)")
@@ -323,13 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("fidelity", cmd_fidelity),
                        ("werner-gap", cmd_werner_gap)):
-        p = sub.add_parser(name, parents=[common()])
+        p = sub.add_parser(name)
+        _add_output_options(p)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--channel", required=True)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("tables", parents=[common()],
+    p = sub.add_parser("tables",
                        help="recompute the five summary tables and diff them")
+    _add_output_options(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_CELL_TOL)
     p.set_defaults(func=cmd_tables)
 

@@ -15,18 +15,23 @@ values), Catalan's constant summed from its series (the package holds
 the double nearest it), the generator basis built one matrix at a time
 (the package scatters it from index arrays and diagonal_entries), and a
 sampled check that each detection verdict switches once (the package
-proves it from the margin's polynomial form), and the fidelity read from
-the dense rho (critical_fidelity sums the block form).
+proves it from the margin's polynomial form), the fidelity read from
+the dense rho (critical_fidelity sums the block form), and the settings
+objective with every operand rebuilt on each call, validated settings
+included (bell._settings_objective builds what does not depend on the
+angles once).
 """
 
 import numpy as np
 
-from qnl.bell import _bell_profile
+from qnl.bell import (MeasurementSettings, _bell_profile, _generator_eigh,
+                      _projector_rows)
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import VERDICT_TOL, MarginBatch
 from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
+from qnl.linalg import realign
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
 from qnl.states import max_entangled
 from qnl.tensor import c_factor
@@ -170,6 +175,36 @@ def block_damping_quadratic(state) -> np.ndarray:
     a[0], b[0] = b[0], 0.0
     block = profile_block(state.d)
     return np.array([a @ block @ a, 2.0 * (a @ block @ b), b @ block @ b])
+
+
+def settings_value_and_gradient(rho, base, thetas, mats, weights):
+    """I at base rotated by the angles thetas and dI/dtheta, shape (4,
+    d^2 - 1), as the optimizer once computed them on every evaluation: the
+    rotated settings validated, rho realigned and the base vectors stacked
+    anew.  See bell._settings_objective for the Daleckii-Krein gradient."""
+    d = rho.d
+    w, u = _generator_eigh(thetas, mats)
+    rot = (u * np.exp(1j * w)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    vecs = np.concatenate((base.a_vectors, base.b_vectors)) \
+        @ rot.transpose(0, 2, 1)
+    m = MeasurementSettings(d=d, a_vectors=vecs[:2], b_vectors=vecs[2:])
+    r = realign(rho.rho, d)
+    e = np.concatenate((
+        weights @ (_projector_rows(m.b_vectors) @ np.ascontiguousarray(r.T)),
+        weights.T @ (_projector_rows(m.a_vectors) @ r)))
+    vecs = np.concatenate((m.a_vectors, m.b_vectors))  # [slot, a, m]
+    rows = (e.reshape(4 * d, d, d) @ vecs.reshape(4 * d, d, 1)) \
+        .reshape(4, d, d)
+    value = np.vdot(m.a_vectors, rows[:2]).real
+    v0 = np.concatenate((base.a_vectors, base.b_vectors))
+    uh = u.conj().transpose(0, 2, 1)
+    k = uh @ v0.transpose(0, 2, 1) @ rows.conj() @ u
+    phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :])) \
+        * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
+    dexp = u @ (phi * k) @ uh
+    grad = dexp.transpose(0, 2, 1).reshape(4, d * d) \
+        @ mats.reshape(-1, d * d).T
+    return float(value), -2.0 * grad.imag
 
 
 def catalan_series() -> float:

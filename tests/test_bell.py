@@ -16,8 +16,8 @@ from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
                       MeasurementSettings, _damping_quadratic,
                       _generator_eigh, _inequality_value,
                       _outcome_weights, _qubit_block_settings,
-                      _rotated_settings, _update_inverse_hessian,
-                      _value_and_gradient, ad_probability_table,
+                      _rotated_settings, _settings_objective,
+                      _update_inverse_hessian, ad_probability_table,
                       catalan_constant, cglmp_ad_infinite, cglmp_ad_value,
                       cglmp_settings, cglmp_value, critical_lr,
                       infinite_threshold, optimize_settings,
@@ -32,7 +32,8 @@ from qnl.gellmann import gellmann_basis
 from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
                         schmidt_state, to_density)
 
-from oracles import block_damping_quadratic, catalan_series, profile_block
+from oracles import (block_damping_quadratic, catalan_series, profile_block,
+                     settings_value_and_gradient)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DATA = Path(__file__).resolve().parent / "data"
@@ -674,6 +675,12 @@ def test_bell_block_cache_is_bounded():
     assert not qnl.bell._bell_profile(3).flags.writeable
 
 
+def objective_at(rho, base, thetas, mats):
+    """The optimizer's objective for one state and one start, at thetas."""
+    v0 = np.concatenate((base.a_vectors, base.b_vectors))
+    return _settings_objective(rho, mats)(thetas, v0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.booleans(),
        st.booleans(), st.floats(0.0, 1.5, allow_nan=False))
@@ -685,8 +692,7 @@ def test_gradient_matches_central_differences(d, seed, mixed, qubit_base,
     base = _qubit_block_settings(d) if qubit_base else cglmp_settings(d)
     mats = gellmann_basis(d).matrices
     thetas = scale * rng.standard_normal((4, d * d - 1))
-    value, grad = _value_and_gradient(rho, base, thetas, mats,
-                                      _outcome_weights(d))
+    value, grad = objective_at(rho, base, thetas, mats)
     born = cglmp_value(rho, rotate(base, thetas, mats)).i_d
     assert abs(value - born) <= 1e-14
     oracle = central_difference_oracle(rho, base, thetas, mats)
@@ -702,11 +708,55 @@ def test_gradient_at_zero_angles(d):
     mats = gellmann_basis(d).matrices
     zero = np.zeros((4, d * d - 1))
     for base in (cglmp_settings(d), _qubit_block_settings(d)):
-        value, grad = _value_and_gradient(rho, base, zero, mats,
-                                          _outcome_weights(d))
+        value, grad = objective_at(rho, base, zero, mats)
         assert abs(value - cglmp_value(rho, base).i_d) <= 1e-14
         oracle = central_difference_oracle(rho, base, zero, mats)
         assert np.max(np.abs(grad - oracle)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.booleans(), st.one_of(st.just(0.0),
+                                st.floats(0.0, 1.5, allow_nan=False)))
+def test_objective_matches_per_call_oracle(d, seed, mixed, qubit_base,
+                                           scale):
+    # one objective serves every start and evaluation of a state: its
+    # value and gradient are those of the objective rebuilt on each call,
+    # bit for bit, so nfev and every optimized value stay as they were
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, d) if mixed \
+        else to_density(random_schmidt(rng, d))
+    base = _qubit_block_settings(d) if qubit_base else cglmp_settings(d)
+    mats = gellmann_basis(d).matrices
+    objective = _settings_objective(rho, mats)
+    v0 = np.concatenate((base.a_vectors, base.b_vectors))
+    for _ in range(2):  # the objective keeps no state between evaluations
+        thetas = scale * rng.standard_normal((4, d * d - 1))
+        value, grad = objective(thetas, v0)
+        want_value, want_grad = settings_value_and_gradient(
+            rho, base, thetas, mats, _outcome_weights(d))
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+
+def test_optimizer_validates_settings_once_per_start(monkeypatch):
+    # evaluations read plain rotated vectors; settings are validated only
+    # where they are built: the two fixed bases and each start's end point
+    count = 0
+    post_init = MeasurementSettings.__post_init__
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        post_init(self)
+
+    monkeypatch.setattr(MeasurementSettings, "__post_init__", counted)
+    rng = np.random.default_rng(5)
+    rho = channel_output(random_schmidt(rng, 3), ChannelSpec(AD, 0.1))
+    restarts = 2
+    optimize_settings(rho, restarts=restarts, seed=1)
+    starts = 2 + restarts  # the standard and qubit-block starts, then random
+    assert 0 < count <= starts + 2
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -38,6 +38,15 @@ def test_channel_spec_parse_rejects_garbage():
         ChannelSpec.parse("white:1.5")
 
 
+@pytest.mark.parametrize("strength", ["0.5", 1, np.float32(0.25),
+                                      np.float64(0.75)])
+def test_channel_spec_stores_the_checked_float(strength):
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, strength)
+    assert type(spec.strength) is float
+    assert spec.strength == float(strength)
+    assert spec.noise_free_fraction == 1.0 - float(strength)
+
+
 def test_noise_free_round_trip():
     for kind in ChannelKind:
         spec = ChannelSpec.from_noise_free_fraction(kind, 0.8)

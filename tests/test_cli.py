@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qnl.bell import infinite_threshold
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
-from qnl.cli import main, parse_state
+from qnl.cli import build_parser, main, parse_state
 from qnl.criteria import (VERDICT_TOL, critical_analytic, critical_bisection,
                           describe_state, scan_surface)
 from qnl.errors import QnlError, UnsupportedChannel
@@ -383,6 +383,17 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_format_defaults_per_subcommand():
+    # each subcommand owns its --format action, so one command's default
+    # does not leak into another's, whatever order they are parsed in
+    parser = build_parser()
+    for _ in range(2):
+        assert parser.parse_args(["scan", "--channel", "white"]).fmt == "csv"
+        assert parser.parse_args(["basis", "--d", "3"]).fmt == "json"
+        assert parser.parse_args(["tensor", "--d", "3"]).fmt == "json"
+        assert not hasattr(parser.parse_args(["crit", "--d", "3"]), "fmt")
 
 
 _numbers = st.one_of(
