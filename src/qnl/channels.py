@@ -172,7 +172,7 @@ def colored_noise(d: int, v: float) -> TwoQuditState:
 
 def amplitude_damping_kraus(d: int, r: float) -> KrausSet:
     """Every excited level decays straight to the ground level."""
-    d = check_dimension(d)
+    d = check_dimension(d, 3)
     r = check_strength(r)
     e0 = np.zeros((d, d), dtype=complex)
     e0[0, 0] = 1.0
@@ -218,6 +218,7 @@ def channel_output(psi: SchmidtState, spec: ChannelSpec) -> TwoQuditState:
     """Dispatch a channel spec on a pure input state.  A mixing kind gives
     v |psi><psi| + (1 - v) diag(noise populations), colored noise with
     max_entangled(d) itself as |psi>."""
+    check_dimension(psi.d, 4)
     kind, v = spec.kind, check_strength(spec.strength)
     if kind is ChannelKind.DEPOLARIZING:
         return depolarize_pair(to_density(psi), v)

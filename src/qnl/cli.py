@@ -20,7 +20,7 @@ from .criteria import (critical_analytic, critical_bisection,
                        default_metric, is_entangled, scan_surface)
 from .errors import QnlError
 from .fidelity import critical_fidelity, werner_gap
-from .gellmann import gellmann_basis
+from .gellmann import describable, gellmann_basis
 from .reports import CSV_DECIMALS, DEFAULT_CELL_TOL, surface_csv, write_tables
 from .states import SchmidtState, max_entangled, qutrit_family, rank_k_state, schmidt_state
 from .tensor import (Metric, colored_metric, correlation_tensor,
@@ -178,6 +178,9 @@ def cmd_scan(args) -> int:
                              else args.channel + ":0")
     if args.grid < 2:
         raise QnlError("--grid needs at least 2 points per axis")
+    if not describable(args.grid, 2):
+        raise QnlError(f"--grid {args.grid} is too large: its grid^2-cell "
+                       "arrays would exceed numpy's largest array")
     alphas = np.linspace(0.0, np.pi / 2.0, args.grid)
     betas = np.linspace(0.0, np.pi / 2.0, args.grid)
     scan = scan_surface(spec.kind, alphas, betas, quantity=args.quantity)
@@ -267,6 +270,11 @@ def _opt(x: float | None) -> str:
     return "   n/a" if x is None else f"{x:.{CSV_DECIMALS}f}"
 
 
+CHANNEL_HELP = ("kind:strength, a bare kind exits 2 (white, product, "
+                "colored, depol, ad); threshold subcommands use only the "
+                "kind, but the strength must still parse and lie in [0, 1]")
+
+
 def _add_output_options(p: argparse.ArgumentParser,
                         fmt: str | None = None) -> None:
     """--format (only where a subcommand can write CSV) and --out."""
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_options(p, "json" if name == "tensor" else None)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--state", default="mes")
-        p.add_argument("--channel", default="white:1")
+        p.add_argument("--channel", default="white:1", help=CHANNEL_HELP)
         if name in ("tensor", "crit"):
             # default picks the channel's own metric
             p.add_argument("--metric", default="default",
@@ -314,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="critical-value surface over the qutrit family")
     _add_output_options(p, "csv")
     p.add_argument("--channel", required=True,
-                   help="channel kind, strength part ignored (white, product, "
-                        "depol, ad)")
+                   help="channel kind (white, product, depol, ad), bare or "
+                        "as kind:strength; a strength is parsed and must "
+                        "lie in [0, 1], but does not change the scan")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--quantity", default="crit",
                    choices=("crit", "xi"))
@@ -326,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_output_options(p)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--channel", required=True)
+        p.add_argument("--channel", required=True, help=CHANNEL_HELP)
         p.set_defaults(func=func)
 
     p = sub.add_parser("tables",

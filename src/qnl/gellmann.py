@@ -28,9 +28,33 @@ ANTISYMMETRIC = "antisymmetric"
 DIAGONAL = "diagonal"
 
 
-def check_dimension(d: int) -> int:
+# numpy describes an array only if its byte count fits an intp.  Every
+# array the package builds from a size n (a dimension d or a scan's grid)
+# holds at most UNIT_BYTES per n^power: power 2 for the O(d^2) paths and a
+# scan's grid^2 cells, 4 for dense two-qudit operators.  tracemalloc peaks
+# of whole commands read at most 0.6 KiB per unit at d = 10 (power 4),
+# d = 400 (power 2) and grid = 151, and fall with size.  A size within the
+# bound ends at worst in MemoryError, which the CLI reports as exit 2.
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+UNIT_BYTES = 1024
+
+
+def describable(n: int, power: int) -> bool:
+    """True if arrays of UNIT_BYTES per n**power entries fit numpy."""
+    return UNIT_BYTES * int(n) ** power <= MAX_ARRAY_BYTES
+
+
+def check_dimension(d: int, power: int = 2) -> int:
+    """d as an int: an integer >= 2 whose arrays, d**power units of
+    UNIT_BYTES, numpy can describe.  Callers that build dense two-qudit
+    arrays pass power 4; larger d end in InvalidDimension here rather than
+    in numpy's ValueError or TypeError."""
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
         raise InvalidDimension(f"dimension must be an integer >= 2, got {d!r}")
+    if not describable(d, power):
+        raise InvalidDimension(
+            f"dimension {d} is too large: its d^{power}-sized arrays would "
+            "exceed numpy's largest array")
     return int(d)
 
 
@@ -74,7 +98,7 @@ def diagonal_entries(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def gellmann_basis(d: int) -> GellMannBasis:
-    d = check_dimension(d)
+    d = check_dimension(d, 4)
     js, ks = np.triu_indices(d, 1)
     sym, anti = np.arange(len(js)), np.arange(len(js), 2 * len(js))
     levels = np.arange(d)

@@ -23,6 +23,9 @@ from .states import (SchmidtState, max_entangled, nmax_state, qutrit_family,
 
 CSV_DECIMALS = 4
 DEFAULT_CELL_TOL = 5e-4
+# surface_csv formats a value by Python when v 10^4 lies this close to a
+# half-integer
+TIE_BAND = 1e-6
 
 FLAG_LOOSE_REFERENCE = "reference-angle-loose"
 FLAG_NO_REFERENCE = "no-paper-reference"
@@ -260,15 +263,58 @@ def write_tables(out_dir: str | Path, tol: float = DEFAULT_CELL_TOL) -> dict:
     return report
 
 
+def _padded(texts: list, width: int) -> np.ndarray:
+    """(len(texts), width) ASCII bytes, each text NUL-padded."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(
+        len(texts), width)
+
+
 def surface_csv(scan: SurfaceScan) -> str:
-    """One line per cell, alpha-major, from Python floats; each axis value
-    is formatted once."""
+    """One line per cell, alpha-major, each number as `{:.4f}` formats it.
+
+    The body is one (rows, cols, width) byte array, decoded once: every
+    field sits in a slot padded with NUL bytes, which one compress drops.
+    The axis values are formatted once each.  A value v in [0, 10) is
+    written from the digits of k = rint(v 10^4): below 10^5 the double
+    v 10^4 lies within 2^-36 of the exact product, so unless it lies within
+    TIE_BAND of a half-integer it rounds to the k that `{:.4f}` takes from
+    v's exact decimal expansion.  The cells the digits cannot settle (the
+    tie band, k = 10^5, a set sign bit, NaN and inf) are formatted by
+    Python into a wider slot where needed.
+    """
     fmt = f"{{:.{CSV_DECIMALS}f}}".format
+    values = np.asarray(scan.values, dtype=float)
+    scale = 10.0 ** CSV_DECIMALS
+    # NaN compares false, so only finite values reach the product
+    plain = (values < 10.0) & ~np.signbit(values)
+    x = np.where(plain, values, 0.0) * scale
+    k = np.rint(x)
+    plain &= (np.abs(x - np.floor(x) - 0.5) > TIE_BAND) & (k < 10.0 * scale)
+    odd = np.nonzero(~plain)
+    odd_text = [fmt(v) for v in values[odd].tolist()]
+
+    alphas = [fmt(a) for a in scan.alphas.tolist()]
     betas = [fmt(b) for b in scan.betas.tolist()]
-    lines = [f"alpha,beta,{scan.quantity},flag"]
-    for a, row, flags in zip(scan.alphas.tolist(), scan.values.tolist(),
-                             scan.flags.tolist()):
-        a = fmt(a)
-        lines.extend(f"{a},{b},{fmt(v)},{FLAG_NO_DETECTION if f else ''}"
-                     for b, v, f in zip(betas, row, flags))
-    return "\n".join(lines) + "\n"
+    flag = np.frombuffer(FLAG_NO_DETECTION.encode("ascii"), dtype=np.uint8)
+    wa, wb = (max(map(len, t), default=0) for t in (alphas, betas))
+    wv = max([CSV_DECIMALS + 2, *map(len, odd_text)])
+    # field offsets: alpha, beta, value, flag, each after a comma
+    b0 = wa + 1
+    v0 = b0 + wb + 1
+    f0 = v0 + wv + 1
+    out = np.zeros(values.shape + (f0 + flag.size + 1,), dtype=np.uint8)
+    out[..., :wa] = _padded(alphas, wa)[:, None]
+    out[..., b0:b0 + wb] = _padded(betas, wb)
+    out[..., [b0 - 1, v0 - 1, f0 - 1]] = ord(",")
+    # the digits of k, last first, by scalar divisions
+    q = k.astype(np.int64)
+    for col in [*range(v0 + CSV_DECIMALS + 1, v0 + 1, -1), v0]:
+        div = q // 10
+        out[..., col] = q - 10 * div + ord("0")
+        q = div
+    out[..., v0 + 1] = ord(".")
+    out[odd + (slice(v0, v0 + wv),)] = _padded(odd_text, wv)
+    out[np.asarray(scan.flags, dtype=bool), f0:f0 + flag.size] = flag
+    out[..., -1] = ord("\n")
+    return (f"alpha,beta,{scan.quantity},flag\n"
+            + out[out != 0].tobytes().decode("ascii"))

@@ -468,6 +468,39 @@ def test_memory_exhaustion_exits_2_with_one_error_line(args):
     assert err.count("\n") == 1
 
 
+# sizes whose arrays numpy cannot describe: before the size check,
+# numpy's ValueError ("array is too big"), TypeError or an IndexError
+# ended these commands with a traceback and exit 1
+@pytest.mark.parametrize("size", [2 ** 60, 2 ** 63 - 1, 10 ** 20])
+@pytest.mark.parametrize("args", [
+    ["basis", "--d"], ["tensor", "--d"], ["crit", "--d"], ["cglmp", "--d"],
+    ["cglmp-crit", "--d"], ["fidelity", "--channel", "ad:0", "--d"],
+    ["werner-gap", "--channel", "ad:0", "--d"],
+    ["scan", "--channel", "white", "--grid"]], ids=lambda args: args[0])
+def test_huge_sizes_exit_2_with_one_error_line(args, size, capsys):
+    # rejected where the size enters, before any allocation
+    code, out, err = run([*args, str(size)], capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ") and "too large" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["basis", "--d", "9742"],
+    ["tensor", "--d", "9742", "--channel", "white:0.5"],
+    ["cglmp", "--d", "9742"],
+    ["crit", "--d", "94906266"],
+    ["scan", "--channel", "white", "--grid", "94906266"],
+])
+def test_first_sizes_past_the_array_bound_exit_2(args):
+    # the dense subcommands build d^4-sized arrays, so their bound is the
+    # square root of the d^2 and grid^2 bound
+    code, out, err = run_limited(args)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ") and "too large" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("channel", ["white:1", "depol:0", "ad:0"])
 def test_critical_fidelity_fits_in_1_gb(channel):
     # the cross-check sums the block form's O(d^2) numbers, no d^2 x d^2 rho

@@ -32,6 +32,16 @@ def test_check_dimension_rejects_bad_input():
     assert check_dimension(2) == 2
 
 
+def test_check_dimension_bounds_array_sizes():
+    # the largest d for which d^2 (d^4) units of 1 KiB fit numpy's limit
+    assert check_dimension(94_906_265) == 94_906_265
+    assert check_dimension(9741, 4) == 9741
+    for d, power in ((94_906_266, 2), (9742, 4), (2 ** 63 - 1, 2),
+                     (np.int64(2 ** 62), 2), (10 ** 20, 2)):
+        with pytest.raises(InvalidDimension, match="too large"):
+            check_dimension(d, power)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_orthogonality_and_tracelessness(d):
     basis = gellmann_basis(d)

@@ -66,11 +66,18 @@ def test_nan_cell_fails():
     assert cell.failed
 
 
-# four-decimal rounding ties and their neighbours, beside arbitrary values
-UNIT_VALUES = st.one_of(
-    st.floats(0.0, 1.0),
-    st.sampled_from([0.0, 0.00005, 0.00015, 0.12345, 0.5, 0.99985, 0.99995,
-                     1.0]))
+# four-decimal rounding ties and their neighbours
+NEAR_TIES = [0.0, 0.00005, 0.00015, 0.12345, 0.5, 0.99985, 0.99995, 1.0]
+# what the writer's digit arithmetic leaves to Python: binary-exact ties,
+# a set sign bit, values that round up to 10.0000 and non-finite values
+UNSETTLED = [0.03125, 0.09375, 0.15625, -0.0, -0.00004, -0.5, -12.34567,
+             9.99995, 9.99996, 9.9999999, 10.0, float("nan"), float("inf"),
+             float("-inf")]
+VALUES = st.one_of(st.floats(0.0, 1.0), st.floats(-20.0, 20.0), st.floats(),
+                   st.sampled_from(NEAR_TIES + UNSETTLED))
+# the CLI's axes span [0, pi/2]; other widths beside them
+AXES = st.one_of(st.floats(0.0, np.pi / 2.0), st.sampled_from(
+    [0.0, np.pi / 2.0, -0.0, -0.25, 12.5, -123.45678, 1e6, 0.03125]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,13 +85,16 @@ UNIT_VALUES = st.one_of(
 def test_scan_csv_equals_per_cell_oracle(data):
     rows, cols = data.draw(st.integers(2, 30)), data.draw(st.integers(2, 30))
 
-    def draw(size, elements):
+    def draw(size, elements, dtype=float):
         return np.array(data.draw(st.lists(elements, min_size=size,
-                                           max_size=size)))
+                                           max_size=size)), dtype=dtype)
 
-    alphas, betas = draw(rows, UNIT_VALUES), draw(cols, UNIT_VALUES)
-    values = draw(rows * cols, UNIT_VALUES).reshape(rows, cols)
-    flags = draw(rows * cols, st.booleans()).reshape(rows, cols)
+    alphas, betas = draw(rows, AXES), draw(cols, AXES)
+    values = draw(rows * cols, VALUES).reshape(rows, cols)
+    # every cell flagged, none, or a drawn mix
+    fill = data.draw(st.sampled_from([True, False, None]))
+    flags = (draw(rows * cols, st.booleans(), bool) if fill is None
+             else np.full(rows * cols, fill)).reshape(rows, cols)
     scan = SurfaceScan(ChannelKind.PRODUCT, data.draw(
         st.sampled_from(["crit", "xi"])), alphas, betas, values, flags)
     assert surface_csv(scan) == per_cell_surface_csv(scan)
