@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bell import cglmp_value, critical_lr, optimize_settings
-from .channels import ChannelSpec, channel_output
+from .channels import ChannelKind, ChannelSpec, channel_output
 from .criteria import (critical_analytic, critical_bisection,
                        default_metric, is_entangled, scan_surface)
 from .errors import QnlError
@@ -162,6 +162,10 @@ def cmd_crit(args) -> int:
         # channel's own metric only
         if not psi.is_max_entangled():
             raise QnlError("--method analytic needs the max-entangled state")
+        if g is not None and spec.kind is ChannelKind.COLORED:
+            # colored noise's own metric follows v; a fixed one is bisected
+            raise QnlError("--method analytic with colored noise needs "
+                           "--metric default")
         default = default_metric(spec.kind, args.d, spec.noise_free_fraction)
         if g is not None and not np.array_equal(g.g, default.g):
             raise QnlError("--method analytic needs the channel's default "

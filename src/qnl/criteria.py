@@ -153,9 +153,10 @@ class MarginBatch:
 
     coeffs holds one coefficient row per input, (N, d).  Methods take p as a
     scalar or one value per input and return one value per input.  The
-    metric is built once; only colored noise without an explicit metric
-    reweights it with p.  `path` is "scaling" (white, local depolarizing),
-    "product", "colored" or "damping".
+    metric g is fixed; without one the batch takes the channel's default,
+    except under colored noise, whose own metric follows p
+    (critical_analytic holds its threshold).  `path` is "scaling" (white,
+    local depolarizing), "product", "colored" or "damping".
 
     Every channel keeps the tensor in the block form of tensor.py: the
     pure state's pair entries, scaled by p (by p * p for damped pairs away
@@ -186,14 +187,20 @@ class MarginBatch:
     def __init__(self, d: int, coeffs: np.ndarray, kind: ChannelKind,
                  g: Metric | None = None):
         self.d, self.size = d, len(coeffs)
-        if g is None and kind is not ChannelKind.COLORED:
+        scaling = kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING)
+        if not scaling:
+            # colored rows not max-entangled are refused here, first
+            populations, self._far = block_form(coeffs, kind)
+        if g is None:
+            if kind is ChannelKind.COLORED:
+                raise UnsupportedChannel(
+                    "colored noise's own metric changes with v; pass a "
+                    "fixed one, such as colored_metric(d, v)")
             g = default_metric(kind, d, 1.0)
-        # colored noise without a metric reweights with p on every call
-        self._weights = None if g is None \
-            else block_weights(d, g.g[:, None])
+        self._weights = block_weights(d, g.g[:, None])
         self._pairs = pair_values(coeffs.T)
         self._blocks = None
-        if kind in (ChannelKind.WHITE, ChannelKind.DEPOLARIZING):
+        if scaling:
             csq = coeffs * coeffs
             pure = csq[:, :, None] * np.eye(d)
             self._l0, self._n0 = block_scalars(self._pairs, _inputs_last(
@@ -202,13 +209,11 @@ class MarginBatch:
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
         else:
-            populations, self._far = block_form(coeffs, kind)
             self.path = "damping" \
                 if kind is ChannelKind.AMPLITUDE_DAMPING else kind.value
             # the coefficient blocks of block(p), built where the metric
-            # weights them; the colored default metric weights them at
-            # every p > 0
-            if self._weights is None or self._weights[2] is not None:
+            # weights them
+            if self._weights[2] is not None:
                 dg = diagonal_entries(d)
                 # colored noise's one noise block is a view of every input
                 self._blocks = [np.broadcast_to(_inputs_last(
@@ -233,11 +238,6 @@ class MarginBatch:
             # float_power rounds p^2 as Python's scalar power does
             s = p if self._power == 1 else np.float_power(p, 2)
             return s * self._l0[rows], s * s * self._n0[rows]
-        weights = self._weights
-        if weights is None:  # colored noise: colored_metric(d, p) per input
-            w = np.ones((self.d * self.d - 1, len(p)))
-            w[-1] = p
-            weights = block_weights(self.d, w)
         far = self._far
         scaled = pairs * p
         if far < len(pairs):
@@ -245,25 +245,16 @@ class MarginBatch:
             # and which ulp depends on the CPU it dispatches to
             np.multiply(pairs[far:], p * p, out=scaled[far:])
         # weights[2] is None when the metric gives the block no weight
-        block = None if weights[2] is None else self.block(p, rows)
-        return block_scalars(scaled, block, weights)
+        block = None if self._weights[2] is None else self.block(p, rows)
+        return block_scalars(scaled, block, self._weights)
 
     def polynomial_form(self, rows=slice(None)) -> MarginPolynomials:
         """The margin's terms as polynomials in p, per input or per entry
         of rows, on every path but `scaling`.  The weighted block is
-        M(p) = B(p) diag(w(p)), with B(p) the Horner sum of block() and
-        w(p) the diagonal generators' weights, which colored noise without
-        a metric makes p on the last one: one more factor of p.  n(p) sums
-        pair_sum_m v_m^2 p^(2 e_m) and sum_ij w_j(p) B_ij(p)^2."""
-        d = self.d
-        if self._weights is None:
-            pair_max, pair_sum, _ = block_weights(d, np.ones((d * d - 1, 1)))
-            w0 = np.ones((d - 1, 1))
-            w0[-1] = 0.0
-            ws = [w0, 1.0 - w0]
-        else:
-            pair_max, pair_sum, w0 = self._weights
-            ws = [w0]
+        M(p) = B(p) diag(w), with B(p) the Horner sum of block() and w the
+        diagonal generators' weights.  n(p) sums pair_sum_m v_m^2 p^(2 e_m)
+        and sum_ij w_j B_ij(p)^2."""
+        pair_max, pair_sum, w0 = self._weights
         values = _inputs(self._pairs, rows)
         powers = np.where(np.arange(len(values)) < self._far, 1, 2)
         n = np.zeros((5, values.shape[1]))
@@ -275,14 +266,12 @@ class MarginBatch:
         if w0 is None:
             return MarginPolynomials(n, pairs, powers, None, scale)
         populations = [_inputs(c, rows) for c in self._blocks]
-        blocks = [0.0] * (len(populations) + len(ws) - 1)
-        norms = 0.0  # sum_k sqrt(sum_ij w_j(1) B_k,ij^2)
+        blocks = [b * w0 for b in populations]
+        norms = 0.0  # sum_k sqrt(sum_ij w_j B_k,ij^2)
         for k, b in enumerate(populations):
-            for j, w in enumerate(ws):
-                blocks[k + j] = blocks[k + j] + b * w
-                for k2, b2 in enumerate(populations):
-                    n[k + k2 + j] += sum_per_input(b * b2 * w)
-            norms = norms + np.sqrt(sum_per_input(b * b * sum(ws)))
+            for k2, b2 in enumerate(populations):
+                n[k + k2] += sum_per_input(b * b2 * w0)
+            norms = norms + np.sqrt(sum_per_input(b * b * w0))
         # Cauchy-Schwarz bounds every term of n's block part by norms^2
         scale += norms * norms + sum(np.sqrt(sum_per_input(m * m))
                                      for m in blocks)
@@ -500,6 +489,9 @@ def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def critical_bisection(state: SchmidtState, kind: ChannelKind,
                        g: Metric | None = None) -> CriticalResult:
+    if kind is ChannelKind.COLORED and g is None:  # its own metric: 0
+        block_form(state.coeffs[None, :], kind)  # refuses inputs not MES
+        return critical_analytic(state.d, kind)
     batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
     threshold, detected = _solve(batch)
     if not detected[0]:
@@ -514,13 +506,16 @@ def critical_bisection(state: SchmidtState, kind: ChannelKind,
 
 
 def critical_analytic(d: int, kind: ChannelKind) -> CriticalResult:
-    """Closed-form critical noise-free fraction for the max-entangled state."""
+    """Closed-form critical noise-free fraction for the max-entangled state;
+    colored noise's margin v^2 ((3d-4) + (d-2)^2 v)/(d-1)^2 gives 0."""
     if kind is ChannelKind.WHITE:
         value = 1.0 / (d + 1.0)
     elif kind is ChannelKind.DEPOLARIZING:
         value = (d + 1.0) ** -0.5
     elif kind is ChannelKind.AMPLITUDE_DAMPING:
         value = _damping_cubic_root(d)
+    elif kind is ChannelKind.COLORED:
+        value = 0.0
     else:
         raise UnsupportedChannel(
             f"no single closed form for channel {kind.value}")
@@ -541,13 +536,10 @@ def _damping_cubic_root(d: int) -> float:
 
 
 def xi(state: SchmidtState, kind: ChannelKind, p_crit: float) -> float:
-    """Surviving correlation fraction sqrt(norm(p_crit)/norm(1)), capped at 1.
-
-    Colored noise weights its metric at p_crit."""
-    g = None
-    if kind is ChannelKind.COLORED:
-        g = colored_metric(state.d, p_crit)
-    batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
+    """Surviving correlation fraction sqrt(norm(p_crit)/norm(1)), capped at
+    1, under the channel's own metric at p_crit."""
+    batch = MarginBatch(state.d, state.coeffs[None, :], kind,
+                        default_metric(kind, state.d, p_crit))
     return float(_surviving_fraction(batch, p_crit)[0])
 
 

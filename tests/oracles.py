@@ -34,7 +34,7 @@ from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
 from qnl.linalg import realign
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
 from qnl.states import max_entangled
-from qnl.tensor import c_factor
+from qnl.tensor import c_factor, colored_metric
 
 GRID_POINTS = 100
 
@@ -62,12 +62,15 @@ def apply_single(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
 
 
 def colored_always_entangled(d: int, v_samples) -> bool:
-    """Criterion fires at every sample; closed forms must agree to 1e-8."""
+    """Criterion fires at every sample, each under its own metric
+    colored_metric(d, v); closed forms must agree to 1e-8."""
     v = np.asarray(v_samples, dtype=float)
     if not np.all((0.0 < v) & (v <= 1.0)):
         raise ValueError("samples must lie in (0, 1]")
-    mes = np.tile(max_entangled(d).coeffs, (len(v), 1))
-    l, n = MarginBatch(d, mes, ChannelKind.COLORED).scalars(v)
+    mes = max_entangled(d).coeffs[None, :]
+    l, n = np.array([MarginBatch(d, mes, ChannelKind.COLORED,
+                                 colored_metric(d, x)).scalars(x)
+                     for x in v])[:, :, 0].T
     l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
     n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d
                                + v * (d - 2.0) ** 2) / (d - 1.0) ** 2)

@@ -49,6 +49,33 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+# runs several argv lists through main in one child, one record each
+MANY_CHILD = """
+import contextlib, io, json, sys
+from qnl.cli import main
+records = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    records.append([code, out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(records))
+"""
+
+
+def run_many(argvs):
+    """main(argv) for each of argvs, in order, in one child process:
+    [(exit code, stdout, stderr)]."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", MANY_CHILD,
+                           json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(record) for record in json.loads(proc.stdout)]
+
+
 def run_limited(args):
     """main(args) in a child process under the 1 GB address-space limit,
     with one BLAS thread: (exit code, stdout, stderr)."""
@@ -106,6 +133,12 @@ def test_crit_analytic_method(capsys):
      "--method", "analytic"],
     ["crit", "--d", "4", "--channel", "depol:0", "--method", "analytic",
      "--metric", "ad"],
+    # colored noise's own metric follows v: these fixed metrics equal it
+    # at the given v, but bisect to 0.0822 and 0.25, not 0
+    ["crit", "--d", "3", "--channel", "colored:0.3", "--metric", "colored",
+     "--method", "analytic"],
+    ["crit", "--d", "3", "--channel", "colored:1", "--metric", "identity",
+     "--method", "analytic"],
 ])
 def test_crit_analytic_rejects_inputs_it_ignores(argv, capsys):
     # the closed forms cover only the max-entangled state under the
@@ -113,6 +146,19 @@ def test_crit_analytic_rejects_inputs_it_ignores(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_colored_fixed_metric_thresholds_are_bisected(capsys):
+    # a fixed metric keeps the certified bisection, bit for bit
+    for strength, metric, value in (("0.3", "colored", 0.08219178393483162),
+                                    ("1", "identity", 0.2500000037252903)):
+        code, out, _ = run(["crit", "--d", "3", "--channel",
+                            "colored:" + strength, "--metric", metric],
+                           capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert (record["method"], record["value"]) == ("bisection", value)
 
 
 def test_crit_analytic_accepts_the_default_metric_by_name(capsys):
@@ -524,6 +570,28 @@ def test_reentrant_detection_verdict_exits_2_with_one_error_line():
     assert err.startswith("error: detection verdict switches more than once")
     assert "outside the bisection bracket" in err
     assert err.count("\n") == 1
+
+
+def test_colored_noise_is_detected_at_every_dimension():
+    # under its own metric the margin is v^2 ((3d - 4) + (d - 2)^2 v) /
+    # (d - 1)^2, so the threshold is the closed form 0; bisecting it gave
+    # the root of n - l = VERDICT_TOL, or exit 2 at d = 10, 12 and 14-30
+    argvs = []
+    for d in range(2, 41):
+        base = ["crit", "--d", str(d), "--channel", "colored:0.5"]
+        argvs += [base, base + ["--method", "analytic"]]
+    argvs.append(["crit", "--d", "3", "--state", "qutrit:0.9,0.7",
+                  "--channel", "colored:0.5"])
+    records = run_many(argvs)
+    for d, pair in zip(range(2, 41), zip(records[0::2], records[1::2])):
+        for code, out, err in pair:
+            assert (code, err) == (0, ""), (d, err)
+            assert json.loads(out) == {
+                "parameter_name": "v", "value": 0.0, "method": "analytic",
+                "channel": "colored", "state": f"max-entangled d={d}"}
+        assert pair[0][1] == pair[1][1]
+    assert records[-1] == (2, "", "error: colored noise is defined only "
+                                  "for the max-entangled input\n")
 
 
 def _tolerance_shifted_root(d):

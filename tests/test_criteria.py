@@ -79,8 +79,9 @@ def test_damping_root_matches_direct_cubic_solve():
 def test_analytic_rejects_mixing_families_without_closed_form():
     with pytest.raises(UnsupportedChannel):
         critical_analytic(3, ChannelKind.PRODUCT)
-    with pytest.raises(UnsupportedChannel):
-        critical_analytic(3, ChannelKind.COLORED)
+    # colored noise has one: detected for every v > 0
+    res = critical_analytic(3, ChannelKind.COLORED)
+    assert (res.value, res.method) == (0.0, "analytic")
 
 
 @pytest.mark.parametrize("kind", [WHITE, DEPOL, AD])
@@ -154,7 +155,8 @@ def test_margin_curve_paths():
     assert MarginCurve(psi, ChannelKind.PRODUCT).path == "product"
     assert MarginCurve(psi, AD).path == "damping"
     assert MarginCurve(psi, AD, identity_metric(3)).path == "damping"
-    assert MarginCurve(max_entangled(3), ChannelKind.COLORED).path == "colored"
+    assert MarginCurve(max_entangled(3), ChannelKind.COLORED,
+                       colored_metric(3, 0.3)).path == "colored"
 
 
 def sampled_rows(rng, d, size=8):
@@ -211,7 +213,8 @@ def test_certificate_runs_off_the_proven_paths(monkeypatch):
             (psi, WHITE, None, 0), (psi, DEPOL, colored_metric(3, 0.3), 0),
             (psi, AD, None, 0), (psi, AD, zero_block, 0),
             (psi, ChannelKind.PRODUCT, None, 1),
-            (max_entangled(3), ChannelKind.COLORED, None, 1),
+            (max_entangled(3), ChannelKind.COLORED, None, 0),
+            (max_entangled(3), ChannelKind.COLORED, colored_metric(3, 0.3), 1),
             (psi, AD, identity_metric(3), 1)):
         certified.clear()
         critical_bisection(state, kind, g)
@@ -371,8 +374,7 @@ def test_certified_batches_switch_once_inside_the_bracket(d, seed, case):
     rng = np.random.default_rng(seed)
     if kind is ChannelKind.COLORED:
         rows = np.tile(max_entangled(d).coeffs, (4, 1))
-        metrics = [None, colored_metric(d, rng.uniform(0.05, 1.0))]
-        g = metrics[rng.integers(2)]
+        g = colored_metric(d, rng.uniform(0.05, 1.0))
     else:
         rows = sampled_rows(rng, d)
         g = None if name is None else sampled_metric(rng, d, name)
@@ -416,7 +418,8 @@ def test_two_by_two_blocks_never_reach_the_svd(monkeypatch):
     for kind in (ChannelKind.PRODUCT, AD, DEPOL):
         scan_surface(kind, grid, grid, quantity="xi")
     critical_bisection(qutrit_family(0.9, 0.7), AD, identity_metric(3))
-    critical_bisection(max_entangled(3), ChannelKind.COLORED)
+    critical_bisection(max_entangled(3), ChannelKind.COLORED,
+                       colored_metric(3, 0.3))
 
 
 def trace_tensor(psi, kind, p):
@@ -431,6 +434,14 @@ def trace_scalars(psi, kind, g, p):
     if g is None:
         g = default_metric(kind, psi.d, float(p))
     return spectral_norm(t, g), norm_sq(t, g)
+
+
+def fixed_metric(kind, d, g, p):
+    """g, or for colored noise without one its own metric at p: a batch
+    takes a fixed metric."""
+    if g is None and kind is ChannelKind.COLORED:
+        return colored_metric(d, p)
+    return g
 
 
 def trace_threshold(psi, kind, g):
@@ -462,12 +473,12 @@ def test_damped_closed_form_matches_trace_tensor(d):
     metrics = (None,) + four_metrics(rng, d)
     for kind in ChannelKind:
         state = max_entangled(d) if kind is ChannelKind.COLORED else psi
-        curves = [MarginCurve(state, kind, g) for g in metrics]
         for p in (0.0, 0.2, 0.55, 1.0):
             t = trace_tensor(state, kind, p)
-            for g, curve in zip(metrics, curves):
+            for g in metrics:
                 w = default_metric(kind, d, p) if g is None else g
-                l, n = curve.scalars(p)
+                l, n = MarginCurve(state, kind,
+                                   fixed_metric(kind, d, g, p)).scalars(p)
                 assert abs(l - spectral_norm(t, w)) <= 1e-12, (kind, p)
                 assert abs(n - norm_sq(t, w)) <= 1e-12, (kind, p)
 
@@ -487,7 +498,7 @@ def test_damped_closed_form_property(d, seed, p, kind, default):
     w[rng.random(d * d - 1) < 0.3] = 0.0
     g = None if default else Metric(d=d, g=w)
     l_ref, n_ref = trace_scalars(psi, kind, g, p)
-    l, n = MarginCurve(psi, kind, g).scalars(p)
+    l, n = MarginCurve(psi, kind, fixed_metric(kind, d, g, p)).scalars(p)
     assert abs(l - l_ref) <= 1e-12 and abs(n - n_ref) <= 1e-12
 
 
@@ -511,6 +522,7 @@ def test_batch_scalars_equal_single_input_scalars(d, path, weighted):
     g = Metric(d=d, g=rng.uniform(0.0, 2.0, size=d * d - 1)) \
         if weighted else None
     p = rng.uniform(0.0, 1.0, size=size)
+    g = fixed_metric(kind, d, g, 0.3)
     l, n = MarginBatch(d, coeffs, kind, g).scalars(p)
     for k in range(size):
         single = MarginCurve(SchmidtState(d, coeffs[k]), kind, g)
@@ -579,7 +591,7 @@ def test_horner_blocks_match_population_oracle(d):
     for coeffs, kind, g in (
             (rows, ChannelKind.PRODUCT, None),
             (rows, ChannelKind.PRODUCT, weighted),
-            (mes, ChannelKind.COLORED, None),
+            (mes, ChannelKind.COLORED, colored_metric(d, 0.3)),
             (mes, ChannelKind.COLORED, weighted),
             (rows, AD, identity_metric(d)), (rows, AD, weighted)):
         batch = MarginBatch(d, coeffs, kind, g)
@@ -595,6 +607,39 @@ def test_horner_blocks_match_population_oracle(d):
 def test_colored_rejects_non_mes():
     with pytest.raises(UnsupportedChannel):
         MarginCurve(schmidt_state(3, [0.6, 0.0, 0.8]), ChannelKind.COLORED)
+
+
+def test_colored_batch_needs_a_fixed_metric():
+    # the channel's own metric follows v, which one batch cannot; inputs
+    # that are not max-entangled are refused first, for that
+    colored = ChannelKind.COLORED
+    with pytest.raises(UnsupportedChannel, match=r"colored_metric\(d, v\)"):
+        MarginBatch(3, max_entangled(3).coeffs[None, :], colored)
+    with pytest.raises(UnsupportedChannel, match="only for the max-entangled"):
+        MarginBatch(3, np.array([[0.6, 0.0, 0.8]]), colored)
+    res = critical_bisection(max_entangled(3), colored)
+    assert res == critical_analytic(3, colored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.floats(0.0, 1.0, exclude_min=True,
+                                     allow_subnormal=False))
+def test_colored_margin_is_the_closed_cubic(d, v):
+    # the dense trace tensor of the noisy max-entangled state under
+    # colored_metric(d, v): n - l = v^2 ((3d - 4) + (d - 2)^2 v)/(d - 1)^2,
+    # positive for every v > 0, hence critical_analytic's threshold 0.  The
+    # difference cancels (1.5e-11 relative at v = 1e-4), so its bound is
+    # a share of n + l
+    t = trace_tensor(max_entangled(d), ChannelKind.COLORED, v)
+    g = colored_metric(d, v)
+    l, n = spectral_norm(t, g), norm_sq(t, g)
+    l_closed = v * (1.0 - v * (d - 2.0) / (d - 1.0))
+    n_closed = v * (1.0 + v * (-6.0 + 6.0 * d - d * d + v * (d - 2.0) ** 2)
+                    / (d - 1.0) ** 2)
+    cubic = v * v * ((3.0 * d - 4.0) + (d - 2.0) ** 2 * v) / (d - 1.0) ** 2
+    assert abs(l - l_closed) <= 1e-13 * l_closed
+    assert abs(n - n_closed) <= 1e-13 * n_closed
+    assert abs((n - l) - cubic) <= 1e-13 * (n + l)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
