@@ -22,7 +22,6 @@ m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers, no d x d array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,6 +33,7 @@ from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
                      UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
 from .linalg import realign
+from .record import Record, set_field
 from .states import SchmidtState, TwoQuditState
 
 LOCAL_BOUND = 2.0
@@ -47,33 +47,35 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 WOLFE_TRIES = 20  # trial steps per bracketing and per zoom
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(Record):
     """Outcome vectors per (party, setting): arrays (2, d, d), [setting,
     outcome, component]."""
 
-    d: int
-    a_vectors: np.ndarray = field(repr=False)
-    b_vectors: np.ndarray = field(repr=False)
+    __slots__ = ("d", "a_vectors", "b_vectors")
+    _hidden = ("a_vectors", "b_vectors")
 
-    def __post_init__(self):
-        for v in (self.a_vectors, self.b_vectors):
-            if v.shape != (2, self.d, self.d):
+    def __init__(self, d: int, a_vectors: np.ndarray, b_vectors: np.ndarray):
+        for v in (a_vectors, b_vectors):
+            if v.shape != (2, d, d):
                 raise DimensionMismatch(
-                    f"settings shape {v.shape} does not match d={self.d}")
+                    f"settings shape {v.shape} does not match d={d}")
             gram = v @ v.conj().transpose(0, 2, 1)  # one per setting
-            if not np.max(np.abs(gram - np.eye(self.d))) <= ORTHO_TOL:
+            if not np.max(np.abs(gram - np.eye(d))) <= ORTHO_TOL:
                 raise DimensionMismatch("outcome vectors are not orthonormal")
             v.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "a_vectors", a_vectors)
+        set_field(self, "b_vectors", b_vectors)
 
 
-@dataclass(frozen=True)
-class BellValue:
-    i_d: float
-    probabilities: np.ndarray = field(repr=False)  # (2, 2, d, d)
+class BellValue(Record):
+    __slots__ = ("i_d", "probabilities")
+    _hidden = ("probabilities",)
 
-    def __post_init__(self):
-        self.probabilities.setflags(write=False)
+    def __init__(self, i_d: float, probabilities: np.ndarray):  # (2, 2, d, d)
+        probabilities.setflags(write=False)
+        set_field(self, "i_d", i_d)
+        set_field(self, "probabilities", probabilities)
 
     @property
     def violated(self) -> bool:
@@ -340,7 +342,7 @@ def _settings_objective(rho: TwoQuditState, mats: np.ndarray):
     return value_and_gradient
 
 
-class MinimizeResult(NamedTuple):  # a dataclass costs every import ~1 ms
+class MinimizeResult(NamedTuple):
     x: np.ndarray
     fun: float
     nfev: int  # calls to fun

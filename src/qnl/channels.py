@@ -16,7 +16,6 @@ criteria.MarginBatch and fidelity.critical_fidelity read it from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     UnsupportedChannel,
 )
 from .gellmann import check_dimension
+from .record import Record, set_field
 from .states import (SchmidtState, TwoQuditState, max_entangled,
                      max_entangled_rows, to_density)
 
@@ -58,14 +58,14 @@ def check_strength(x: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    kind: ChannelKind
-    strength: float  # v for mixing kinds, r for Kraus kinds
+class ChannelSpec(Record):
+    __slots__ = ("kind", "strength")
 
-    def __post_init__(self):
-        # stored as the float it was checked as, so "0.5" reads as 0.5
-        object.__setattr__(self, "strength", check_strength(self.strength))
+    def __init__(self, kind: ChannelKind, strength: float):
+        set_field(self, "kind", kind)
+        # v for mixing kinds, r for Kraus kinds; stored as the float it was
+        # checked as, so "0.5" reads as 0.5
+        set_field(self, "strength", check_strength(strength))
 
     @property
     def noise_free_fraction(self) -> float:
@@ -95,17 +95,18 @@ class ChannelSpec:
         return cls(kind, strength)
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    d: int
-    operators: np.ndarray = field(repr=False)  # (n_ops, d, d) complex
+class KrausSet(Record):
+    __slots__ = ("d", "operators")
+    _hidden = ("operators",)
 
-    def __post_init__(self):
-        s = np.einsum("kij,kil->jl", self.operators.conj(), self.operators)
-        if not np.max(np.abs(s - np.eye(self.d))) <= COMPLETENESS_TOL:
+    def __init__(self, d: int, operators: np.ndarray):  # (n_ops, d, d) complex
+        s = np.einsum("kij,kil->jl", operators.conj(), operators)
+        if not np.max(np.abs(s - np.eye(d))) <= COMPLETENESS_TOL:
             raise UnsupportedChannel(
                 "Kraus operators do not sum to the identity")
-        self.operators.setflags(write=False)
+        operators.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "operators", operators)
 
 
 def block_form(coeffs: np.ndarray, kind: ChannelKind) -> tuple[list, int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +144,7 @@ def cmd_tensor(args) -> int:
         "state": args.state,
         "channel": args.channel,
         "metric": args.metric,
-        **asdict(verdict),
+        **verdict._asdict(),
         "tensor": t.t.tolist(),
     }
     _emit(_json(payload), args.out)
@@ -173,7 +172,7 @@ def cmd_crit(args) -> int:
         res = critical_analytic(args.d, spec.kind)
     else:
         res = critical_bisection(psi, spec.kind, g)
-    _emit(_json(asdict(res)), args.out)
+    _emit(_json(res._asdict()), args.out)
     return 0
 
 
@@ -236,19 +235,19 @@ def cmd_cglmp_crit(args) -> int:
     spec = ChannelSpec.parse(args.channel)
     psi = parse_state(args.d, args.state)
     res = critical_lr(psi, spec.kind)
-    _emit(_json(asdict(res)), args.out)
+    _emit(_json(res._asdict()), args.out)
     return 0
 
 
 def cmd_fidelity(args) -> int:
     spec = ChannelSpec.parse(args.channel)
-    _emit(_json(asdict(critical_fidelity(args.d, spec.kind))), args.out)
+    _emit(_json(critical_fidelity(args.d, spec.kind)._asdict()), args.out)
     return 0
 
 
 def cmd_werner_gap(args) -> int:
     spec = ChannelSpec.parse(args.channel)
-    _emit(_json(asdict(werner_gap(args.d, spec.kind))), args.out)
+    _emit(_json(werner_gap(args.d, spec.kind)._asdict()), args.out)
     return 0
 
 

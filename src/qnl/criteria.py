@@ -30,13 +30,13 @@ each per-input reduction reads contiguous rows of N numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChannelKind, block_form
 from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
+from .record import Record, set_field
 from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
                      colored_metric, damping_metric, diagonal_block,
@@ -67,21 +67,27 @@ _TO_BERNSTEIN = np.array([[36, 0, 0, 0, 0],
                           [0, 0, 0, 0, 36]]) / 36.0
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    spectral_norm: float
-    norm_sq: float
-    margin: float
-    entangled: bool
+class CriterionVerdict(Record):
+    __slots__ = ("spectral_norm", "norm_sq", "margin", "entangled")
+
+    def __init__(self, spectral_norm: float, norm_sq: float, margin: float,
+                 entangled: bool):
+        set_field(self, "spectral_norm", spectral_norm)
+        set_field(self, "norm_sq", norm_sq)
+        set_field(self, "margin", margin)
+        set_field(self, "entangled", entangled)
 
 
-@dataclass(frozen=True)
-class CriticalResult:
-    parameter_name: str  # "v" or "p"
-    value: float
-    method: str          # "analytic" or "bisection"
-    channel: ChannelKind
-    state: str           # human-readable descriptor
+class CriticalResult(Record):
+    __slots__ = ("parameter_name", "value", "method", "channel", "state")
+
+    def __init__(self, parameter_name: str, value: float, method: str,
+                 channel: ChannelKind, state: str):
+        set_field(self, "parameter_name", parameter_name)  # "v" or "p"
+        set_field(self, "value", value)
+        set_field(self, "method", method)  # "analytic" or "bisection"
+        set_field(self, "channel", channel)
+        set_field(self, "state", state)  # human-readable descriptor
 
 
 def describe_state(psi: SchmidtState) -> str:
@@ -130,7 +136,7 @@ def _horner(coefficients, x):
     return total
 
 
-class MarginPolynomials(NamedTuple):  # a dataclass costs every import
+class MarginPolynomials(NamedTuple):
     """A batch's margin as polynomials in p, per input (N inputs, last).
 
     n (5, N) holds the coefficients of the weighted squared norm in powers
@@ -543,14 +549,18 @@ def xi(state: SchmidtState, kind: ChannelKind, p_crit: float) -> float:
     return float(_surviving_fraction(batch, p_crit)[0])
 
 
-@dataclass(frozen=True)
-class SurfaceScan:
-    kind: ChannelKind
-    quantity: str  # "crit" or "xi"
-    alphas: np.ndarray = field(repr=False)
-    betas: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)  # (len(alphas), len(betas))
-    flags: np.ndarray = field(repr=False)   # True where never detected
+class SurfaceScan(Record):
+    __slots__ = ("kind", "quantity", "alphas", "betas", "values", "flags")
+    _hidden = ("alphas", "betas", "values", "flags")
+
+    def __init__(self, kind: ChannelKind, quantity: str, alphas: np.ndarray,
+                 betas: np.ndarray, values: np.ndarray, flags: np.ndarray):
+        set_field(self, "kind", kind)
+        set_field(self, "quantity", quantity)  # "crit" or "xi"
+        set_field(self, "alphas", alphas)
+        set_field(self, "betas", betas)
+        set_field(self, "values", values)  # (len(alphas), len(betas))
+        set_field(self, "flags", flags)  # True where never detected
 
     def minimum(self) -> tuple[float, float, float] | None:
         """(alpha, beta, value) of the smallest unflagged cell; None when

@@ -10,42 +10,48 @@ threshold, both computed here rather than transcribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bell import critical_lr
 from .channels import ChannelKind, ChannelSpec, block_form
 from .criteria import critical_analytic
 from .errors import QnlError, UnsupportedChannel
+from .record import Record, set_field
 from .states import max_entangled
 
 CROSS_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    d: int
-    channel: ChannelKind
-    f_crit: float
-    strength_at_threshold: float
-    formula_value: float
-    direct_value: float
+class FidelityReport(Record):
+    __slots__ = ("d", "channel", "f_crit", "strength_at_threshold",
+                 "formula_value", "direct_value")
 
-    def __post_init__(self):
-        if abs(self.formula_value - self.direct_value) > CROSS_CHECK_TOL:
+    def __init__(self, d: int, channel: ChannelKind, f_crit: float,
+                 strength_at_threshold: float, formula_value: float,
+                 direct_value: float):
+        if abs(formula_value - direct_value) > CROSS_CHECK_TOL:
             raise QnlError(
                 "closed-form and direct fidelity disagree: "
-                f"{self.formula_value} vs {self.direct_value}")
+                f"{formula_value} vs {direct_value}")
+        set_field(self, "d", d)
+        set_field(self, "channel", channel)
+        set_field(self, "f_crit", f_crit)
+        set_field(self, "strength_at_threshold", strength_at_threshold)
+        set_field(self, "formula_value", formula_value)
+        set_field(self, "direct_value", direct_value)
 
 
-@dataclass(frozen=True)
-class WernerGap:
-    d: int
-    channel: ChannelKind
-    bell_threshold: float
-    detection_threshold: float
-    gap: float
+class WernerGap(Record):
+    __slots__ = ("d", "channel", "bell_threshold", "detection_threshold",
+                 "gap")
+
+    def __init__(self, d: int, channel: ChannelKind, bell_threshold: float,
+                 detection_threshold: float, gap: float):
+        set_field(self, "d", d)
+        set_field(self, "channel", channel)
+        set_field(self, "bell_threshold", bell_threshold)
+        set_field(self, "detection_threshold", detection_threshold)
+        set_field(self, "gap", gap)
 
 
 def _formula(d: int, kind: ChannelKind, p: float) -> float:

@@ -15,12 +15,12 @@ sigma_z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension, NotHermitian
+from .record import Record, set_field
 
 # group tags, in storage order
 SYMMETRIC = "symmetric"
@@ -58,8 +58,7 @@ def check_dimension(d: int, power: int = 2) -> int:
     return int(d)
 
 
-@dataclass(frozen=True)
-class GellMannBasis:
+class GellMannBasis(Record):
     """The d^2-1 generators plus index bookkeeping.
 
     matrices[i] is the i-th generator; group_of[i] is one of the three group
@@ -67,10 +66,15 @@ class GellMannBasis:
     (l, l) for the diagonal group.
     """
 
-    d: int
-    matrices: np.ndarray = field(repr=False)  # (d^2-1, d, d) complex
-    group_of: tuple = field(repr=False)
-    pair_of: tuple = field(repr=False)
+    __slots__ = ("d", "matrices", "group_of", "pair_of")
+    _hidden = ("matrices", "group_of", "pair_of")
+
+    def __init__(self, d: int, matrices: np.ndarray, group_of: tuple,
+                 pair_of: tuple):
+        set_field(self, "d", d)
+        set_field(self, "matrices", matrices)  # (d^2-1, d, d) complex
+        set_field(self, "group_of", group_of)
+        set_field(self, "pair_of", pair_of)
 
     @property
     def size(self) -> int:

@@ -9,7 +9,6 @@ flags, and flagged cells never fail a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from .bell import critical_lr, infinite_threshold
 from .channels import ChannelKind
 from .criteria import SurfaceScan, critical_bisection, xi
 from .fidelity import critical_fidelity, werner_gap
+from .record import Record, set_field
 from .states import (SchmidtState, max_entangled, nmax_state, qutrit_family,
                      rank_k_state)
 
@@ -34,16 +34,22 @@ FLAG_NO_DETECTION = "no-detection"
 STATE_COLUMNS = ("max_entangled", "rank_2", "rank_3", "nonmax")
 
 
-@dataclass(frozen=True)
-class TableCell:
-    table: str
-    noise: str
-    d: str           # printed dimension label, "inf" for the limit row
-    column: str
-    computed: float | None
-    expected: float | None
-    tolerance: float
-    flags: tuple = ()
+class TableCell(Record):
+    __slots__ = ("table", "noise", "d", "column", "computed", "expected",
+                 "tolerance", "flags")
+
+    def __init__(self, table: str, noise: str, d: str, column: str,
+                 computed: float | None, expected: float | None,
+                 tolerance: float, flags: tuple = ()):
+        set_field(self, "table", table)
+        set_field(self, "noise", noise)
+        # printed dimension label, "inf" for the limit row
+        set_field(self, "d", d)
+        set_field(self, "column", column)
+        set_field(self, "computed", computed)
+        set_field(self, "expected", expected)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "flags", flags)
 
     @property
     def deviation(self) -> float | None:
@@ -172,11 +178,13 @@ TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class TableBundle:
-    cells: list
-    failures: int
-    flagged: int
+class TableBundle(Record):
+    __slots__ = ("cells", "failures", "flagged")
+
+    def __init__(self, cells: list, failures: int, flagged: int):
+        set_field(self, "cells", cells)
+        set_field(self, "failures", failures)
+        set_field(self, "flagged", flagged)
 
 
 def reproduce_tables(tol: float = DEFAULT_CELL_TOL) -> TableBundle:

@@ -8,8 +8,6 @@ funnels through normalized_coeffs so the validation lives in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -20,6 +18,7 @@ from .errors import (
 )
 from .gellmann import check_dimension
 from .linalg import hermitian_eigenvalues, partial_trace
+from .record import Record, set_field
 
 # inputs whose squared norm is further than this from 1 are rejected,
 # closer ones are silently renormalized (keeps CLI input honest)
@@ -30,13 +29,14 @@ EIG_FLOOR = -1e-9
 MES_TOL = 1e-9  # max-entangled tolerance, below the 1e-8 bisection width
 
 
-@dataclass(frozen=True)
-class SchmidtState:
-    d: int
-    coeffs: np.ndarray = field(repr=False)
+class SchmidtState(Record):
+    __slots__ = ("d", "coeffs")
+    _hidden = ("coeffs",)
 
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
+    def __init__(self, d: int, coeffs: np.ndarray):
+        coeffs.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def rank(self) -> int:
@@ -53,15 +53,13 @@ class SchmidtState:
         return bool(max_entangled_rows(self.coeffs))
 
 
-@dataclass(frozen=True)
-class TwoQuditState:
+class TwoQuditState(Record):
     """Validated d^2 x d^2 density matrix of a qudit pair."""
 
-    d: int
-    rho: np.ndarray = field(repr=False)
+    __slots__ = ("d", "rho")
+    _hidden = ("rho",)
 
-    def __post_init__(self):
-        d, rho = self.d, self.rho
+    def __init__(self, d: int, rho: np.ndarray):
         if rho.shape != (d * d, d * d):
             raise DimensionMismatch(
                 f"rho shape {rho.shape} does not match d={d}")
@@ -73,6 +71,8 @@ class TwoQuditState:
         if smallest < EIG_FLOOR:
             raise NotNormalizable("density matrix has a negative eigenvalue")
         rho.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "rho", rho)
 
     def reduced(self, subsystem: int = 0) -> np.ndarray:
         return partial_trace(self.rho, self.d, subsystem)

@@ -29,13 +29,13 @@ batch's scalars equal each input's own bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .gellmann import check_dimension, diagonal_entries, gellmann_basis
 from .linalg import realign
+from .record import Record, set_field
 from .states import SchmidtState, TwoQuditState
 
 IMAG_RESIDUE_TOL = 1e-8
@@ -45,32 +45,34 @@ def c_factor(d: int) -> float:
     return d / (2.0 * (d - 1.0))
 
 
-@dataclass(frozen=True)
-class CorrelationTensor:
-    d: int
-    t: np.ndarray = field(repr=False)  # (d^2-1, d^2-1) real
+class CorrelationTensor(Record):
+    __slots__ = ("d", "t")
+    _hidden = ("t",)
 
-    def __post_init__(self):
-        n = self.d * self.d - 1
-        if self.t.shape != (n, n):
+    def __init__(self, d: int, t: np.ndarray):  # (d^2-1, d^2-1) real
+        n = d * d - 1
+        if t.shape != (n, n):
             raise DimensionMismatch(
-                f"tensor shape {self.t.shape} does not match d={self.d}")
-        self.t.setflags(write=False)
+                f"tensor shape {t.shape} does not match d={d}")
+        t.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Metric:
-    d: int
-    g: np.ndarray = field(repr=False)  # (d^2-1,) nonnegative
+class Metric(Record):
+    __slots__ = ("d", "g")
+    _hidden = ("g",)
 
-    def __post_init__(self):
-        n = self.d * self.d - 1
-        if self.g.shape != (n,):
+    def __init__(self, d: int, g: np.ndarray):  # (d^2-1,) nonnegative
+        n = d * d - 1
+        if g.shape != (n,):
             raise DimensionMismatch(
-                f"metric shape {self.g.shape} does not match d={self.d}")
-        if not np.all(self.g >= 0):
+                f"metric shape {g.shape} does not match d={d}")
+        if not np.all(g >= 0):
             raise ValueError("metric weights must be nonnegative")
-        self.g.setflags(write=False)
+        g.setflags(write=False)
+        set_field(self, "d", d)
+        set_field(self, "g", g)
 
 
 def identity_metric(d: int) -> Metric:

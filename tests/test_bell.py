@@ -743,14 +743,14 @@ def test_optimizer_validates_settings_once_per_start(monkeypatch):
     # evaluations read plain rotated vectors; settings are validated only
     # where they are built: the two fixed bases and each start's end point
     count = 0
-    post_init = MeasurementSettings.__post_init__
+    init = MeasurementSettings.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         nonlocal count
         count += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(MeasurementSettings, "__post_init__", counted)
+    monkeypatch.setattr(MeasurementSettings, "__init__", counted)
     rng = np.random.default_rng(5)
     rho = channel_output(random_schmidt(rng, 3), ChannelSpec(AD, 0.1))
     restarts = 2

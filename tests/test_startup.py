@@ -1,7 +1,9 @@
-"""Start-up cost: no command imports scipy, the settings optimizer included.
+"""Start-up cost: no command imports scipy, the settings optimizer included,
+and none imports dataclasses, whose code generation cost every call about
+7 ms (qnl.record).
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded by the test oracles' imports.
+The checks run in a fresh interpreter, since the test process itself has
+both loaded by the test oracles' and the record tests' imports.
 """
 
 import json
@@ -10,32 +12,42 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+def loaded():
+    return sorted({m.partition(".")[0] for m in sys.modules}
+                  & {"scipy", "dataclasses"})
 
 steps = []
 import qnl
-steps.append(["import qnl", None, scipy_loaded()])
+steps.append(["import qnl", None, loaded()])
 import qnl.cli
-steps.append(["import qnl.cli", None, scipy_loaded()])
+steps.append(["import qnl.cli", None, loaded()])
 qnl.cli.build_parser()
-steps.append(["build_parser", None, scipy_loaded()])
+steps.append(["build_parser", None, loaded()])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = qnl.cli.main(argv)
-    steps.append([" ".join(argv), code, scipy_loaded()])
+    steps.append([" ".join(argv), code, loaded()])
 print(json.dumps(steps))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    """[step, exit code or None, modules of interest loaded] after each
+    import, the parser and each listed command, in one fresh process."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     calls = [
         ["crit", "--d", "3", "--state", "mes", "--channel", "white:1"],
+        ["tensor", "--d", "3", "--channel", "ad:0.2"],
+        ["fidelity", "--d", "3", "--channel", "depol:0"],
+        ["werner-gap", "--d", "3", "--channel", "depol:0"],
         ["scan", "--channel", "white", "--grid", "5"],
         ["cglmp-crit", "--d", "3", "--channel", "ad:0"],
         ["tables", "--out", str(tmp_path)],
@@ -52,6 +64,16 @@ def test_no_command_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     assert len(steps) == 3 + len(calls)
-    for name, code, scipy in steps:
+    for name, code, _ in steps:
         assert code in (None, 0), name
-        assert not scipy, f"{name} loaded scipy"
+    return steps
+
+
+def test_no_command_loads_scipy(steps):
+    for name, _, loaded in steps:
+        assert "scipy" not in loaded, f"{name} loaded scipy"
+
+
+def test_no_command_loads_dataclasses(steps):
+    for name, _, loaded in steps:
+        assert "dataclasses" not in loaded, f"{name} loaded dataclasses"
