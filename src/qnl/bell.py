@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelKind
-from .criteria import CriticalResult, bisect_threshold, describe_state
+from .criteria import (CriticalResult, confirm_bracket, describe_state,
+                       quadratic_root)
 from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
                      UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
@@ -246,8 +247,10 @@ def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
     if kind is ChannelKind.DEPOLARIZING:
         value = np.sqrt(value)
     elif damping:
-        method, value = "bisection", bisect_threshold(
-            lambda p: q0 + q1 * p + q2 * p * p > LOCAL_BOUND, 1)[0]
+        lo, hi = confirm_bracket(
+            lambda p, rows: q0 + q1 * p + q2 * p * p > LOCAL_BOUND,
+            quadratic_root(q2, q1, LOCAL_BOUND - q0)[None])
+        method, value = "bisection", 0.5 * (lo[0] + hi[0])
     return CriticalResult(parameter_name=kind.parameter_name,
                           value=float(value), method=method, channel=kind,
                           state=describe_state(state))

@@ -13,13 +13,17 @@ built.  A channel enters only through its block form (channels.block_form):
 how its pair entries scale with p, and the populations P(p) of the noisy
 state, a polynomial in p of degree at most 2 whose coefficient blocks
 each batch builds once and sums by Horner at every p.  One solver, _solve,
-bisects every input of a batch together; critical_bisection is its
-single-input case, scan_surface batches the whole qutrit-family surface,
-and the Bell thresholds of bell.critical_lr use the same bisection.  A
-bisected threshold needs a verdict that switches once in p.  Where that
-is a theorem (MarginBatch.monotone: the scaling path, and damping with
-no weight on the diagonal generators) nothing more is checked; on every
-other path _certify proves it per input from the margin's polynomial form
+finds the threshold of every input of a batch together; critical_bisection
+is its single-input case, and scan_surface batches the whole qutrit-family
+surface.  A threshold is the midpoint of the final bracket of a bisection
+to BISECTION_WIDTH (bisect_bracket), and it needs a verdict that switches
+once in p.  Where that is a theorem (MarginBatch.monotone: the scaling
+path, and damping with no weight on the diagonal generators) the switch
+point has a closed form (MarginBatch.switch_points), and confirm_bracket
+confirms its bin of the bisection's grid with two verdicts, in place of
+the bisection's 27; the Bell thresholds of bell.critical_lr are found the
+same way.  On every other path _solve bisects, and _certify proves the
+single switch per input from the margin's polynomial form
 (MarginBatch.polynomial_form): the verdict is false on [0, lo] and true on
 [hi, 1] for the final bracket [lo, hi], or _solve raises NonMonotonic.
 
@@ -30,6 +34,7 @@ each per-input reduction reads contiguous rows of N numbers.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +51,12 @@ from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
 
 VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
+# bisect_bracket ends on a bin of the grid of multiples of 1 / _BINS
+_BINS = 2.0 ** math.ceil(-math.log2(BISECTION_WIDTH))
+# Newton steps toward a damping switch point, at most, and the relative
+# step at which they stop
+NEWTON_STEPS = 32
+NEWTON_RTOL = 1e-15
 # a certificate's bounds must clear the tolerance by this share of the
 # scale of the margin's terms, so that rounding never yields a proof
 CERTIFICATE_SLACK = 64 * np.finfo(float).eps
@@ -180,8 +191,9 @@ class MarginBatch:
     by diagonal_block and transposed once.
 
     `monotone` is true where the verdict n - l > tol provably switches at
-    most once, from false to true, as p grows (elsewhere _solve proves it
-    per input, by _certify):
+    most once, from false to true, as p grows; there _solve confirms the
+    closed-form switch points (switch_points), and elsewhere it bisects
+    and proves the single switch per input, by _certify:
     - scaling: with s = p or p^2 it reads s (n0 s - l0) > tol, and both
       factors grow with s once the second is positive;
     - damping without diagonal-generator weight: pair m scales as p^e_m,
@@ -283,9 +295,53 @@ class MarginBatch:
                                      for m in blocks)
         return MarginPolynomials(n, pairs, powers, blocks, scale)
 
-    def entangled(self, p) -> np.ndarray:
-        l, n = self.scalars(p)
+    def entangled(self, p, rows=slice(None)) -> np.ndarray:
+        l, n = self.scalars(p, rows)
         return n - l > VERDICT_TOL
+
+    def switch_points(self) -> np.ndarray:
+        """Per input of a monotone batch, the p at which n - l reaches
+        VERDICT_TOL, in closed form; NaN, or 1 or more, where it is not
+        reached below 1.
+        - scaling: s = p or p^2 solves n0 s^2 - l0 s = tol;
+        - damping: l(p) = max(alpha p, beta p^2) and n(p) = A p^2 + B p^4,
+          alpha and beta the largest weighted pair moduli of exponent 1
+          and 2, A and B the pair sums (polynomial_form).  The verdict
+          holds where both B p^4 + (A - beta) p^2 > tol, a quadratic in
+          p^2, and the convex quartic A p^2 + B p^4 - alpha p > tol do, so
+          the switch is the larger of their roots.  The quartic's is
+          found by Newton; where alpha = 0 the first condition implies
+          the second."""
+        if self.path == "scaling":
+            s = quadratic_root(self._n0, -self._l0, VERDICT_TOL)
+            return s if self._power == 1 else np.sqrt(s)
+        form = self.polynomial_form()
+        a, b = form.n[2], form.n[4]
+        alpha, beta = (np.max(form.pairs[form.powers == e], axis=0,
+                              initial=0.0) for e in (1, 2))
+        root = np.sqrt(quadratic_root(b, a - beta, VERDICT_TOL))
+        rows = np.flatnonzero(alpha > 0.0)
+        if len(rows):
+            a, b, alpha = a[rows], b[rows], alpha[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # B p^3 + A p = alpha, the root for tol = 0, by the
+                # hyperbolic form of Cardano's formula; A p = alpha if B = 0
+                scale = np.sqrt(a / (3.0 * b))
+                p = np.where(b > 0.0, 2.0 * scale * np.sinh(
+                    np.arcsinh(1.5 * alpha / (a * scale)) / 3.0), alpha / a)
+            # the larger of the roots for tol = 0 and for alpha = 0 lies
+            # below the quartic's, where its slope is at least alpha: the
+            # first step lands above the root, and from there Newton
+            # falls onto it
+            p = np.maximum(p, np.sqrt(quadratic_root(b, a, VERDICT_TOL)))
+            for _ in range(NEWTON_STEPS):
+                step = (((b * p * p + a) * p - alpha) * p - VERDICT_TOL) \
+                    / ((4.0 * b * p * p + 2.0 * a) * p - alpha)
+                p = p - step
+                if np.all(np.abs(step) <= NEWTON_RTOL * p):
+                    break
+            root[rows] = np.maximum(root[rows], p)
+        return root
 
 
 class MarginCurve:
@@ -323,10 +379,38 @@ def bisect_bracket(fired, size: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo + width
 
 
-def bisect_threshold(fired, size: int) -> np.ndarray:
-    """The midpoints of bisect_bracket's final brackets."""
-    lo, hi = bisect_bracket(fired, size)
-    return 0.5 * (lo + hi)
+def quadratic_root(a, b, c):
+    """The root of a x^2 + b x = c that tends to c / b as a -> 0, the
+    positive one for a >= 0 < c, by the form that avoids cancellation; inf
+    or NaN where there is none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(b * b + 4.0 * a * c)
+        return np.where(b >= 0.0, 2.0 * c / (b + r), (r - b) / (2.0 * a))
+
+
+def confirm_bracket(fired, guess) -> tuple[np.ndarray, np.ndarray]:
+    """bisect_bracket's final brackets, located from a guess of each
+    input's switch point; fired(p, rows) maps one p per entry of rows (all
+    inputs, or the indices of some) to their verdicts.
+
+    A verdict that switches once does so on the grid of multiples of the
+    final width too, and bisection ends on the one bin [lo, hi] of that
+    grid whose lo is 0 or false and whose hi is 1 or true.  So the guess,
+    snapped to the grid, needs two verdicts to confirm its bin.  A guess
+    of NaN or of 1 or more takes the top bin, where bisection leaves an
+    input not detected below 1.  Inputs whose bin is not confirmed are
+    bisected."""
+    k = np.clip(np.floor(np.where(guess < 1.0, guess, 1.0) * _BINS),
+                0.0, _BINS - 1.0)
+    lo, hi = k / _BINS, (k + 1.0) / _BINS
+    every = slice(None)
+    confirmed = ((lo == 0.0) | ~fired(lo, every)) \
+        & ((hi == 1.0) | fired(hi, every))
+    rows = np.flatnonzero(~confirmed)
+    if len(rows):
+        lo[rows], hi[rows] = bisect_bracket(lambda p: fired(p, rows),
+                                            len(rows))
+    return lo, hi
 
 
 def _certify(batch: MarginBatch, lo: np.ndarray, hi: np.ndarray,
@@ -480,15 +564,18 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
 
 
 def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(threshold, detected) per input: one bisection over the batch, and,
-    unless the batch is proven monotone, the certificate of one switch on
-    the inputs detected at p = 1.  Thresholds hold only where detected; a
-    batch detected nowhere is not bisected."""
+    """(threshold, detected) per input: the midpoint of each input's final
+    bisection bracket.  A batch proven monotone confirms the brackets of
+    its closed-form switch points; any other is bisected, and the single
+    switch of each input detected at p = 1 certified.  Thresholds hold
+    only where detected; a batch detected nowhere is not solved."""
     detected = batch.entangled(1.0)
     if not detected.any():
         return np.ones(batch.size), detected
-    lo, hi = bisect_bracket(batch.entangled, batch.size)
-    if not batch.monotone:
+    if batch.monotone:
+        lo, hi = confirm_bracket(batch.entangled, batch.switch_points())
+    else:
+        lo, hi = bisect_bracket(batch.entangled, batch.size)
         _certify(batch, lo, hi, detected)
     return 0.5 * (lo + hi), detected
 

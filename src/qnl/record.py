@@ -9,9 +9,21 @@ that needs no checks of its own and may behave as a tuple is a NamedTuple
 a Record subclass that lists its fields, in order, as __slots__, and whose
 own __init__ checks them once per construction and stores each with
 set_field.  Fields named in _hidden (the arrays) are left out of repr.
+Records compare equal when their fields do, arrays by value.
 """
 
+import numpy as np
+
 set_field = object.__setattr__
+
+
+def _same(a, b) -> bool:
+    """Field equality as a tuple compares fields, arrays by value."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 class Record:
@@ -27,7 +39,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_same, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -13,11 +13,12 @@ from the realigned rho), the damped Bell quadratic read from the
 d x d Toeplitz block (the package reads the block's 2d - 1 profile
 values), Catalan's constant summed from its series (the package holds
 the double nearest it), the generator basis built one matrix at a time
-(the package scatters it from index arrays and diagonal_entries), and a
+(the package scatters it from index arrays and diagonal_entries), a
 sampled check that each detection verdict switches once (the package
-proves it from the margin's polynomial form), the fidelity read from
-the dense rho (critical_fidelity sums the block form), and the settings
-objective with every operand rebuilt on each call, validated settings
+proves it from the margin's polynomial form), thresholds bisected by 27
+verdict sweeps (the package confirms a closed-form switch point with
+two), the fidelity read from the dense rho (critical_fidelity sums the
+block form), and the settings objective with every operand rebuilt on each call, validated settings
 included (bell._settings_objective builds what does not depend on the
 angles once).
 """
@@ -27,7 +28,7 @@ import numpy as np
 from qnl.bell import (MeasurementSettings, _bell_profile, _generator_eigh,
                       _projector_rows)
 from qnl.channels import ChannelKind, KrausSet
-from qnl.criteria import VERDICT_TOL, MarginBatch
+from qnl.criteria import VERDICT_TOL, MarginBatch, bisect_bracket
 from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
@@ -91,6 +92,14 @@ def verdict_grid_check(curve, cells=True) -> None:
     if np.any((switches > 1) & cells):
         raise NonMonotonic(
             "detection verdict switches more than once over the sweep")
+
+
+def bisect_threshold(fired, size: int) -> np.ndarray:
+    """The midpoints of bisect_bracket's final brackets, 27 verdict sweeps
+    each: the thresholds criteria.confirm_bracket locates from closed-form
+    switch points."""
+    lo, hi = bisect_bracket(fired, size)
+    return 0.5 * (lo + hi)
 
 
 def grid_verdicts(batch: MarginBatch, points: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
 from qnl.cli import main
-from qnl.criteria import bisect_threshold
+from qnl.criteria import confirm_bracket
 from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
                         UnsupportedChannel)
 from qnl.gellmann import gellmann_basis
@@ -306,16 +306,18 @@ def test_inequality_value_matches_scalar_oracle(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
 def test_damping_threshold_matches_scalar_bisection(monkeypatch, d):
-    # every bracket halves from [0, 1], so width 1e-8 takes 27 verdicts
+    # the quadratic's closed-form root is confirmed by at most two
+    # verdicts, where bisecting to width 1e-8 takes 27
     calls = []
 
-    def counted(fired, size):
-        return bisect_threshold(lambda p: calls.append(p) or fired(p), size)
+    def counted(fired, guess):
+        return confirm_bracket(
+            lambda p, rows: calls.append(p) or fired(p, rows), guess)
 
-    monkeypatch.setattr(qnl.bell, "bisect_threshold", counted)
+    monkeypatch.setattr(qnl.bell, "confirm_bracket", counted)
     psi = max_entangled(d)
     assert critical_lr(psi, AD).value == damping_threshold_oracle(psi)
-    assert len(calls) == 27
+    assert 0 < len(calls) <= 2
 
 
 @pytest.mark.parametrize("d", [3, 4, 6, 10])

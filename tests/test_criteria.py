@@ -11,19 +11,20 @@ import qnl.criteria
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
 from qnl.criteria import (BISECTION_WIDTH, CERTIFICATE_PIECES, VERDICT_TOL,
                           MarginBatch, MarginCurve, MarginPolynomials,
-                          _certify, bisect_bracket, bisect_threshold,
+                          _certify, bisect_bracket, confirm_bracket,
                           critical_analytic, critical_bisection,
                           default_metric, is_entangled, scan_surface, xi)
 from qnl.errors import (NoDetectionInRange, NonMonotonic, UnsupportedChannel)
+from qnl.reports import reproduce_tables
 from qnl.states import (SchmidtState, max_entangled, nmax_state,
-                        qutrit_family, rank_k_state, schmidt_state,
-                        to_density)
+                        qutrit_family, qutrit_family_coeffs, rank_k_state,
+                        schmidt_state, to_density)
 from qnl.tensor import (Metric, colored_metric, correlation_tensor,
                         damping_metric, diagonal_block, diagonal_entries,
                         identity_metric, norm_sq, pair_values, spectral_norm)
 
-from oracles import (colored_always_entangled, grid_verdicts, populations,
-                     verdict_grid_check)
+from oracles import (bisect_threshold, colored_always_entangled,
+                     grid_verdicts, populations, verdict_grid_check)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -765,3 +766,116 @@ def test_thresholds_equal_pinned_values(d, case):
     assert detected.tolist() == [k is not None for k in pinned]
     assert np.where(detected, threshold, None).tolist() \
         == [None if k is None else k / 2.0 ** 28 for k in pinned]
+
+
+# the batches _solve takes as proven monotone under their default metric
+MONOTONE_KINDS = (WHITE, DEPOL, AD)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The size of every bisect_bracket call: on a monotone batch, each
+    input bisected is a switch point confirm_bracket did not confirm."""
+    sizes = []
+
+    def counted(fired, size):
+        sizes.append(size)
+        return bisect_bracket(fired, size)
+
+    monkeypatch.setattr(qnl.criteria, "bisect_bracket", counted)
+    return sizes
+
+
+def confirmed_and_bisected(batch):
+    """(confirm_bracket's, bisect_bracket's) final brackets of a batch."""
+    return (confirm_bracket(batch.entangled, batch.switch_points()),
+            bisect_bracket(batch.entangled, batch.size))
+
+
+def assert_same_brackets(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(MONOTONE_KINDS))
+def test_confirmed_brackets_equal_bisection(d, seed, kind):
+    # bit for bit, on rows with zero coefficients (no ground level among
+    # them), product rows detected nowhere and the max-entangled row
+    rng = np.random.default_rng(seed)
+    ground_free = rng.uniform(0.1, 1.0, size=(4, d))
+    ground_free[:, 0] = 0.0
+    ground_free /= np.linalg.norm(ground_free, axis=1, keepdims=True)
+    rows = np.vstack([sampled_rows(rng, d, 24), ground_free,
+                      np.eye(d)[[0, d - 1]], max_entangled(d).coeffs])
+    batch = MarginBatch(d, rows, kind)
+    got, want = confirmed_and_bisected(batch)
+    assert not batch.entangled(1.0)[-3:-1].any()
+    assert_same_brackets(got, want)
+
+
+class Switch:
+    """Verdicts p > t, one switch per input: at t < 0 an input fires at
+    p = 0, and at t >= 1 it is detected nowhere below 1."""
+
+    def __init__(self, t):
+        self.t = np.asarray(t, dtype=float)
+
+    def fired(self, p, rows=slice(None)):
+        return p > self.t[rows]
+
+
+# switches on, beside and between the grid's points, and outside [0, 1)
+SWITCHES = Switch([-0.5, 0.0, 2.0 ** -28, 2.0 ** -27, np.nextafter(0.25, 0.0),
+                   0.25, np.nextafter(0.25, 1.0), 0.3, 0.5 + 2.0 ** -30,
+                   1.0 - 2.0 ** -27, 1.0 - 2.0 ** -28, 1.0, 1.5])
+
+
+@pytest.mark.parametrize("bins", [0, -1, 1, -1e6, 1e6])
+def test_confirm_bracket_bisects_what_it_cannot_confirm(fallbacks, bins):
+    want = bisect_bracket(SWITCHES.fired, len(SWITCHES.t))
+    width = want[1][0] - want[0][0]
+    got = confirm_bracket(SWITCHES.fired, SWITCHES.t + bins * width)
+    assert_same_brackets(got, want)
+    # exact guesses are all confirmed; guesses a bin or more off are not,
+    # save those clipped into the right bin
+    assert (sum(fallbacks) == 0) == (bins == 0)
+
+
+@pytest.mark.parametrize("guess", [np.nan, 0.0, 1.0, -np.inf, np.inf])
+def test_confirm_bracket_takes_any_guess(guess):
+    got = confirm_bracket(SWITCHES.fired, np.full(len(SWITCHES.t), guess))
+    assert_same_brackets(
+        got, bisect_bracket(SWITCHES.fired, len(SWITCHES.t)))
+
+
+@pytest.mark.parametrize("kind", MONOTONE_KINDS)
+def test_scan_rows_are_all_confirmed(fallbacks, kind):
+    # the benchmarked 101 x 101 qutrit-family rows: no switch point falls
+    # back to bisection, and every bracket is bisection's
+    grid = np.linspace(0.0, np.pi / 2.0, 101)
+    scans = [scan_surface(kind, grid, grid, quantity)
+             for quantity in ("crit", "xi")]
+    assert fallbacks == []
+    batch = MarginBatch(3, qutrit_family_coeffs(grid[:, None], grid)
+                        .reshape(-1, 3), kind)
+    got, want = confirmed_and_bisected(batch)
+    assert_same_brackets(got, want)
+    assert np.array_equal(scans[0].values.ravel(), np.where(
+        scans[0].flags.ravel(), 1.0, 0.5 * (want[0] + want[1])))
+
+
+@pytest.mark.parametrize("kind", MONOTONE_KINDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 16])
+def test_pinned_rows_are_all_confirmed(fallbacks, d, kind):
+    batch = MarginBatch(d, pinned_rows(d), kind)
+    threshold, detected = qnl.criteria._solve(batch)
+    assert fallbacks == []
+    lo, hi = bisect_bracket(batch.entangled, batch.size)
+    assert np.array_equal(threshold[detected], (0.5 * (lo + hi))[detected])
+
+
+def test_table_thresholds_are_all_confirmed(fallbacks):
+    # qnl tables solves only on proven paths: nothing is bisected
+    reproduce_tables()
+    assert fallbacks == []

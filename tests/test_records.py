@@ -1,6 +1,6 @@
-"""The 16 result records: immutable, compared and hashed by their fields as
-a tuple, printed as a frozen dataclass prints them (array fields hidden),
-and checked once per construction.
+"""The 16 result records: immutable, compared by their fields (arrays by
+value) and hashed by them as a tuple, printed as a frozen dataclass prints
+them (array fields hidden), and checked once per construction.
 
 Each record is compared with a frozen dataclass of the same fields, the
 form the records had before they became Record subclasses.
@@ -24,7 +24,7 @@ from qnl.fidelity import FidelityReport, WernerGap
 from qnl.gellmann import GellMannBasis
 from qnl.record import Record, set_field
 from qnl.reports import TableBundle, TableCell
-from qnl.states import SchmidtState, TwoQuditState
+from qnl.states import SchmidtState, TwoQuditState, max_entangled
 from qnl.tensor import CorrelationTensor, Metric
 
 WHITE = ChannelKind.WHITE
@@ -152,6 +152,38 @@ def test_never_equals_another_class(cls, fields, hidden, make):
     assert r != twin and twin != r
     assert r != tuple(args)
     assert r.__eq__(twin) is NotImplemented
+
+
+@pytest.mark.parametrize("cls, fields, hidden, make", RECORDS, ids=IDS)
+def test_equal_but_distinct_arrays_compare_equal(cls, fields, hidden, make):
+    a, b = make(), make()
+    assert all(x is not y for x, y in zip(a, b)
+               if isinstance(x, np.ndarray))
+    assert cls(*a) == cls(*b)
+    assert not cls(*a) != cls(*b)
+
+
+def test_different_arrays_compare_unequal():
+    assert max_entangled(3) == max_entangled(3)
+    assert max_entangled(3) != SchmidtState(3, np.array([0.6, 0.8, 0.0]))
+    assert Metric(2, np.ones(3)) != Metric(2, np.array([1.0, 1.0, 0.0]))
+    assert CorrelationTensor(2, np.zeros((3, 3))) \
+        != CorrelationTensor(2, np.eye(3))
+    scan = (WHITE, "crit", np.zeros(2), np.zeros(3))
+    values = np.zeros((2, 3))
+    flags = np.zeros((2, 3), dtype=bool)
+    assert SurfaceScan(*scan, values, flags) \
+        != SurfaceScan(*scan, values + 0.5, flags)
+    assert SurfaceScan(*scan, values, flags) \
+        != SurfaceScan(*scan, values, ~flags)
+
+
+def test_array_records_of_another_class_are_not_compared():
+    psi = max_entangled(2)
+    metric = Metric(2, np.ones(3))
+    assert psi.__eq__(metric) is NotImplemented
+    assert metric.__eq__(psi) is NotImplemented
+    assert psi != metric
 
 
 def test_records_of_different_classes_differ():
