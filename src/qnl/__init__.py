@@ -12,18 +12,16 @@ from .bell import (BellValue, MeasurementSettings, ad_probability_table,
                    infinite_threshold, optimize_settings, probability_table)
 from .channels import (ChannelKind, ChannelSpec, KrausSet,
                        amplitude_damping_kraus, apply_local_channel,
-                       channel_output, colored_noise, depolarize_pair,
-                       product_noise, white_noise)
+                       channel_output, depolarize_pair)
 from .criteria import (CriterionVerdict, CriticalResult, SurfaceScan,
                        critical_analytic, critical_bisection, default_metric,
                        is_entangled, scan_surface, xi)
-from .errors import (DimensionMismatch, IndexOutOfRange, InvalidDimension,
-                     NegativeCoefficient, NoDetectionInRange, NonMonotonic,
-                     NotHermitian, NotNormalizable, NoViolation, QnlError,
-                     RankTooLarge, StrengthOutOfRange, UnsupportedChannel)
+from .errors import (DimensionMismatch, InvalidDimension, NegativeCoefficient,
+                     NoDetectionInRange, NonMonotonic, NotHermitian,
+                     NotNormalizable, NoViolation, QnlError, RankTooLarge,
+                     StrengthOutOfRange, UnsupportedChannel)
 from .fidelity import FidelityReport, WernerGap, critical_fidelity, werner_gap
-from .gellmann import (GellMannBasis, bloch_vector, from_bloch_vector,
-                       gellmann_basis, normalized_bloch_vector)
+from .gellmann import GellMannBasis, gellmann_basis
 from .reports import reproduce_tables, write_tables
 from .states import (SchmidtState, TwoQuditState, max_entangled, nmax_state,
                      qutrit_family, rank_k_state, schmidt_state, to_density)
@@ -39,18 +37,16 @@ __all__ = [
     "cglmp_settings", "cglmp_value", "critical_lr", "infinite_threshold",
     "optimize_settings", "probability_table",
     "ChannelKind", "ChannelSpec", "KrausSet", "amplitude_damping_kraus",
-    "apply_local_channel", "channel_output", "colored_noise",
-    "depolarize_pair", "product_noise", "white_noise",
+    "apply_local_channel", "channel_output", "depolarize_pair",
     "CriterionVerdict", "CriticalResult", "SurfaceScan",
     "critical_analytic", "critical_bisection", "default_metric",
     "is_entangled", "scan_surface", "xi",
-    "DimensionMismatch", "IndexOutOfRange", "InvalidDimension",
-    "NegativeCoefficient", "NoDetectionInRange", "NonMonotonic",
-    "NotHermitian", "NotNormalizable", "NoViolation", "QnlError",
-    "RankTooLarge", "StrengthOutOfRange", "UnsupportedChannel",
+    "DimensionMismatch", "InvalidDimension", "NegativeCoefficient",
+    "NoDetectionInRange", "NonMonotonic", "NotHermitian", "NotNormalizable",
+    "NoViolation", "QnlError", "RankTooLarge", "StrengthOutOfRange",
+    "UnsupportedChannel",
     "FidelityReport", "WernerGap", "critical_fidelity", "werner_gap",
-    "GellMannBasis", "bloch_vector", "from_bloch_vector", "gellmann_basis",
-    "normalized_bloch_vector",
+    "GellMannBasis", "gellmann_basis",
     "reproduce_tables", "write_tables",
     "SchmidtState", "TwoQuditState", "max_entangled", "nmax_state",
     "qutrit_family", "rank_k_state", "schmidt_state", "to_density",

@@ -10,8 +10,9 @@ Two conventions coexist on purpose:
 
 Either way p = 1 means no noise; for Kraus kinds the noise-free fraction is
 p = 1 - r.  Solvers sweep p.  block_form states each kind's noise once, as
-the populations and coherences of its output; the mixing builders,
-criteria.MarginBatch and fidelity.critical_fidelity read it from there.
+the populations and coherences of its output; the mixing kinds of
+channel_output, criteria.MarginBatch and fidelity.critical_fidelity read it
+from there.
 """
 
 from __future__ import annotations
@@ -151,24 +152,6 @@ def block_form(coeffs: np.ndarray, kind: ChannelKind) -> tuple[list, int]:
         noise = np.zeros((1, d, d))
         noise[0, -1, -1] = 1.0
     return [noise, pure - noise], d * (d - 1) // 2
-
-
-def white_noise(psi: SchmidtState, v: float) -> TwoQuditState:
-    return channel_output(psi, ChannelSpec(ChannelKind.WHITE, v))
-
-
-def product_noise(psi: SchmidtState, v: float) -> TwoQuditState:
-    """Mix with the product of the state's own marginals diag(c^2)."""
-    return channel_output(psi, ChannelSpec(ChannelKind.PRODUCT, v))
-
-
-def colored_noise(d: int, v: float) -> TwoQuditState:
-    """Max-entangled state mixed with the pure product state |d-1,d-1>.
-
-    Defined only for the max-entangled input, so the state is fixed by d.
-    """
-    return channel_output(max_entangled(d),
-                          ChannelSpec(ChannelKind.COLORED, v))
 
 
 def amplitude_damping_kraus(d: int, r: float) -> KrausSet:

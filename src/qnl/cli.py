@@ -133,12 +133,12 @@ def _state_and_output(args):
 def cmd_tensor(args) -> int:
     spec, psi, rho = _state_and_output(args)
     t = correlation_tensor(rho)
-    g = parse_metric(args.metric, args.d, spec)
-    verdict = is_entangled(t, g)
     if args.fmt == "csv":
         n = t.t.shape[0]
         _emit(_csv_matrix([f"c{j}" for j in range(n)], t.t), args.out)
         return 0
+    g = parse_metric(args.metric, args.d, spec)
+    verdict = is_entangled(t, g)
     payload = {
         "d": args.d,
         "state": args.state,

@@ -51,7 +51,3 @@ class NonMonotonic(QnlError, RuntimeError):
 
 class NoViolation(QnlError, RuntimeError):
     """Bell value never exceeds the local-realism bound."""
-
-
-class IndexOutOfRange(QnlError, IndexError):
-    """Basis / outcome index outside the valid range."""

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidDimension, NotHermitian
+from .errors import InvalidDimension
 from .record import Record, set_field
 
 # group tags, in storage order
@@ -80,17 +80,6 @@ class GellMannBasis(Record):
     def size(self) -> int:
         return self.d * self.d - 1
 
-    @property
-    def off_diagonal_count(self) -> int:
-        # symmetric + antisymmetric generators
-        return self.d * (self.d - 1)
-
-    def index_of(self, group: str, j: int, k: int) -> int:
-        for i in range(self.size):
-            if self.group_of[i] == group and self.pair_of[i] == (j, k):
-                return i
-        raise IndexOutOfRange(f"no generator {group}({j},{k}) for d={self.d}")
-
 
 def diagonal_entries(d: int) -> np.ndarray:
     """D[l - 1, a], the diagonal of generator D_l, (d-1, d): s_l for a < l,
@@ -118,28 +107,3 @@ def gellmann_basis(d: int) -> GellMannBasis:
         group_of=(SYMMETRIC,) * len(js) + (ANTISYMMETRIC,) * len(js)
         + (DIAGONAL,) * (d - 1),
         pair_of=tuple(pairs + pairs + [(l, l) for l in range(1, d)]))
-
-
-def bloch_vector(rho: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Raw components r_i = Tr(rho B_i); real for Hermitian rho."""
-    if rho.shape != (basis.d, basis.d):
-        raise IndexOutOfRange(
-            f"state shape {rho.shape} does not match d={basis.d}")
-    comps = np.einsum("aij,ji->a", basis.matrices, rho)
-    if np.max(np.abs(comps.imag)) > 1e-8:
-        raise NotHermitian("Bloch components have imaginary residue")
-    return comps.real
-
-
-def normalized_bloch_vector(rho: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Components scaled so pure states sit on the unit sphere."""
-    d = basis.d
-    return np.sqrt(d / (2.0 * (d - 1.0))) * bloch_vector(rho, basis)
-
-
-def from_bloch_vector(r: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Reassemble rho = 1/d + (1/2) sum_i r_i B_i from raw components."""
-    d = basis.d
-    if r.shape != (basis.size,):
-        raise IndexOutOfRange(f"expected {basis.size} components, got {r.shape}")
-    return np.eye(d) / d + 0.5 * np.einsum("a,aij->ij", r, basis.matrices)

@@ -45,8 +45,7 @@ class SchmidtState(Record):
     def ket(self) -> np.ndarray:
         """Amplitude vector in the d*d product basis."""
         v = np.zeros(self.d * self.d, dtype=complex)
-        for i, c in enumerate(self.coeffs):
-            v[i * self.d + i] = c
+        v[:: self.d + 1] = self.coeffs
         return v
 
     def is_max_entangled(self) -> bool:

@@ -5,8 +5,7 @@ import pytest
 
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, block_form, channel_output,
-                          colored_noise, depolarize_pair, product_noise,
-                          white_noise)
+                          depolarize_pair)
 from qnl.errors import StrengthOutOfRange, UnsupportedChannel
 from qnl.states import max_entangled, schmidt_state, to_density
 
@@ -120,21 +119,23 @@ def test_apply_local_channel_is_linear():
 
 def test_white_noise_endpoints():
     psi = max_entangled(3)
-    assert np.max(np.abs(white_noise(psi, 1.0).rho
-                         - to_density(psi).rho)) < 1e-14
-    assert np.max(np.abs(white_noise(psi, 0.0).rho - np.eye(9) / 9)) < 1e-14
+    clean = channel_output(psi, ChannelSpec(ChannelKind.WHITE, 1.0))
+    mixed = channel_output(psi, ChannelSpec(ChannelKind.WHITE, 0.0))
+    assert np.max(np.abs(clean.rho - to_density(psi).rho)) < 1e-14
+    assert np.max(np.abs(mixed.rho - np.eye(9) / 9)) < 1e-14
 
 
 def test_product_noise_mixes_in_own_marginals():
     psi = schmidt_state(2, [0.6, 0.8])
-    out = product_noise(psi, 0.0)
+    out = channel_output(psi, ChannelSpec(ChannelKind.PRODUCT, 0.0))
     expect = np.kron(np.diag([0.36, 0.64]), np.diag([0.36, 0.64]))
     assert np.max(np.abs(out.rho - expect)) < 1e-14
 
 
 def test_colored_noise_structure():
     d, v = 3, 0.4
-    out = colored_noise(d, v)
+    out = channel_output(max_entangled(d),
+                         ChannelSpec(ChannelKind.COLORED, v))
     mes = to_density(max_entangled(d)).rho
     diff = out.rho - v * mes
     # the non-signal weight all sits on the top-level product state

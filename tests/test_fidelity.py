@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnl.channels import ChannelKind, ChannelSpec, channel_output, white_noise
+from qnl.channels import ChannelKind, ChannelSpec, channel_output
 from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.bell import critical_lr
 from qnl.criteria import critical_analytic, critical_bisection
@@ -27,7 +27,8 @@ def test_fidelity_of_white_mixture():
     for d in (2, 4):
         psi = max_entangled(d)
         for v in (0.0, 0.4, 1.0):
-            f = fidelity(psi, white_noise(psi, v))
+            f = fidelity(psi, channel_output(
+                psi, ChannelSpec(ChannelKind.WHITE, v)))
             assert f == pytest.approx(
                 np.sqrt(v + (1.0 - v) / d ** 2), abs=1e-12)
 

@@ -1,12 +1,11 @@
-"""Basis construction: ordering, orthogonality, Bloch round trips."""
+"""Basis construction: ordering, orthogonality, dimension checks."""
 
 import numpy as np
 import pytest
 
-from qnl.errors import IndexOutOfRange, InvalidDimension, NotHermitian
-from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC, bloch_vector,
-                          check_dimension, from_bloch_vector, gellmann_basis,
-                          normalized_bloch_vector)
+from qnl.errors import InvalidDimension
+from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC, check_dimension,
+                          gellmann_basis)
 
 from oracles import loop_basis
 
@@ -90,17 +89,6 @@ def test_ordering_convention():
                               DIAGONAL, DIAGONAL)
     assert basis.pair_of[:3] == ((0, 1), (0, 2), (1, 2))
     assert basis.pair_of[3:6] == ((0, 1), (0, 2), (1, 2))
-    assert basis.off_diagonal_count == 6
-
-
-def test_index_of_round_trip():
-    basis = gellmann_basis(4)
-    for idx in range(basis.size):
-        group = basis.group_of[idx]
-        j, k = basis.pair_of[idx]
-        assert basis.index_of(group, j, k) == idx
-    with pytest.raises(IndexOutOfRange):
-        basis.index_of(SYMMETRIC, 2, 1)
 
 
 def test_matrices_are_readonly():
@@ -108,33 +96,3 @@ def test_matrices_are_readonly():
     with pytest.raises(ValueError):
         basis.matrices[0][0, 0] = 5.0
 
-
-def test_bloch_round_trip():
-    rng = np.random.default_rng(5)
-    for d in (2, 3, 4):
-        basis = gellmann_basis(d)
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        r = bloch_vector(rho, basis)
-        assert np.max(np.abs(from_bloch_vector(r, basis) - rho)) < 1e-12
-
-
-def test_bloch_vector_rejects_nonhermitian():
-    basis = gellmann_basis(2)
-    with pytest.raises(NotHermitian):
-        bloch_vector(np.array([[0.0, 1.0], [0.0, 1.0]]), basis)
-
-
-def test_normalized_bloch_scaling():
-    basis = gellmann_basis(4)
-    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    raw = bloch_vector(rho, basis)
-    scaled = normalized_bloch_vector(rho, basis)
-    factor = np.sqrt(4 / (2 * 3))
-    assert np.allclose(scaled, factor * raw)
-
-
-def test_maximally_mixed_has_zero_bloch_vector():
-    basis = gellmann_basis(3)
-    assert np.max(np.abs(bloch_vector(np.eye(3) / 3.0, basis))) < 1e-14

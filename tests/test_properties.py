@@ -9,7 +9,6 @@ from qnl.channels import (
     ChannelSpec,
     amplitude_damping_kraus,
     channel_output,
-    white_noise,
 )
 from qnl.states import SchmidtState, to_density
 from qnl.tensor import correlation_tensor, schmidt_correlation_tensor
@@ -65,7 +64,8 @@ def test_closed_form_tensor_matches_trace_form(psi):
 @given(schmidt_states(), st.floats(0.0, 1.0, allow_nan=False))
 def test_white_noise_scales_tensor_linearly(psi, v):
     base = correlation_tensor(to_density(psi)).t
-    noisy = correlation_tensor(white_noise(psi, v)).t
+    out = channel_output(psi, ChannelSpec(ChannelKind.WHITE, v))
+    noisy = correlation_tensor(out).t
     assert np.max(np.abs(noisy - v * base)) < 1e-12
 
 
