@@ -21,7 +21,6 @@ m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers, no d x d array.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,7 +44,7 @@ ORTHO_TOL = 1e-10
 # 1e-5, which leaves end values up to about 1e-7 short; strong-Wolfe constants
 BFGS_GTOL = 1e-6
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
-WOLFE_TRIES = 20  # trial steps per bracketing and per zoom
+WOLFE_TRIES = 40  # trial steps per line search
 
 
 class MeasurementSettings(Record):
@@ -406,58 +405,24 @@ def _update_inverse_hessian(h, s, y):
 
 
 def _wolfe_step(evaluate, x, p, f0, slope0, step):
-    """(step, f, g) along p meeting the strong Wolfe conditions, or None:
-    N&W Algorithm 3.5, which doubles the trial step until it brackets such
-    a step, then zooms in on it (Algorithm 3.6)."""
-    lo = (0.0, f0, slope0)
-    for i in range(WOLFE_TRIES):
-        f, g = evaluate(x + step * p)
-        slope = float(g @ p)
-        if f > f0 + WOLFE_C1 * step * slope0 or (i and f >= lo[1]):
-            return _zoom(evaluate, x, p, f0, slope0, lo, (step, f, slope))
-        if abs(slope) <= -WOLFE_C2 * slope0:
-            return step, f, g
-        if slope >= 0.0:
-            return _zoom(evaluate, x, p, f0, slope0, (step, f, slope), lo)
-        lo, step = (step, f, slope), 2.0 * step
-    return None
-
-
-def _zoom(evaluate, x, p, f0, slope0, lo, hi):
-    """N&W Algorithm 3.6 between lo = (step, f, slope), the end with the
-    lower value, and hi; each trial minimizes the cubic through both."""
+    """(step, f, g) along p meeting the strong Wolfe conditions, or None
+    after WOLFE_TRIES trials: bisection on the Wolfe conditions (Lewis and
+    Overton, Math. Program. 141, 135 (2013), for the weak form).  A step is
+    too long where Armijo fails or the slope exceeds c2 |slope0|, too short
+    where it is below -c2 |slope0|; the trial step doubles until one is too
+    long, then bisects the bracket [lo, hi]."""
+    lo, hi = 0.0, np.inf
     for _ in range(WOLFE_TRIES):
-        if lo[0] == hi[0]:
-            break
-        step = _cubic_step(*lo, *hi)
         f, g = evaluate(x + step * p)
         slope = float(g @ p)
-        if f > f0 + WOLFE_C1 * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-            continue
-        if abs(slope) <= -WOLFE_C2 * slope0:
+        if f > f0 + WOLFE_C1 * step * slope0 or slope > -WOLFE_C2 * slope0:
+            hi = step
+        elif slope < WOLFE_C2 * slope0:
+            lo = step
+        else:
             return step, f, g
-        if slope * (hi[0] - lo[0]) >= 0.0:
-            hi = lo
-        lo = (step, f, slope)
+        step = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
     return None
-
-
-def _cubic_step(a, f_a, s_a, b, f_b, s_b):
-    """Minimizer of the cubic with these values and slopes at a != b (N&W
-    eq. 3.59); the midpoint where that is not real or lies within a tenth
-    of |b - a| of either end."""
-    d1 = s_a + s_b - 3.0 * (f_a - f_b) / (a - b)
-    disc = d1 * d1 - s_a * s_b
-    if disc >= 0.0:
-        d2 = math.copysign(math.sqrt(disc), b - a)
-        den = s_b - s_a + 2.0 * d2
-        margin = 0.1 * abs(b - a)
-        if den != 0.0:
-            t = b - (b - a) * (s_b + d2 - d1) / den
-            if min(a, b) + margin <= t <= max(a, b) - margin:
-                return t
-    return 0.5 * (a + b)
 
 
 def optimize_settings(rho: TwoQuditState, restarts: int,

@@ -19,11 +19,11 @@ the block's sigma_max, and the squared norm as the sum over both blocks.
 
 The batch kernels (block_scalars, spectral_norms, norm_sqs,
 supporting_functionals) keep the inputs on the last axis: pair entries
-(d(d-1)/2, N), blocks (d-1, d-1, N), weights (n, 1) for one metric or
-(n, N) for one per input.  Each per-input reduction then runs over the
-leading axes, one contiguous row of N numbers at a time, and sum_per_input
-adds those rows in the order numpy's pairwise sum takes along one row, so a
-batch's scalars equal each input's own bit for bit.
+(d(d-1)/2, N), blocks (d-1, d-1, N), and the batch's one metric as weights
+(n, 1), broadcast over the inputs.  Each per-input reduction then runs over
+the leading axes, one contiguous row of N numbers at a time, and
+sum_per_input adds those rows in the order numpy's pairwise sum takes along
+one row, so a batch's scalars equal each input's own bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def diagonal_block(populations: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def block_weights(d: int, w: np.ndarray):
-    """Split weights (n, 1) or (n, N) for block_scalars: (the larger of
+    """Split a metric's weights (n, 1) for block_scalars: (the larger of
     each pair's two weights, their sum, the diagonal generators' weights or
     None when all of those are zero)."""
     half = d * (d - 1) // 2
@@ -179,8 +179,8 @@ def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
 
 
 def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sigma_max(T_ij w_j) of each tensor in an (n, n, N) stack; w is
-    (n, 1) or (n, N).
+    """sigma_max(T_ij w_j) of each tensor in an (n, n, N) stack under one
+    metric's weights w, (n, 1).
 
     A 2 x 2 block (the diagonal-generator block at d = 3) takes the closed
     form sigma_max = (hypot(a00 + a11, a01 - a10) + hypot(a00 - a11,

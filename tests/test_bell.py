@@ -13,11 +13,13 @@ from scipy.optimize import minimize
 
 import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
+                      WOLFE_C1, WOLFE_C2, WOLFE_TRIES,
                       MeasurementSettings, _damping_quadratic,
                       _generator_eigh, _inequality_value,
                       _outcome_weights, _qubit_block_settings,
                       _rotated_settings, _settings_objective,
-                      _update_inverse_hessian, ad_probability_table,
+                      _update_inverse_hessian, _wolfe_step,
+                      ad_probability_table,
                       catalan_constant, cglmp_ad_infinite, cglmp_ad_value,
                       cglmp_settings, cglmp_value, critical_lr,
                       infinite_threshold, optimize_settings,
@@ -805,8 +807,9 @@ def test_optimizer_at_least_scipy_bfgs(d, kind, k, monkeypatch):
 
 
 def test_benchmark_optimizer_values_pinned(capsys):
-    # the 16 cglmp --optimize calls the benchmark draws for seeds 0-3, with
-    # the values the scipy BFGS search gave
+    # the 64 cglmp --optimize calls the benchmark draws for seeds 0-15; those
+    # of seeds 0-3 hold the values the scipy BFGS search gave, the rest those
+    # of the in-house BFGS with its bracketing and cubic-zoom line search
     for case in json.loads((DATA / "cglmp_opt_i_d.json").read_text()):
         assert main(case["argv"]) == 0
         assert json.loads(capsys.readouterr().out)["i_d"] == case["i_d"]
@@ -846,6 +849,66 @@ def test_minimize_stops_at_a_zero_gradient_start():
     res = qnl.bell.minimize(fun, x0, ())
     assert (res.x == x0).all() and res.fun == 4.0 and res.nfev == 1
     assert len(calls) == 1
+
+
+def wolfe_line(fun, x):
+    """The arguments of _wolfe_step along -grad fun at x, and the list of
+    points it evaluates."""
+    calls = []
+
+    def evaluate(y):
+        calls.append(y)
+        return fun(y)
+
+    f0, g0 = fun(x)
+    return evaluate, calls, -g0, f0, float(-g0 @ g0)
+
+
+def convex_quadratic(x):
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -0.5], [0.0, -0.5, 0.2]])
+    b = np.array([1.0, -2.0, 0.5])
+    return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+
+def settings_line_objective():
+    rho = oracle_state(4, "mixed", 0)
+    objective = _settings_objective(rho, gellmann_basis(4).matrices)
+    std = cglmp_settings(4)
+    v0 = np.concatenate((std.a_vectors, std.b_vectors))
+
+    def negated(x):
+        value, grad = objective(x.reshape(4, -1), v0)
+        return -value, -grad.ravel()
+
+    return negated, np.random.default_rng(3).normal(scale=0.4, size=60)
+
+
+@pytest.mark.parametrize("first_step", [1e-3, 1.0, 50.0])
+@pytest.mark.parametrize("case", ["quadratic", "rosenbrock", "settings"])
+def test_wolfe_step_meets_strong_wolfe(case, first_step):
+    # the first trial steps make the search double, accept at once or
+    # bisect
+    if case == "quadratic":
+        fun, x = convex_quadratic, np.array([2.0, -1.0, 3.0])
+    elif case == "rosenbrock":
+        fun, x = (lambda y: rosenbrock(y, 1.0)), np.array([-1.2, 1.0])
+    else:
+        fun, x = settings_line_objective()
+    evaluate, _, p, f0, slope0 = wolfe_line(fun, x)
+    step, f, g = _wolfe_step(evaluate, x, p, f0, slope0, first_step)
+    value, grad = fun(x + step * p)
+    assert step > 0.0 and f == value and np.array_equal(g, grad)
+    assert f <= f0 + WOLFE_C1 * step * slope0
+    assert abs(g @ p) <= WOLFE_C2 * abs(slope0)
+
+
+def test_wolfe_step_gives_up_on_an_unbounded_line():
+    # phi(t) = -t: every trial step is too short, so the step doubles until
+    # the trials run out
+    evaluate, calls, p, f0, slope0 = wolfe_line(
+        lambda y: (-float(y[0]), np.array([-1.0])), np.zeros(1))
+    assert _wolfe_step(evaluate, np.zeros(1), p, f0, slope0, 1.0) is None
+    assert len(calls) == WOLFE_TRIES
 
 
 @settings(max_examples=30, deadline=None)
