@@ -53,10 +53,6 @@ VERDICT_TOL = 1e-10
 BISECTION_WIDTH = 1e-8
 # bisect_bracket ends on a bin of the grid of multiples of 1 / _BINS
 _BINS = 2.0 ** math.ceil(-math.log2(BISECTION_WIDTH))
-# Newton steps toward a damping switch point, at most, and the relative
-# step at which they stop
-NEWTON_STEPS = 32
-NEWTON_RTOL = 1e-15
 # a certificate's bounds must clear the tolerance by this share of the
 # scale of the margin's terms, so that rounding never yields a proof
 CERTIFICATE_SLACK = 64 * np.finfo(float).eps
@@ -310,8 +306,8 @@ class MarginBatch:
           holds where both B p^4 + (A - beta) p^2 > tol, a quadratic in
           p^2, and the convex quartic A p^2 + B p^4 - alpha p > tol do, so
           the switch is the larger of their roots.  The quartic's is
-          found by Newton; where alpha = 0 the first condition implies
-          the second."""
+          found by two Newton steps; where alpha = 0 the first condition
+          implies the second."""
         if self.path == "scaling":
             s = quadratic_root(self._n0, -self._l0, VERDICT_TOL)
             return s if self._power == 1 else np.sqrt(s)
@@ -319,29 +315,21 @@ class MarginBatch:
         a, b = form.n[2], form.n[4]
         alpha, beta = (np.max(form.pairs[form.powers == e], axis=0,
                               initial=0.0) for e in (1, 2))
-        root = np.sqrt(quadratic_root(b, a - beta, VERDICT_TOL))
-        rows = np.flatnonzero(alpha > 0.0)
-        if len(rows):
-            a, b, alpha = a[rows], b[rows], alpha[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # B p^3 + A p = alpha, the root for tol = 0, by the
-                # hyperbolic form of Cardano's formula; A p = alpha if B = 0
-                scale = np.sqrt(a / (3.0 * b))
-                p = np.where(b > 0.0, 2.0 * scale * np.sinh(
-                    np.arcsinh(1.5 * alpha / (a * scale)) / 3.0), alpha / a)
-            # the larger of the roots for tol = 0 and for alpha = 0 lies
-            # below the quartic's, where its slope is at least alpha: the
-            # first step lands above the root, and from there Newton
-            # falls onto it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # B p^3 + A p = alpha, the root for tol = 0, by the hyperbolic
+            # form of Cardano's formula; A p = alpha if B = 0
+            scale = np.sqrt(a / (3.0 * b))
+            p = np.where(b > 0.0, 2.0 * scale * np.sinh(
+                np.arcsinh(1.5 * alpha / (a * scale)) / 3.0), alpha / a)
+            # start from the larger of that root, within tol / alpha below
+            # the quartic's, and the root for alpha = 0, below it too and
+            # close as alpha -> 0; each Newton step squares the error
             p = np.maximum(p, np.sqrt(quadratic_root(b, a, VERDICT_TOL)))
-            for _ in range(NEWTON_STEPS):
-                step = (((b * p * p + a) * p - alpha) * p - VERDICT_TOL) \
+            for _ in range(2):
+                p = p - (((b * p * p + a) * p - alpha) * p - VERDICT_TOL) \
                     / ((4.0 * b * p * p + 2.0 * a) * p - alpha)
-                p = p - step
-                if np.all(np.abs(step) <= NEWTON_RTOL * p):
-                    break
-            root[rows] = np.maximum(root[rows], p)
-        return root
+        return np.maximum(np.sqrt(quadratic_root(b, a - beta, VERDICT_TOL)),
+                          np.where(alpha > 0.0, p, 0.0))
 
 
 class MarginCurve:

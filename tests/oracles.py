@@ -18,9 +18,11 @@ sampled check that each detection verdict switches once (the package
 proves it from the margin's polynomial form), thresholds bisected by 27
 verdict sweeps (the package confirms a closed-form switch point with
 two), the fidelity read from the dense rho (critical_fidelity sums the
-block form), and the settings objective with every operand rebuilt on each call, validated settings
-included (bell._settings_objective builds what does not depend on the
-angles once).
+block form), damping switch points taken by Newton to a relative step of
+1e-15 (the package takes two steps), and the settings objective with
+every operand rebuilt on each call, validated settings included
+(bell._settings_objective builds what does not depend on the angles
+once).
 """
 
 import numpy as np
@@ -28,7 +30,8 @@ import numpy as np
 from qnl.bell import (MeasurementSettings, _bell_profile, _generator_eigh,
                       _projector_rows)
 from qnl.channels import ChannelKind, KrausSet
-from qnl.criteria import VERDICT_TOL, MarginBatch, bisect_bracket
+from qnl.criteria import (VERDICT_TOL, MarginBatch, bisect_bracket,
+                          quadratic_root)
 from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
@@ -100,6 +103,37 @@ def bisect_threshold(fired, size: int) -> np.ndarray:
     switch points."""
     lo, hi = bisect_bracket(fired, size)
     return 0.5 * (lo + hi)
+
+
+def damping_switch_points(batch: MarginBatch) -> np.ndarray:
+    """MarginBatch.switch_points on the damping path, the quartic's root
+    found by Newton from a guarded start until the step falls below 1e-15
+    relative, within 32 steps, on the rows where alpha > 0 only."""
+    form = batch.polynomial_form()
+    a, b = form.n[2], form.n[4]
+    alpha, beta = (np.max(form.pairs[form.powers == e], axis=0,
+                          initial=0.0) for e in (1, 2))
+    root = np.sqrt(quadratic_root(b, a - beta, VERDICT_TOL))
+    rows = np.flatnonzero(alpha > 0.0)
+    if len(rows):
+        a, b, alpha = a[rows], b[rows], alpha[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # B p^3 + A p = alpha, the root for tol = 0, by the
+            # hyperbolic form of Cardano's formula; A p = alpha if B = 0
+            scale = np.sqrt(a / (3.0 * b))
+            p = np.where(b > 0.0, 2.0 * scale * np.sinh(
+                np.arcsinh(1.5 * alpha / (a * scale)) / 3.0), alpha / a)
+        # the larger of the roots for tol = 0 and for alpha = 0 lies below
+        # the quartic's, where its slope is at least alpha
+        p = np.maximum(p, np.sqrt(quadratic_root(b, a, VERDICT_TOL)))
+        for _ in range(32):
+            step = (((b * p * p + a) * p - alpha) * p - VERDICT_TOL) \
+                / ((4.0 * b * p * p + 2.0 * a) * p - alpha)
+            p = p - step
+            if np.all(np.abs(step) <= 1e-15 * p):
+                break
+        root[rows] = np.maximum(root[rows], p)
+    return root
 
 
 def grid_verdicts(batch: MarginBatch, points: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from qnl.tensor import (Metric, colored_metric, correlation_tensor,
                         identity_metric, norm_sq, pair_values, spectral_norm)
 
 from oracles import (bisect_threshold, colored_always_entangled,
-                     grid_verdicts, populations, verdict_grid_check)
+                     damping_switch_points, grid_verdicts, populations,
+                     verdict_grid_check)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
@@ -879,3 +880,62 @@ def test_table_thresholds_are_all_confirmed(fallbacks):
     # qnl tables solves only on proven paths: nothing is bisected
     reproduce_tables()
     assert fallbacks == []
+
+
+
+def test_subnormal_quartic_coefficient_warns_nothing():
+    # B is subnormal here, so A / (3 B) overflows in the Cardano start,
+    # which printed a RuntimeWarning; the switch point is NaN and the
+    # input is bisected
+    batch = MarginBatch(3, np.array([[0.6, 0.8, 1e-160]]), AD)
+    assert np.isnan(batch.switch_points()[0])
+    threshold, detected = qnl.criteria._solve(batch)
+    lo, hi = bisect_bracket(batch.entangled, 1)
+    assert detected[0] and threshold[0] == 0.5 * (lo[0] + hi[0])
+
+
+# log10 ranges of the squared ground coefficient of two stress families
+GROUND_SQUARES = {"ground coefficient in [1e-8, 1e-3]": (-16.0, -6.0),
+                  "ground coefficient in [1e-100, 1e-8]": (-200.0, -16.0)}
+
+
+def damping_stress_batch(rng, d, family, size=2000):
+    """A damping batch of `size` sampled rows from one stress family."""
+    raw = rng.uniform(0.0, 1.0, size=(size, d))
+    if family in GROUND_SQUARES:
+        raw[:, 0] = 10.0 ** rng.uniform(*GROUND_SQUARES[family], size)
+        # the excited levels share the rest of the unit sum
+        raw[:, 1:] *= (1.0 - raw[:, :1]) / raw[:, 1:].sum(axis=1,
+                                                            keepdims=True)
+    if family == "near rank 2, levels >= 2 in [1e-100, 1e-4]":
+        raw[:, 2:] = 10.0 ** rng.uniform(-200.0, -8.0, (size, d - 2))
+    coeffs = np.sqrt(raw / raw.sum(axis=1, keepdims=True))
+    metric = sampled_metric(rng, d, "random, no diagonal weight") \
+        if family == "random metric, no diagonal weight" else None
+    return MarginBatch(d, coeffs, AD, metric)
+
+
+@pytest.mark.parametrize("family", [
+    "uniform", *GROUND_SQUARES, "near rank 2, levels >= 2 in [1e-100, 1e-4]",
+    "random metric, no diagonal weight"])
+def test_damping_switch_points_snap_to_the_newton_oracle(fallbacks, family):
+    # two Newton steps land in the bin of Newton run to 1e-15 relative, and
+    # confirm_bracket bisects nothing.  Started from the Cardano root
+    # alone, which lies within tol / alpha below the quartic's root, the
+    # steps would overshoot where alpha is tiny, and ground coefficients
+    # below about 1e-9 would fall back
+    def bins(p):
+        return np.floor(np.where(p < 1.0, p, 1.0) * qnl.criteria._BINS)
+
+    detected_inputs = 0
+    for d in (2, 3, 4, 6, 10, 16, 32):
+        batch = damping_stress_batch(np.random.default_rng(d), d, family)
+        assert batch.monotone and batch.path == "damping"
+        guess = batch.switch_points()
+        detected = batch.entangled(1.0)
+        assert np.array_equal(bins(guess)[detected], bins(
+            damping_switch_points(batch))[detected]), d
+        confirm_bracket(batch.entangled, guess)
+        assert fallbacks == [], d
+        detected_inputs += np.count_nonzero(detected)
+    assert detected_inputs > 5000
