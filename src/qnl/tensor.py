@@ -21,9 +21,9 @@ The batch kernels (block_scalars, spectral_norms, norm_sqs,
 supporting_functionals) keep the inputs on the last axis: pair entries
 (d(d-1)/2, N), blocks (d-1, d-1, N), and the batch's one metric as weights
 (n, 1), broadcast over the inputs.  Each per-input reduction then runs over
-the leading axes, one contiguous row of N numbers at a time, and
-sum_per_input adds those rows in the order numpy's pairwise sum takes along
-one row, so a batch's scalars equal each input's own bit for bit.
+the leading axes, one contiguous row of N numbers at a time; sum_per_input
+sums each input's 8 or more terms along a row of their own instead, as numpy
+sums one input's, so a batch's scalars equal each input's own bit for bit.
 """
 
 from __future__ import annotations
@@ -131,28 +131,18 @@ def block_weights(d: int, w: np.ndarray):
 
 
 def sum_per_input(x: np.ndarray) -> np.ndarray:
-    """Sum of x over every axis but the last, the inputs' axis, in the
-    order numpy's pairwise sum takes along one contiguous row: up to 7
-    terms one after another, up to 128 in eight interleaved partial sums,
-    more by halving.  numpy sums a single column that way itself, and
-    several columns row after row, so the batch kernels' sums would
-    otherwise depend on the batch's size."""
+    """Sum of x over every axis but the last, the inputs' axis, each
+    input's terms added in the order numpy adds them alone.  numpy sums
+    several columns row after row, but one column or row pairwise, so from
+    8 terms on each input's terms are summed along a contiguous row.  Below
+    8 both orders are sequential, and the column reduce spares wide batches
+    of few rows a transposed copy that costs far more than the sum."""
     *rows, inputs = x.shape
+    # not reshape(-1, inputs): that fails on a batch of no inputs
     x = x.reshape(math.prod(rows), inputs)
-    size = len(x)
-    if size < 8 or inputs == 1:
+    if len(x) < 8:
         return np.add.reduce(x, axis=0)
-    if size > 128:
-        half = size // 2 - size // 2 % 8
-        return sum_per_input(x[:half]) + sum_per_input(x[half:])
-    stop = size - size % 8
-    r = x[:8].copy()
-    for i in range(8, stop, 8):
-        r += x[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for rest in x[stop:]:
-        total += rest
-    return total
+    return np.add.reduce(np.ascontiguousarray(x.T), axis=1)
 
 
 def block_scalars(pairs: np.ndarray, block, weights):

@@ -511,11 +511,12 @@ BATCH_PATHS = {"white": WHITE, "depolarizing": DEPOL,
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["default", "random"])
 @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 17])
 def test_batch_scalars_equal_single_input_scalars(d, path, weighted):
     # a batch sums every input's terms in the order one input alone does:
     # from d = 5 the pairs, and from d = 4 the block entries, number 8 or
-    # more, where numpy's pairwise sum interleaves them
+    # more, where numpy's pairwise sum interleaves them, and at d = 17 both
+    # number more than 128, where it halves them
     kind = BATCH_PATHS[path]
     rng = np.random.default_rng(d)
     size = 64

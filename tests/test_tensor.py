@@ -283,7 +283,7 @@ def test_other_block_sizes_take_the_svd(n):
     assert np.array_equal(stacked_norms(t, w), svd_norms(t, w))
 
 
-@pytest.mark.parametrize("inputs", [1, 2, 9, 64])
+@pytest.mark.parametrize("inputs", [0, 1, 2, 9, 64])
 def test_sum_per_input_equals_each_inputs_own_sum(inputs):
     # every count of terms the kernels meet, from d = 2 pairs to d = 16
     # blocks and a d = 300 pair row, plus terms over twelve decades, so
