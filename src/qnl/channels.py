@@ -158,16 +158,12 @@ def amplitude_damping_kraus(d: int, r: float) -> KrausSet:
     """Every excited level decays straight to the ground level."""
     d = check_dimension(d, 3)
     r = check_strength(r)
-    e0 = np.zeros((d, d), dtype=complex)
-    e0[0, 0] = 1.0
-    for i in range(1, d):
-        e0[i, i] = np.sqrt(1.0 - r)
-    ops = [e0]
-    for j in range(1, d):
-        ej = np.zeros((d, d), dtype=complex)
-        ej[0, j] = np.sqrt(r)
-        ops.append(ej)
-    return KrausSet(d=d, operators=np.array(ops))
+    ops = np.zeros((d, d, d), dtype=complex)
+    i = np.arange(1, d)
+    ops[0, 0, 0] = 1.0
+    ops[0, i, i] = np.sqrt(1.0 - r)
+    ops[i, 0, i] = np.sqrt(r)
+    return KrausSet(d=d, operators=ops)
 
 
 def apply_local_channel(rho: TwoQuditState, kraus: KrausSet) -> TwoQuditState:
@@ -203,7 +199,7 @@ def channel_output(psi: SchmidtState, spec: ChannelSpec) -> TwoQuditState:
     v |psi><psi| + (1 - v) diag(noise populations), colored noise with
     max_entangled(d) itself as |psi>."""
     check_dimension(psi.d, 4)
-    kind, v = spec.kind, check_strength(spec.strength)
+    kind, v = spec.kind, spec.strength
     if kind is ChannelKind.DEPOLARIZING:
         return depolarize_pair(to_density(psi), v)
     if kind is ChannelKind.AMPLITUDE_DAMPING:

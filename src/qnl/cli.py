@@ -95,17 +95,13 @@ def _csv_matrix(header: list[str], rows) -> str:
 def cmd_basis(args) -> int:
     basis = gellmann_basis(args.d)
     if args.fmt == "csv":
+        entries = np.nonzero(basis.matrices)
         lines = ["index,group,j,k,row,col,re,im"]
-        for idx in range(basis.size):
+        for idx, r, c, z in zip(*(a.tolist() for a in entries),
+                                basis.matrices[entries].tolist()):
             j, k = basis.pair_of[idx]
-            m = basis.matrices[idx]
-            for r in range(args.d):
-                for c in range(args.d):
-                    if abs(m[r, c]) < 1e-15:
-                        continue
-                    lines.append(f"{idx},{basis.group_of[idx]},{j},{k},"
-                                 f"{r},{c},{m[r, c].real:.{CSV_DECIMALS}f},"
-                                 f"{m[r, c].imag:.{CSV_DECIMALS}f}")
+            lines.append(f"{idx},{basis.group_of[idx]},{j},{k},{r},{c},"
+                         f"{z.real:.{CSV_DECIMALS}f},{z.imag:.{CSV_DECIMALS}f}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     payload = {

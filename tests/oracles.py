@@ -19,10 +19,13 @@ proves it from the margin's polynomial form), thresholds bisected by 27
 verdict sweeps (the package confirms a closed-form switch point with
 two), the fidelity read from the dense rho (critical_fidelity sums the
 block form), damping switch points taken by Newton to a relative step of
-1e-15 (the package takes two steps), and the settings objective with
+1e-15 (the package takes two steps), the settings objective with
 every operand rebuilt on each call, validated settings included
 (bell._settings_objective builds what does not depend on the angles
-once).
+once), the basis CSV written by visiting every entry of every generator
+(the package formats only np.nonzero's entries), and the damping Kraus
+operators filled one at a time (the package sets them by index
+assignment).
 """
 
 import numpy as np
@@ -196,6 +199,38 @@ def per_cell_surface_csv(scan) -> str:
             lines.append(f"{a:.{CSV_DECIMALS}f},{b:.{CSV_DECIMALS}f},"
                          f"{scan.values[i, j]:.{CSV_DECIMALS}f},{flag}")
     return "\n".join(lines) + "\n"
+
+
+def per_entry_basis_csv(d: int) -> str:
+    """`qnl basis --format csv` text, every entry of every generator
+    visited and those below 1e-15 in modulus skipped."""
+    basis = gellmann_basis(d)
+    lines = ["index,group,j,k,row,col,re,im"]
+    for idx in range(basis.size):
+        j, k = basis.pair_of[idx]
+        m = basis.matrices[idx]
+        for r in range(d):
+            for c in range(d):
+                if abs(m[r, c]) < 1e-15:
+                    continue
+                lines.append(f"{idx},{basis.group_of[idx]},{j},{k},"
+                             f"{r},{c},{m[r, c].real:.{CSV_DECIMALS}f},"
+                             f"{m[r, c].imag:.{CSV_DECIMALS}f}")
+    return "\n".join(lines) + "\n"
+
+
+def looped_damping_kraus(d: int, r: float) -> KrausSet:
+    """Amplitude-damping Kraus set, the d operators filled in loops."""
+    e0 = np.zeros((d, d), dtype=complex)
+    e0[0, 0] = 1.0
+    for i in range(1, d):
+        e0[i, i] = np.sqrt(1.0 - r)
+    ops = [e0]
+    for j in range(1, d):
+        ej = np.zeros((d, d), dtype=complex)
+        ej[0, j] = np.sqrt(r)
+        ops.append(ej)
+    return KrausSet(d=d, operators=np.array(ops))
 
 
 def einsum_correlation_tensor(rho: np.ndarray, d: int) -> np.ndarray:

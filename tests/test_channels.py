@@ -9,7 +9,8 @@ from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
 from qnl.errors import StrengthOutOfRange, UnsupportedChannel
 from qnl.states import max_entangled, schmidt_state, to_density
 
-from oracles import apply_single, depolarizing_kraus, populations
+from oracles import (apply_single, depolarizing_kraus, looped_damping_kraus,
+                     populations)
 
 STRENGTHS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # channel_output's rho against the block form's table, entry by entry:
@@ -59,6 +60,16 @@ def test_kraus_completeness(d, r):
         ops = build(d, r).operators
         s = np.einsum("kij,kil->jl", ops.conj(), ops)
         assert np.max(np.abs(s - np.eye(d))) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+def test_amplitude_damping_kraus_equals_looped_oracle(d, r):
+    ops = amplitude_damping_kraus(d, r).operators
+    expect = looped_damping_kraus(d, r).operators
+    assert ops.dtype == expect.dtype
+    assert ops.shape == expect.shape
+    assert np.array_equal(ops, expect)
 
 
 def test_amplitude_damping_single_qubit_known_action():

@@ -21,6 +21,7 @@ from qnl.criteria import (VERDICT_TOL, critical_analytic, critical_bisection,
 from qnl.errors import QnlError, UnsupportedChannel
 from qnl.states import max_entangled, schmidt_state
 
+from oracles import per_entry_basis_csv
 
 DATA = Path(__file__).resolve().parent / "data"
 # sha256 of the benchmarked 101 x 101 scan CSVs, "<channel>.<quantity>"
@@ -645,6 +646,13 @@ def test_basis_csv_and_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 8
     assert payload["matrices"][0]["group"] == "symmetric"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 12])
+def test_basis_csv_equals_per_entry_oracle(d, capsys):
+    code, out, _ = run(["basis", "--d", str(d), "--format", "csv"], capsys)
+    assert code == 0
+    assert out == per_entry_basis_csv(d)
 
 
 def test_deterministic_bytes(tmp_path, capsys):
