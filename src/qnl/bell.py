@@ -16,12 +16,11 @@ through a - b, which makes each sum d times any one of its terms; a
 property test pins that shortcut.  Settings, damping tables and the
 inequality value are array code; the scalar loops they replaced live on in
 the tests as bit-exact oracles.  Thresholds read I from the profile
-m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers, no d x d array.
+m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers in closed form.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -197,22 +196,19 @@ def _ramp_weights(d: int) -> np.ndarray:
     return np.array([[ramp, ramp[-k]], [-ramp, ramp]])
 
 
-@lru_cache(maxsize=32)
 def _bell_profile(d: int) -> np.ndarray:
     """m(delta), delta = 1-d..d-1, of the Toeplitz block M[i, j] = <ii|W|jj>
-    = m(i - j) of the Bell operator W, I(rho) = Tr(W rho); cached, read-only.
+    = m(i - j) of the Bell operator W, I(rho) = Tr(W rho).
 
-    With the weights w_st of _ramp_weights, <ii|A_s[a] B_t[b]> =
-    omega^{i(a - b + alpha_s + beta_t)}/d gives m(delta) = Re sum_st
-    omega^{delta(alpha_s + beta_t)} ifft(w_st)[delta mod d].  The weights
-    sum to 0 and product-basis amplitudes have modulus 1/d, so W has zero
-    diagonal there: Schmidt states and their damped images see only Re M."""
-    delta = np.arange(1 - d, d)
-    spectra = np.fft.ifft(_ramp_weights(d).reshape(4, d))  # [(s, t), k]
-    phases = np.add.outer(ALPHA_PHASES, BETA_PHASES).reshape(4, 1)
-    profile = (np.exp(2j * np.pi / d * phases * delta)
-               * spectra[:, delta % d]).sum(axis=0).real
-    profile.setflags(write=False)
+    As <ii|A_s[a] B_t[b]> = omega^{i(a - b + alpha_s + beta_t)}/d, the ramp r_k
+    enters only via sum_k r_k omega^{delta k}, -2d/((d - 1)(omega^delta - 1))
+    and, as the weights sum to 0, 0 at delta = 0, so W's product-basis diagonal
+    is 0.  The setting pairs sum to m(delta) = 2/((d - 1) cos(pi delta/2d)),
+    cos as sin(pi (d - |delta|)/2d), precise near |delta| = d.  m(1) = 2 sqrt 2
+    (Tsirelson) at d = 2; m(1), m(2) = 2/sqrt 3, 2 at d = 3."""
+    delta = np.abs(np.arange(1 - d, d))
+    profile = 2.0 / ((d - 1.0) * np.sin(np.pi * (d - delta) / (2.0 * d)))
+    profile[d - 1] = 0.0
     return profile
 
 
@@ -229,7 +225,8 @@ def _damping_quadratic(state: SchmidtState) -> np.ndarray:
 
 
 def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
-    """Smallest noise-free fraction at which the inequality is violated."""
+    """Smallest noise-free fraction at which the inequality is violated.
+    m > 0 off m(0) and coeffs >= 0 give q1, q2 >= 0: no state trips the dip."""
     damping = kind is ChannelKind.AMPLITUDE_DAMPING
     if not (kind.is_kraus or kind is ChannelKind.WHITE):
         raise UnsupportedChannel(

@@ -85,10 +85,9 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_matrix(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{x:.{CSV_DECIMALS}f}" for x in row))
+def _csv_matrix(header: list[str], rows: np.ndarray) -> str:
+    line = ",".join([f"%.{CSV_DECIMALS}f"] * len(header))
+    lines = [",".join(header)] + [line % tuple(r) for r in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -40,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelKind, block_form
-from .errors import NoDetectionInRange, NonMonotonic, UnsupportedChannel
+from .errors import (DimensionMismatch, NoDetectionInRange, NonMonotonic,
+                     UnsupportedChannel)
 from .record import Record, set_field
 from .states import SchmidtState, qutrit_family_coeffs
 from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
@@ -211,6 +212,8 @@ class MarginBatch:
                     "colored noise's own metric changes with v; pass a "
                     "fixed one, such as colored_metric(d, v)")
             g = default_metric(kind, d, 1.0)
+        elif g.d != d:
+            raise DimensionMismatch(f"metric d={g.d} vs state d={d}")
         self._weights = block_weights(d, g.g[:, None])
         self._pairs = pair_values(coeffs.T)
         self._blocks = None

@@ -23,10 +23,14 @@ block form), damping switch points taken by Newton to a relative step of
 every operand rebuilt on each call, validated settings included
 (bell._settings_objective builds what does not depend on the angles
 once), the basis CSV written by visiting every entry of every generator
-(the package formats only np.nonzero's entries), and the damping Kraus
+(the package formats only np.nonzero's entries), the damping Kraus
 operators filled one at a time (the package sets them by index
-assignment).
+assignment), the Bell profile's closed form evaluated at 50 digits by a
+stdlib decimal sine (the package evaluates it in doubles), and the tensor
+CSV formatted entry by entry (the package formats a row per template).
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -201,6 +205,14 @@ def per_cell_surface_csv(scan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def per_entry_csv_matrix(header: list[str], rows) -> str:
+    """The tensor CSV, each entry formatted by its own f-string."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{x:.{CSV_DECIMALS}f}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
 def per_entry_basis_csv(d: int) -> str:
     """`qnl basis --format csv` text, every entry of every generator
     visited and those below 1e-15 in modulus skipped."""
@@ -246,6 +258,33 @@ def profile_block(d: int) -> np.ndarray:
     """The Toeplitz block M[i, j] = m(i - j) of the Bell profile."""
     k = np.arange(d)
     return _bell_profile(d)[k[:, None] - k + d - 1]
+
+
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582")
+
+
+def decimal_sin(x: Decimal) -> Decimal:
+    """sin x for 0 <= x <= pi/2 by its Taylor series, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        term = total = x
+        n = 1
+        while abs(term) > Decimal("1e-58"):
+            term *= -x * x / ((2 * n) * (2 * n + 1))
+            total += term
+            n += 1
+    return +total  # rounded to the caller's precision
+
+
+def decimal_bell_profile(d: int, delta: int) -> Decimal:
+    """m(delta) = 2 / ((d - 1) sin(pi (d - |delta|) / 2d)) to 50 digits,
+    0 at delta = 0."""
+    if delta == 0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        angle = PI_50 * (d - abs(delta)) / (2 * d)
+        return 2 / ((d - 1) * decimal_sin(angle))
 
 
 def block_damping_quadratic(state) -> np.ndarray:

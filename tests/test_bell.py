@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from scipy.optimize import minimize
 import qnl.bell
 from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
                       WOLFE_C1, WOLFE_C2, WOLFE_TRIES,
-                      MeasurementSettings, _damping_quadratic,
+                      MeasurementSettings, _bell_profile,
+                      _damping_quadratic,
                       _generator_eigh, _inequality_value,
                       _outcome_weights, _qubit_block_settings,
                       _rotated_settings, _settings_objective,
@@ -34,7 +36,8 @@ from qnl.gellmann import gellmann_basis
 from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
                         schmidt_state, to_density)
 
-from oracles import (block_damping_quadratic, catalan_series, profile_block,
+from oracles import (block_damping_quadratic, catalan_series,
+                     decimal_bell_profile, profile_block,
                      settings_value_and_gradient)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
@@ -672,11 +675,30 @@ def test_large_dimension_approaches_infinite_forms():
     assert i20k <= 2e-5 and t20k <= 5e-5
 
 
-def test_bell_block_cache_is_bounded():
-    # the cache holds the block's 2d - 1 profile values per d, shared by
-    # every caller: bounded, and read-only
-    assert qnl.bell._bell_profile.cache_info().maxsize is not None
-    assert not qnl.bell._bell_profile(3).flags.writeable
+@pytest.mark.parametrize("d", range(2, 65))
+def test_bell_profile_centre_is_exactly_zero(d):
+    # so q0 = c_0^2 m(0) is exactly 0 for every damped Schmidt state
+    assert _bell_profile(d)[d - 1] == 0.0
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 1000, 20000])
+def test_bell_profile_is_positive_off_its_centre(d):
+    # Schmidt coefficients are >= 0, so q1 and q2 are >= 0 term by term
+    # and critical_lr's dip guard cannot fire on a valid state
+    assert np.all(np.delete(_bell_profile(d), d - 1) > 0.0)
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 1000, 20000])
+def test_bell_profile_within_8_ulps_of_decimal_oracle(d):
+    # every entry up to d = 1000; at d = 20000 every 199th delta, both ends
+    # and both neighbours of the centre
+    deltas = range(1 - d, d) if d <= 1000 \
+        else [*range(1 - d, d, 199), -1, 1]
+    m = _bell_profile(d)
+    for delta in deltas:
+        exact = decimal_bell_profile(d, delta)
+        ulp = Decimal(math.ulp(float(exact)))
+        assert abs(Decimal(m[delta + d - 1]) - exact) <= 8 * ulp, delta
 
 
 def objective_at(rho, base, thetas, mats):

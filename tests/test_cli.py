@@ -15,13 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from qnl.bell import infinite_threshold
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
-from qnl.cli import build_parser, main, parse_state
+from qnl.cli import _csv_matrix, build_parser, main, parse_state
 from qnl.criteria import (VERDICT_TOL, critical_analytic, critical_bisection,
                           describe_state, scan_surface)
 from qnl.errors import QnlError, UnsupportedChannel
 from qnl.states import max_entangled, schmidt_state
 
-from oracles import per_entry_basis_csv
+from oracles import per_entry_basis_csv, per_entry_csv_matrix
 
 DATA = Path(__file__).resolve().parent / "data"
 # sha256 of the benchmarked 101 x 101 scan CSVs, "<channel>.<quantity>"
@@ -192,6 +192,31 @@ def test_tensor_csv_is_matrix_only(capsys):
     assert lines[0] == "c0,c1,c2"
     assert lines[1] == "1.0000,0.0000,0.0000"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("channel",
+                         ["white:0.4", "depol:0.3", "ad:0.3", "product:0.5"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tensor_csv_equals_per_entry_oracle(d, channel, capsys):
+    # the JSON tensor round-trips its doubles, so the oracle formats the
+    # very numbers the CSV row template does
+    args = ["tensor", "--d", str(d), "--channel", channel]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    t = json.loads(out)["tensor"]
+    code, out, _ = run(args + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == per_entry_csv_matrix([f"c{j}" for j in range(len(t))], t)
+
+
+def test_csv_matrix_template_formats_as_per_entry():
+    # signed and rounding-edge entries: -0.0, tiny negatives, ties
+    rng = np.random.default_rng(34)
+    rows = rng.uniform(-1.0, 1.0, (6, 6))
+    rows[0, :5] = [-0.0, -1e-9, 0.00005, 0.00015, -0.00005]
+    header = [f"c{j}" for j in range(6)]
+    assert _csv_matrix(header, rows) == \
+        per_entry_csv_matrix(header, rows)
 
 
 def test_scan_csv_layout(tmp_path, capsys):

@@ -14,7 +14,8 @@ from qnl.criteria import (BISECTION_WIDTH, CERTIFICATE_PIECES, VERDICT_TOL,
                           _certify, bisect_bracket, confirm_bracket,
                           critical_analytic, critical_bisection,
                           default_metric, is_entangled, scan_surface, xi)
-from qnl.errors import (NoDetectionInRange, NonMonotonic, UnsupportedChannel)
+from qnl.errors import (DimensionMismatch, NoDetectionInRange, NonMonotonic,
+                        UnsupportedChannel)
 from qnl.reports import reproduce_tables
 from qnl.states import (SchmidtState, max_entangled, nmax_state,
                         qutrit_family, qutrit_family_coeffs, rank_k_state,
@@ -30,6 +31,18 @@ from oracles import (bisect_threshold, colored_always_entangled,
 AD = ChannelKind.AMPLITUDE_DAMPING
 DEPOL = ChannelKind.DEPOLARIZING
 WHITE = ChannelKind.WHITE
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("metric_d", [2, 4])
+def test_metric_of_another_dimension_raises(kind, metric_d):
+    # the batch refuses it as the dense path (tensor._check_pair) does,
+    # before any numpy broadcast sees the mismatched shapes
+    psi, g = max_entangled(3), identity_metric(metric_d)
+    with pytest.raises(DimensionMismatch):
+        critical_bisection(psi, kind, g)
+    with pytest.raises(DimensionMismatch):
+        MarginBatch(3, psi.coeffs[None, :], kind, g)
 
 
 def test_verdict_on_clean_states():
