@@ -7,6 +7,7 @@ input, a solver error, an unwritable output path or memory exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -283,7 +284,17 @@ def _add_output_options(p: argparse.ArgumentParser,
                    help="output path (tables: output directory)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qnl parser, built at the first call and shared for the life of
+    the process: callers must not mutate it.
+
+    Each subcommand's `set_defaults(func=cmd_*)` binds its handler at that
+    first build, so patching a `cmd_*` name later does not reach `main`;
+    tests patch the names a command calls instead, as `_spy` does. Help is
+    formatted when asked for, so it follows the terminal width of the
+    moment, not that of the first build.
+    """
     parser = argparse.ArgumentParser(
         prog="qnl",
         description="Entanglement detection and Bell analysis for noisy "

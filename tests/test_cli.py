@@ -1,5 +1,6 @@
 """CLI plumbing: parsing, output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -292,6 +293,67 @@ def test_fidelity_and_gap_json(capsys):
 def test_record_bytes_pinned(record, capsys):
     assert run(record["argv"], capsys) == (
         record["exit"], record["stdout"], record["stderr"])
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # every subcommand parses with the one parser the first call builds
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    per_call = []
+    for argv in (["fidelity", "--d", "3", "--channel", "depol:0"],
+                 ["basis", "--d", "2"],
+                 ["werner-gap", "--d", "3", "--channel", "ad:0"],
+                 ["crit", "--d", "3", "--channel", "white:0"]):
+        before = len(built)
+        assert main(argv) == 0
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    assert per_call[0] > 0
+    assert per_call[1:] == [0, 0, 0]
+
+
+def test_records_replay_in_reverse_between_rejections_and_help(monkeypatch,
+                                                               capsys):
+    # the shared parser keeps nothing from one call to the next: each
+    # record's bytes hold in reverse order, after an argparse rejection or
+    # a --help, and those two print the same bytes every time
+    monkeypatch.setenv("COLUMNS", "80")
+    interludes = ((["crit", "--d", "x"], 2), (["crit", "--help"], 0))
+    seen = {}
+    for i, record in enumerate(reversed(CLI_RECORDS)):
+        argv, code = interludes[i % 2]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert (err if code else out).startswith("usage: qnl crit")
+        assert (out if code else err) == ""
+        assert seen.setdefault(code, (out, err)) == (out, err)
+        assert run(record["argv"], capsys) == (
+            record["exit"], record["stdout"], record["stderr"])
+    assert set(seen) == {0, 2}
+
+
+def test_help_reflows_with_the_terminal_width(monkeypatch, capsys):
+    # help is formatted at each --help, at that moment's width, not at the
+    # width of the parser's first build
+    monkeypatch.setenv("COLUMNS", "200")
+    build_parser()
+    widths = []
+    for columns in (60, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["crit", "--help"])
+        assert exc.value.code == 0
+        out, _ = capsys.readouterr()
+        widths.append(max(len(line) for line in out.splitlines()))
+    assert widths[0] <= 60 - 2 < widths[1]
 
 
 def _spy(monkeypatch, modules, names):
