@@ -26,13 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelKind
-from .criteria import (CriticalResult, confirm_bracket, describe_state,
-                       quadratic_root)
+from .criteria import CriticalResult, describe_state
 from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
                      UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
 from .linalg import realign
 from .record import Record, set_field
+from .solver import confirm_bracket, quadratic_root
 from .states import SchmidtState, TwoQuditState
 
 LOCAL_BOUND = 2.0

@@ -13,66 +13,41 @@ built.  A channel enters only through its block form (channels.block_form):
 how its pair entries scale with p, and the populations P(p) of the noisy
 state, a polynomial in p of degree at most 2 whose coefficient blocks
 each batch builds once and sums by Horner at every p.  One solver, _solve,
-finds the threshold of every input of a batch together; critical_bisection
-is its single-input case, and scan_surface batches the whole qutrit-family
-surface.  A threshold is the midpoint of the final bracket of a bisection
-to BISECTION_WIDTH (bisect_bracket), and it needs a verdict that switches
-once in p.  Where that is a theorem (MarginBatch.monotone: the scaling
-path, and damping with no weight on the diagonal generators) the switch
-point has a closed form (MarginBatch.switch_points), and confirm_bracket
-confirms its bin of the bisection's grid with two verdicts, in place of
-the bisection's 27; the Bell thresholds of bell.critical_lr are found the
-same way.  On every other path _solve bisects, and _certify proves the
-single switch per input from the margin's polynomial form
-(MarginBatch.polynomial_form): the verdict is false on [0, lo] and true on
-[hi, 1] for the final bracket [lo, hi], or _solve raises NonMonotonic.
+finds the threshold of every input of a batch together, by the threshold
+solver of solver.py; critical_bisection is its single-input case, and
+scan_surface batches the whole qutrit-family surface.  A threshold is the
+midpoint of the final bracket of a bisection to solver.BISECTION_WIDTH,
+and it needs a verdict that switches once in p.  _solve guesses each input's
+switch point and confirms the guess's bin of the bisection's grid with
+two verdicts (solver.confirm_bracket).  Where a single switch is a theorem
+(MarginBatch.monotone: the scaling path, and damping with no weight on
+the diagonal generators) the guess is the closed-form switch point
+(MarginBatch.switch_points).  On every other path it comes from secant
+sweeps on the margin, and the single switch of each input is certified
+from the margin's polynomial form (MarginBatch.polynomial_form): the
+verdict is false on [0, lo] and true on [hi, 1] for the final bracket
+[lo, hi], or _solve raises NonMonotonic.
 
 A batch keeps its inputs on the last axis of every array, as the batch
-kernels of tensor.py take them, and so do the certificate's work arrays:
-each per-input reduction reads contiguous rows of N numbers.
+kernels of tensor.py take them.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
 from .channels import ChannelKind, block_form
-from .errors import (DimensionMismatch, NoDetectionInRange, NonMonotonic,
+from .errors import (DimensionMismatch, NoDetectionInRange,
                      UnsupportedChannel)
 from .record import Record, set_field
+from .solver import (VERDICT_TOL, BracketEnds, MarginPolynomials, _Bracket,
+                     _certify, _horner, _inputs, _secant_guess,
+                     confirm_bracket, quadratic_root)
 from .states import SchmidtState, qutrit_family_coeffs
-from .tensor import (CorrelationTensor, Metric, block_scalars, block_weights,
-                     colored_metric, damping_metric, diagonal_block,
-                     diagonal_entries, identity_metric, norm_sq, pair_values,
-                     spectral_norm, spectral_norms, sum_per_input,
-                     supporting_functionals)
-
-VERDICT_TOL = 1e-10
-BISECTION_WIDTH = 1e-8
-# bisect_bracket ends on a bin of the grid of multiples of 1 / _BINS
-_BINS = 2.0 ** math.ceil(-math.log2(BISECTION_WIDTH))
-# a certificate's bounds must clear the tolerance by this share of the
-# scale of the margin's terms, so that rounding never yields a proof
-CERTIFICATE_SLACK = 64 * np.finfo(float).eps
-# the certificate's work list holds at most this many pieces per input
-CERTIFICATE_PIECES = 16
-# inputs certified together: bounds the certificate's work arrays, which
-# hold a few dozen numbers per piece, near the bisection's own
-CERTIFICATE_INPUTS = 1024
-# q(a + (b - a) t) = sum_j beta_j C(4, j) t^j (1 - t)^(4 - j) for q of
-# degree <= 4: beta = _TO_BERNSTEIN @ (q at a + (b - a) _NODES), and the
-# smallest and largest beta_j bound q on [a, b].  The matrix is the exact
-# inverse of the Bernstein basis at the nodes, written out: inverting it
-# at import would load LAPACK into every command
-_NODES = np.linspace(0.0, 1.0, 5)
-_TO_BERNSTEIN = np.array([[36, 0, 0, 0, 0],
-                          [-39, 144, -108, 48, -9],
-                          [26, -128, 240, -128, 26],
-                          [-9, 48, -108, 144, -39],
-                          [0, 0, 0, 0, 36]]) / 36.0
+from .tensor import (CorrelationTensor, Metric, block_norms, block_scalars,
+                     block_weights, colored_metric, damping_metric,
+                     diagonal_block, diagonal_entries, identity_metric,
+                     norm_sq, pair_values, spectral_norm, sum_per_input)
 
 
 class CriterionVerdict(Record):
@@ -127,39 +102,6 @@ def default_metric(kind: ChannelKind, d: int, p: float) -> Metric:
 def _inputs_last(blocks: np.ndarray) -> np.ndarray:
     """An (N, n, n) stack as a contiguous (n, n, N) one."""
     return np.ascontiguousarray(blocks.transpose(1, 2, 0))
-
-
-def _inputs(x: np.ndarray, rows) -> np.ndarray:
-    """The inputs `rows` (a slice or indices) of an array that keeps them
-    last; indices are gathered by take, several times faster there than
-    fancy indexing."""
-    return x[..., rows] if isinstance(rows, slice) else x.take(rows, axis=-1)
-
-
-def _horner(coefficients, x):
-    """sum_k x^k coefficients[k], summed by Horner from the top."""
-    total = coefficients[-1]
-    for coefficient in reversed(coefficients[:-1]):
-        total = total * x + coefficient
-    return total
-
-
-class MarginPolynomials(NamedTuple):
-    """A batch's margin as polynomials in p, per input (N inputs, last).
-
-    n (5, N) holds the coefficients of the weighted squared norm in powers
-    p^0 .. p^4.  The weighted spectral norm is l(p) = max(max_m pairs_m
-    p^powers_m, sigma_max(sum_k p^k blocks[k])): pairs (d(d-1)/2, N) are
-    the weighted pair entries' moduli at p = 1, powers (d(d-1)/2,) their
-    exponents, and blocks, at most 3 coefficients (d-1, d-1, N) of the
-    weighted diagonal-generator block, None where the metric gives that
-    block no weight.  scale (N,) bounds the moduli of the terms that sum
-    to n and l at any p in [0, 1]: rounding errors are a share of it."""
-    n: np.ndarray
-    pairs: np.ndarray
-    powers: np.ndarray
-    blocks: list | None
-    scale: np.ndarray
 
 
 class MarginBatch:
@@ -218,10 +160,13 @@ class MarginBatch:
         self._pairs = pair_values(coeffs.T)
         self._blocks = None
         if scaling:
-            csq = coeffs * coeffs
-            pure = csq[:, :, None] * np.eye(d)
-            self._l0, self._n0 = block_scalars(self._pairs, _inputs_last(
-                diagonal_block(pure, diagonal_entries(d))), self._weights)
+            norms = None
+            if self._weights[2] is not None:
+                pure = (coeffs * coeffs)[:, :, None] * np.eye(d)
+                norms = block_norms(_inputs_last(diagonal_block(
+                    pure, diagonal_entries(d))), self._weights[2])
+            self._l0, self._n0 = block_scalars(self._pairs, norms,
+                                               self._weights)
             # tensor scales as p (white) or p^2 (local depolarizing)
             self._power = 1 if kind is ChannelKind.WHITE else 2
             self.path = "scaling"
@@ -255,15 +200,18 @@ class MarginBatch:
             # float_power rounds p^2 as Python's scalar power does
             s = p if self._power == 1 else np.float_power(p, 2)
             return s * self._l0[rows], s * s * self._n0[rows]
+        # weights[2] is None when the metric gives the block no weight; its
+        # norms come before the pairs are scaled, so that the two never
+        # hold their work arrays at once, which bounds a sweep's memory
+        norms = None if self._weights[2] is None else \
+            block_norms(self.block(p, rows), self._weights[2])
         far = self._far
         scaled = pairs * p
         if far < len(pairs):
             # v * (p * p): numpy's vector power can miss p^2 by an ulp,
             # and which ulp depends on the CPU it dispatches to
             np.multiply(pairs[far:], p * p, out=scaled[far:])
-        # weights[2] is None when the metric gives the block no weight
-        block = None if self._weights[2] is None else self.block(p, rows)
-        return block_scalars(scaled, block, self._weights)
+        return block_scalars(scaled, norms, self._weights)
 
     def polynomial_form(self, rows=slice(None)) -> MarginPolynomials:
         """The margin's terms as polynomials in p, per input or per entry
@@ -294,9 +242,13 @@ class MarginBatch:
                                      for m in blocks)
         return MarginPolynomials(n, pairs, powers, blocks, scale)
 
-    def entangled(self, p, rows=slice(None)) -> np.ndarray:
+    def margins(self, p, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(spectral norms l, margins n - l), as scalars takes p and rows."""
         l, n = self.scalars(p, rows)
-        return n - l > VERDICT_TOL
+        return l, n - l
+
+    def entangled(self, p, rows=slice(None)) -> np.ndarray:
+        return self.margins(p, rows)[1] > VERDICT_TOL
 
     def switch_points(self) -> np.ndarray:
         """Per input of a monotone batch, the p at which n - l reaches
@@ -353,199 +305,6 @@ class MarginCurve:
         return float(l[0]), float(n[0])
 
 
-def bisect_bracket(fired, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect size inputs on [0, 1] together; the final brackets (lo, hi).
-
-    fired(p) maps one p per input to one verdict per input; each input's
-    verdict is false below its threshold and true above it, so it is
-    false at every lo but 0 and true at every hi but 1.  Every bracket
-    starts at [0, 1] and halves on every step, so all share one width, a
-    power of two: the loop always takes 27 steps to BISECTION_WIDTH, and
-    hi = lo + width exactly, as every end is a multiple of that width."""
-    lo, width = np.zeros(size), 1.0
-    while width > BISECTION_WIDTH:
-        width *= 0.5
-        mid = lo + width
-        lo = np.where(fired(mid), lo, mid)
-    return lo, lo + width
-
-
-def quadratic_root(a, b, c):
-    """The root of a x^2 + b x = c that tends to c / b as a -> 0, the
-    positive one for a >= 0 < c, by the form that avoids cancellation; inf
-    or NaN where there is none."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(b * b + 4.0 * a * c)
-        return np.where(b >= 0.0, 2.0 * c / (b + r), (r - b) / (2.0 * a))
-
-
-def confirm_bracket(fired, guess) -> tuple[np.ndarray, np.ndarray]:
-    """bisect_bracket's final brackets, located from a guess of each
-    input's switch point; fired(p, rows) maps one p per entry of rows (all
-    inputs, or the indices of some) to their verdicts.
-
-    A verdict that switches once does so on the grid of multiples of the
-    final width too, and bisection ends on the one bin [lo, hi] of that
-    grid whose lo is 0 or false and whose hi is 1 or true.  So the guess,
-    snapped to the grid, needs two verdicts to confirm its bin.  A guess
-    of NaN or of 1 or more takes the top bin, where bisection leaves an
-    input not detected below 1.  Inputs whose bin is not confirmed are
-    bisected."""
-    k = np.clip(np.floor(np.where(guess < 1.0, guess, 1.0) * _BINS),
-                0.0, _BINS - 1.0)
-    lo, hi = k / _BINS, (k + 1.0) / _BINS
-    every = slice(None)
-    confirmed = ((lo == 0.0) | ~fired(lo, every)) \
-        & ((hi == 1.0) | fired(hi, every))
-    rows = np.flatnonzero(~confirmed)
-    if len(rows):
-        lo[rows], hi[rows] = bisect_bracket(lambda p: fired(p, rows),
-                                            len(rows))
-    return lo, hi
-
-
-def _certify(batch: MarginBatch, lo: np.ndarray, hi: np.ndarray,
-             detected: np.ndarray) -> int:
-    """Prove that the verdict of each detected input is false on [0, lo]
-    and true on [hi, 1], its final bisection bracket [lo, hi]; return the
-    number of (input, p) points at which sigma_max was evaluated.
-
-    On a piece [a, b] of either side, with the margin's polynomial form
-    (MarginBatch.polynomial_form), weighted block M(p) = M0 + p M1 + p^2 M2:
-    - true side: M(p) = A(p) + (p - a)(p - b) M2 exactly, A the affine
-      interpolant of M between a and b.  sigma_max(A(p)) and the pair term
-      are convex in p, so l(p) <= chord(l(a), l(b)) + K (p - a)(b - p),
-      K = sigma_max(M2);
-    - false side: l(p) >= <F, M(p)>, F the supporting functional of M at
-      the endpoint with the larger margin (tensor.supporting_functionals),
-      or the top pair term there if it is larger; exact at that endpoint.
-    n minus the bound is a polynomial of degree <= 4, bounded on [a, b] by
-    its Bernstein coefficients; every comparison keeps CERTIFICATE_SLACK
-    of the form's scale.  A piece no bound settles is halved, with one
-    scalars call per round for all of them.  A halving point whose verdict
-    contradicts its side is a switch outside the bracket.  A piece that
-    touches the bracket and is narrower than BISECTION_WIDTH is dropped,
-    so the one switch lies within BISECTION_WIDTH of the bracket on either
-    side; a narrower piece elsewhere leaves the verdict undecided, as does
-    a work list longer than CERTIFICATE_PIECES per input.  Inputs whose
-    verdict is true at p = 0 get no false side.  Inputs are certified
-    CERTIFICATE_INPUTS at a time.  Raises NonMonotonic."""
-    rows = np.flatnonzero(detected)
-    evaluations = 0
-    for start in range(0, len(rows), CERTIFICATE_INPUTS):
-        chunk = rows[start:start + CERTIFICATE_INPUTS]
-        evaluations += _certify_inputs(batch, chunk, lo[chunk], hi[chunk])
-    return evaluations
-
-
-def _certify_inputs(batch: MarginBatch, rows: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> int:
-    """_certify on the inputs `rows` of a batch, whose brackets are
-    [lo, hi]: one work list, the evaluation count."""
-    form = batch.polynomial_form(rows)
-    size = len(rows)
-    # K per input: the block's p^2 coefficient, zero where it is affine
-    curvature = np.zeros(size)
-    if form.blocks is not None and len(form.blocks) == 3:
-        curvature = spectral_norms(form.blocks[2], np.ones((batch.d - 1, 1)))
-    ends = np.stack([np.zeros(size), lo, hi, np.ones(size)])
-    # one call per end keeps the work arrays at the bisection's size
-    l, n = np.array([batch.scalars(p, rows) for p in ends]).transpose(1, 0, 2)
-    margin = n - l
-    has_false = (margin[0] <= VERDICT_TOL) & (lo > 0.0)
-    has_true = hi < 1.0
-    # one column per piece: a, b, l(a), l(b), margin(a), margin(b)
-    pieces = np.concatenate([
-        np.concatenate([ends[:2], l[:2], margin[:2]])[:, has_false],
-        np.concatenate([ends[2:], l[2:], margin[2:]])[:, has_true]], axis=1)
-    # each piece's input, as a position in rows
-    owner = np.concatenate([np.flatnonzero(has_false),
-                            np.flatnonzero(has_true)])
-    true_side = np.repeat([False, True], [np.sum(has_false),
-                                          np.sum(has_true)])
-    evaluations = 4 * size
-    while len(owner):
-        settled = _settled(form, curvature, owner, true_side, pieces)
-        a, b = pieces[0], pieces[1]
-        narrow = b - a < BISECTION_WIDTH
-        at_bracket = np.where(true_side, a == hi[owner], b == lo[owner])
-        if np.any(narrow & ~settled & ~at_bracket):
-            p = a[narrow & ~settled & ~at_bracket][0]
-            raise NonMonotonic(
-                f"detection verdict undecided near p = {p:.9g}, away from "
-                "the bisection bracket")
-        keep = ~settled & ~narrow
-        if 2 * np.count_nonzero(keep) > CERTIFICATE_PIECES * size:
-            raise NonMonotonic(
-                "detection verdict undecided: proving one switch needs more "
-                f"than {CERTIFICATE_PIECES} pieces per input")
-        pieces, owner = pieces[:, keep], owner[keep]
-        true_side = true_side[keep]
-        if not len(owner):
-            break
-        mid = 0.5 * (pieces[0] + pieces[1])
-        l, n = batch.scalars(mid, rows[owner])
-        evaluations += len(mid)
-        wrong = (n - l > VERDICT_TOL) != true_side
-        if np.any(wrong):
-            verdict = "false" if true_side[wrong][0] else "true"
-            raise NonMonotonic(
-                f"detection verdict switches more than once: it is {verdict} "
-                f"at p = {mid[wrong][0]:.9g}, outside the bisection bracket")
-        left, right = pieces.copy(), pieces.copy()
-        left[1], left[3], left[5] = mid, l, n - l
-        right[0], right[2], right[4] = mid, l, n - l
-        pieces = np.concatenate([left, right], axis=1)
-        owner, true_side = np.tile(owner, 2), np.tile(true_side, 2)
-    return evaluations
-
-
-def _settled(form: MarginPolynomials, curvature: np.ndarray,
-             owner: np.ndarray, true_side: np.ndarray,
-             pieces: np.ndarray) -> np.ndarray:
-    """Whether the bounds of _certify prove each piece's side."""
-    a, b, la, lb, ma, mb = pieces
-    t = _NODES[:, None]
-    at = a + (b - a) * t
-    slack = CERTIFICATE_SLACK * form.scale[owner]
-    settled = np.zeros(len(owner), dtype=bool)
-    i = np.flatnonzero(true_side)
-    width = b[i] - a[i]
-    upper = la[i] * (1.0 - t) + lb[i] * t \
-        + (curvature[owner[i]] * width * width) * (t * (1.0 - t))
-    beta = _TO_BERNSTEIN @ (_horner(form.n[:, owner[i]], at[:, i]) - upper)
-    settled[i] = np.min(beta, axis=0) > VERDICT_TOL + slack[i]
-    i = np.flatnonzero(~true_side)
-    q = form.n[:, owner[i]] - _lower_bound(
-        form, owner[i], np.where(ma[i] >= mb[i], a[i], b[i]))
-    beta = _TO_BERNSTEIN @ _horner(q, at[:, i])
-    settled[i] = np.max(beta, axis=0) <= VERDICT_TOL - slack[i]
-    return settled
-
-
-def _lower_bound(form: MarginPolynomials, rows: np.ndarray,
-                 e: np.ndarray) -> np.ndarray:
-    """Coefficients in p^0 .. p^4 of a polynomial below l(p) on [0, 1]
-    that meets it at p = e, (5, len(rows)): the top pair term at e, or
-    <F, M(p)> for the supporting functional F of the block at e."""
-    take = np.arange(len(rows))
-    pairs = _inputs(form.pairs, rows)
-    pair_at = pairs * np.where(form.powers[:, None] == 1, e, e * e)
-    top = np.argmax(pair_at, axis=0)
-    coeffs = np.zeros((5, len(rows)))
-    coeffs[form.powers[top], take] = pairs[top, take]
-    if form.blocks is None:
-        return coeffs
-    blocks = [_inputs(m, rows) for m in form.blocks]
-    block = _horner(blocks, e)
-    f = supporting_functionals(block)
-    use = sum_per_input(f * block) > pair_at[top, take]
-    coeffs[:, use] = 0.0
-    for j, m in enumerate(blocks):
-        coeffs[j, use] = sum_per_input(f * m)[use]
-    return coeffs
-
-
 def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
     """sqrt(norm(p_crit)/norm(1)) per input, capped at 1 (1 if norm(1) = 0)."""
     n1 = batch.scalars(1.0)[1]
@@ -554,21 +313,31 @@ def _surviving_fraction(batch: MarginBatch, p_crit) -> np.ndarray:
     return np.minimum(np.sqrt(ratio), 1.0)
 
 
-def _solve(batch: MarginBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(threshold, detected) per input: the midpoint of each input's final
-    bisection bracket.  A batch proven monotone confirms the brackets of
-    its closed-form switch points; any other is bisected, and the single
-    switch of each input detected at p = 1 certified.  Thresholds hold
-    only where detected; a batch detected nowhere is not solved."""
-    detected = batch.entangled(1.0)
+def _solve(batch: MarginBatch
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(threshold, detected, detected at p = 0) per input; the threshold
+    is the midpoint of each input's final bisection bracket, located by
+    confirm_bracket from a guess of its switch point.  A batch proven
+    monotone guesses its closed-form switch points, and its margin is 0 at
+    p = 0, where every term of n and l vanishes.  Any other evaluates the
+    margin at p = 0, guesses by _secant_guess and certifies the single
+    switch of each input detected at p = 1 from the values read at its
+    bracket's ends.  Thresholds hold only where detected; a batch detected
+    nowhere is not solved."""
+    l1, margin_one = batch.margins(1.0)
+    detected = margin_one > VERDICT_TOL
     if not detected.any():
-        return np.ones(batch.size), detected
+        return np.ones(batch.size), detected, np.zeros(batch.size, bool)
     if batch.monotone:
         lo, hi = confirm_bracket(batch.entangled, batch.switch_points())
-    else:
-        lo, hi = bisect_bracket(batch.entangled, batch.size)
-        _certify(batch, lo, hi, detected)
-    return 0.5 * (lo + hi), detected
+        return 0.5 * (lo + hi), detected, np.zeros(batch.size, bool)
+    margin_zero = batch.margins(0.0)[1]
+    bracket = _Bracket(batch, margin_zero, l1)
+    guess = _secant_guess(bracket, margin_zero, margin_one)
+    lo, hi = confirm_bracket(bracket.fired, guess, bracket.lo, bracket.hi)
+    _certify(batch, lo, hi, detected, BracketEnds(
+        margin_zero, bracket.margin_lo, bracket.spectral_hi, l1))
+    return 0.5 * (lo + hi), detected, margin_zero > VERDICT_TOL
 
 
 def critical_bisection(state: SchmidtState, kind: ChannelKind,
@@ -577,11 +346,11 @@ def critical_bisection(state: SchmidtState, kind: ChannelKind,
         block_form(state.coeffs[None, :], kind)  # refuses inputs not MES
         return critical_analytic(state.d, kind)
     batch = MarginBatch(state.d, state.coeffs[None, :], kind, g)
-    threshold, detected = _solve(batch)
+    threshold, detected, at_zero = _solve(batch)
     if not detected[0]:
         raise NoDetectionInRange(
             "criterion does not fire anywhere in the strength range")
-    if batch.entangled(0.0)[0]:
+    if at_zero[0]:
         raise NoDetectionInRange(
             "criterion fires at zero noise-free fraction; nothing to bracket")
     return CriticalResult(parameter_name=kind.parameter_name,
@@ -660,9 +429,9 @@ def scan_surface(kind: ChannelKind, alpha_grid, beta_grid,
         raise ValueError(f"unknown scan quantity {quantity!r}")
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
-    coeffs = qutrit_family_coeffs(alphas[:, None], betas).reshape(-1, 3)
-    batch = MarginBatch(3, coeffs, kind)
-    crit, detected = _solve(batch)
+    batch = MarginBatch(3, qutrit_family_coeffs(alphas[:, None], betas)
+                        .reshape(-1, 3), kind)
+    crit, detected, _ = _solve(batch)
     if quantity == "xi":
         crit = _surviving_fraction(batch, crit)
     values = np.where(detected, crit, 1.0).reshape(len(alphas), len(betas))

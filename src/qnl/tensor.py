@@ -17,7 +17,7 @@ form and P(a, b) = <ab|rho|ab> the state's populations (diagonal_block).
 block_scalars takes sigma_max as the larger of the weighted pair entries and
 the block's sigma_max, and the squared norm as the sum over both blocks.
 
-The batch kernels (block_scalars, spectral_norms, norm_sqs,
+The batch kernels (block_scalars, block_norms, spectral_norms, norm_sqs,
 supporting_functionals) keep the inputs on the last axis: pair entries
 (d(d-1)/2, N), blocks (d-1, d-1, N), and the batch's one metric as weights
 (n, 1), broadcast over the inputs.  Each per-input reduction then runs over
@@ -145,17 +145,25 @@ def sum_per_input(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(x.T), axis=1)
 
 
-def block_scalars(pairs: np.ndarray, block, weights):
+def block_norms(block: np.ndarray, w: np.ndarray):
+    """(sigma_max, squared norm) of each diagonal-generator block of an
+    (n, n, N) stack under one metric's weights w, (n, 1)."""
+    return spectral_norms(block, w), norm_sqs(block, w)
+
+
+def block_scalars(pairs: np.ndarray, norms, weights):
     """Weighted (sigma_max, squared norm) of tensors in block form: pair
-    entries (d(d-1)/2, N) and diagonal-generator blocks (d-1, d-1, N), the
-    blocks unused when block_weights found no weight on them."""
-    pair_max, pair_sum, diag = weights
+    entries (d(d-1)/2, N), and norms, the block_norms of their
+    diagonal-generator blocks (d-1, d-1, N), None where block_weights
+    found no weight on the blocks.  A caller that scales the pair entries
+    takes the blocks' norms first, so that the two never hold their work
+    arrays at once."""
+    pair_max, pair_sum, _ = weights
     l = np.max(np.abs(pairs) * pair_max, axis=0)
     n = sum_per_input(pair_sum * pairs * pairs)
-    if diag is None:
+    if norms is None:
         return l, n
-    return np.maximum(l, spectral_norms(block, diag)), \
-        n + norm_sqs(block, diag)
+    return np.maximum(l, norms[0]), n + norms[1]
 
 
 def schmidt_correlation_tensor(psi: SchmidtState) -> CorrelationTensor:
@@ -176,10 +184,11 @@ def spectral_norms(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     form sigma_max = (hypot(a00 + a11, a01 - a10) + hypot(a00 - a11,
     a01 + a10)) / 2, the half-sum of the moduli of its conformal and
     anticonformal parts; blocks of any other size take the SVD."""
-    a = t * w
-    if a.shape[:2] != (2, 2):
-        return np.linalg.svd(a.transpose(2, 0, 1), compute_uv=False)[:, 0]
-    (x1, y1), (x2, y2) = _conformal_parts(a)
+    if t.shape[:2] != (2, 2):
+        return np.linalg.svd((t * w).transpose(2, 0, 1),
+                             compute_uv=False)[:, 0]
+    # the weighted block is freed once its parts are taken
+    (x1, y1), (x2, y2) = _conformal_parts(t * w)
     return 0.5 * (np.hypot(x1, y1) + np.hypot(x2, y2))
 
 

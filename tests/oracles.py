@@ -16,8 +16,8 @@ the double nearest it), the generator basis built one matrix at a time
 (the package scatters it from index arrays and diagonal_entries), a
 sampled check that each detection verdict switches once (the package
 proves it from the margin's polynomial form), thresholds bisected by 27
-verdict sweeps (the package confirms a closed-form switch point with
-two), the fidelity read from the dense rho (critical_fidelity sums the
+verdict sweeps (the package confirms a closed-form or secant-guessed
+switch point with two), the fidelity read from the dense rho (critical_fidelity sums the
 block form), damping switch points taken by Newton to a relative step of
 1e-15 (the package takes two steps), the settings objective with
 every operand rebuilt on each call, validated settings included
@@ -37,13 +37,13 @@ import numpy as np
 from qnl.bell import (MeasurementSettings, _bell_profile, _generator_eigh,
                       _projector_rows)
 from qnl.channels import ChannelKind, KrausSet
-from qnl.criteria import (VERDICT_TOL, MarginBatch, bisect_bracket,
-                          quadratic_root)
+from qnl.criteria import MarginBatch
 from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
 from qnl.linalg import realign
 from qnl.reports import CSV_DECIMALS, FLAG_NO_DETECTION
+from qnl.solver import VERDICT_TOL, bisect_bracket, quadratic_root
 from qnl.states import max_entangled
 from qnl.tensor import c_factor, colored_metric
 
@@ -106,7 +106,7 @@ def verdict_grid_check(curve, cells=True) -> None:
 
 def bisect_threshold(fired, size: int) -> np.ndarray:
     """The midpoints of bisect_bracket's final brackets, 27 verdict sweeps
-    each: the thresholds criteria.confirm_bracket locates from closed-form
+    each: the thresholds solver.confirm_bracket locates from guessed
     switch points."""
     lo, hi = bisect_bracket(fired, size)
     return 0.5 * (lo + hi)

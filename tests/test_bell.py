@@ -29,10 +29,10 @@ from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
                           apply_local_channel, channel_output)
 from qnl.cli import main
-from qnl.criteria import confirm_bracket
 from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
                         UnsupportedChannel)
 from qnl.gellmann import gellmann_basis
+from qnl.solver import confirm_bracket
 from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
                         schmidt_state, to_density)
 

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnl.criteria
+import qnl.solver
 from qnl.channels import ChannelKind, ChannelSpec, channel_output
-from qnl.criteria import (BISECTION_WIDTH, CERTIFICATE_PIECES, VERDICT_TOL,
-                          MarginBatch, MarginCurve, MarginPolynomials,
-                          _certify, bisect_bracket, confirm_bracket,
-                          critical_analytic, critical_bisection,
-                          default_metric, is_entangled, scan_surface, xi)
+from qnl.criteria import (MarginBatch, MarginCurve, critical_analytic,
+                          critical_bisection, default_metric, is_entangled,
+                          scan_surface, xi)
 from qnl.errors import (DimensionMismatch, NoDetectionInRange, NonMonotonic,
                         UnsupportedChannel)
 from qnl.reports import reproduce_tables
+from qnl.solver import (BISECTION_WIDTH, CERTIFICATE_PIECES, VERDICT_TOL,
+                        BracketEnds, MarginPolynomials, _certify,
+                        bisect_bracket, confirm_bracket)
 from qnl.states import (SchmidtState, max_entangled, nmax_state,
                         qutrit_family, qutrit_family_coeffs, rank_k_state,
                         schmidt_state, to_density)
@@ -126,10 +128,10 @@ def test_no_detection_for_product_state():
 @pytest.mark.parametrize("kind", [WHITE, ChannelKind.PRODUCT, AD])
 def test_undetected_input_raises_before_bisecting(monkeypatch, kind):
     # one verdict at p = 1 settles an input detected nowhere
-    def refuse(fired, size):
+    def refuse(*args):
         raise AssertionError("bisected an input detected nowhere")
 
-    monkeypatch.setattr(qnl.criteria, "bisect_bracket", refuse)
+    monkeypatch.setattr(qnl.solver, "bisect_bracket", refuse)
     with pytest.raises(NoDetectionInRange, match="does not fire anywhere"):
         critical_bisection(schmidt_state(3, [1.0, 0.0, 0.0]), kind)
 
@@ -217,9 +219,9 @@ def test_proven_monotone_batches_pass_the_grid_oracle(d, seed, case):
 def test_certificate_runs_off_the_proven_paths(monkeypatch):
     certified = []
 
-    def counted(batch, lo, hi, detected):
+    def counted(batch, lo, hi, detected, ends):
         certified.append(batch.path)
-        return _certify(batch, lo, hi, detected)
+        return _certify(batch, lo, hi, detected, ends)
 
     monkeypatch.setattr(qnl.criteria, "_certify", counted)
     psi = schmidt_state(3, [0.2, 0.4, np.sqrt(0.8)])
@@ -255,6 +257,16 @@ def test_certificate_flags_a_switch_below_the_bracket():
     # the sampled grid saw one switch only
     verdict_grid_check(MarginBatch(2, psi.coeffs[None, :], AD,
                                    identity_metric(2)))
+
+
+def certify(model, lo, hi, detected):
+    """_certify, with the values at the ends of each input's pieces
+    evaluated here, as _solve reads them while it locates the brackets."""
+    ends = (np.zeros(model.size), lo, hi, np.ones(model.size))
+    (l0, n0), (l_lo, n_lo), (l_hi, _), (l1, _) = (model.scalars(p)
+                                                  for p in ends)
+    return _certify(model, lo, hi, detected,
+                    BracketEnds(n0 - l0, n_lo - l_lo, l_hi, l1))
 
 
 class RootsMargin:
@@ -307,10 +319,10 @@ def test_certificate_refuses_a_tangent_verdict(tangent, size, message):
     assert np.all(np.abs(hi - 0.7) < BISECTION_WIDTH)
     clean = np.arange(size) > 0
     # the clean inputs settle at their four ends
-    assert _certify(model, lo, hi, clean) == 4 * (size - 1)
+    assert certify(model, lo, hi, clean) == 4 * (size - 1)
     with pytest.raises(NonMonotonic,
                        match="detection verdict undecided" + message):
-        _certify(model, lo, hi, np.ones(size, dtype=bool))
+        certify(model, lo, hi, np.ones(size, dtype=bool))
 
 
 class BulgeMargin(RootsMargin):
@@ -339,7 +351,7 @@ def test_certificate_bounds_a_concave_block_by_its_curvature():
     lo, hi = bisect_bracket(model.entangled, 1)
     assert abs(hi[0] - 0.3) < BISECTION_WIDTH
     with pytest.raises(NonMonotonic, match="it is false at p = 0.6"):
-        _certify(model, lo, hi, np.array([True]))
+        certify(model, lo, hi, np.array([True]))
 
 
 @pytest.mark.parametrize("roots, verdict", [
@@ -350,7 +362,7 @@ def test_certificate_flags_a_switch_outside_the_bracket(roots, verdict):
     lo, hi = bisect_bracket(model.entangled, 1)
     with pytest.raises(NonMonotonic, match=f"it is {verdict} at p = "
                        ".*, outside the bisection bracket"):
-        _certify(model, lo, hi, np.array([True]))
+        certify(model, lo, hi, np.array([True]))
 
 
 def test_certificate_skips_the_false_side_of_inputs_detected_at_zero():
@@ -360,7 +372,7 @@ def test_certificate_skips_the_false_side_of_inputs_detected_at_zero():
     model = RootsMargin([(0.1, 0.6)])
     lo, hi = bisect_bracket(model.entangled, 1)
     assert model.entangled(0.0)[0] and abs(lo[0] - 0.6) < BISECTION_WIDTH
-    assert _certify(model, lo, hi, np.array([True])) == 4
+    assert certify(model, lo, hi, np.array([True])) == 4
 
 
 def test_certificate_cost_on_the_product_surface(monkeypatch):
@@ -403,7 +415,7 @@ def test_certified_batches_switch_once_inside_the_bracket(d, seed, case):
         return
     lo, hi = bisect_bracket(batch.entangled, batch.size)
     try:
-        _certify(batch, lo, hi, detected)
+        certify(batch, lo, hi, detected)
     except NonMonotonic:
         return
     # inputs detected at p = 0 get no false side, and no threshold
@@ -776,7 +788,7 @@ def test_thresholds_equal_pinned_values(d, case):
     kind, metric = PIN_CASES[case]
     batch = MarginBatch(d, pinned_rows(d), kind,
                         None if metric is None else metric(d))
-    threshold, detected = qnl.criteria._solve(batch)
+    threshold, detected, _ = qnl.criteria._solve(batch)
     pinned = PINNED_THRESHOLDS[case][str(d)]
     assert detected.tolist() == [k is not None for k in pinned]
     assert np.where(detected, threshold, None).tolist() \
@@ -793,11 +805,11 @@ def fallbacks(monkeypatch):
     input bisected is a switch point confirm_bracket did not confirm."""
     sizes = []
 
-    def counted(fired, size):
+    def counted(fired, size, *start):
         sizes.append(size)
-        return bisect_bracket(fired, size)
+        return bisect_bracket(fired, size, *start)
 
-    monkeypatch.setattr(qnl.criteria, "bisect_bracket", counted)
+    monkeypatch.setattr(qnl.solver, "bisect_bracket", counted)
     return sizes
 
 
@@ -864,6 +876,124 @@ def test_confirm_bracket_takes_any_guess(guess):
         got, bisect_bracket(SWITCHES.fired, len(SWITCHES.t)))
 
 
+@pytest.mark.parametrize("widen", [0, 1, 5, 2 ** 20, 2 ** 27])
+def test_bisection_from_grid_brackets_equals_bisection(widen):
+    # brackets that hold each switch, widened by up to `widen` bins on
+    # either side and clipped to [0, 1], end on bisection's bins, in at
+    # most as many sweeps as the widest takes to halve to one bin
+    want = bisect_bracket(SWITCHES.fired, len(SWITCHES.t))
+    rng = np.random.default_rng(widen)
+    width = want[1][0] - want[0][0]
+    lo = np.maximum(want[0] - rng.integers(0, widen + 1, len(want[0]))
+                    * width, 0.0)
+    hi = np.minimum(want[1] + rng.integers(0, widen + 1, len(want[1]))
+                    * width, 1.0)
+    sweeps = []
+    got = bisect_bracket(lambda p: sweeps.append(p) or SWITCHES.fired(p),
+                         len(lo), lo, hi)
+    assert_same_brackets(got, want)
+    assert len(sweeps) <= np.ceil(np.log2(np.max(hi - lo) / width))
+
+
+def test_confirm_bracket_bisects_within_the_bracket(fallbacks):
+    # a verdict that does not confirm the guessed bin narrows the bracket
+    # to its side, and only that is bisected: a guess above the switch
+    # leaves [0, guess's bin], one below it [guess's bin + 1, 1]
+    switch = Switch([0.3, 0.7])
+    want = bisect_bracket(switch.fired, 2)
+    got = confirm_bracket(switch.fired, np.array([0.5, 0.5]),
+                          np.zeros(2), np.ones(2))
+    assert_same_brackets(got, want)
+    assert fallbacks == [2]
+    sweeps = []
+    got = confirm_bracket(lambda p, rows: sweeps.append(p)
+                          or switch.fired(p, rows), np.array([0.5, 0.5]))
+    assert_same_brackets(got, want)
+    # two verdicts at the guess's bin, then 26 halvings of a half
+    assert len(sweeps) == 2 + 26
+
+
+# scalars calls that critical_bisection made on these inputs when the
+# certified paths bisected from [0, 1]: p = 1, 27 sweeps, the certificate's
+# four ends, its halvings, and p = 0 again
+BISECTED_CALLS = {("product", 64): 34, ("product", 256): 33,
+                  ("colored", 12): 33, ("colored", 40): 33}
+
+
+def test_certified_thresholds_take_few_margin_sweeps(monkeypatch):
+    # damping under the identity metric on the benchmark's dense-sweep
+    # draws (Schmidt coefficients sqrt(u / sum u), u ~ uniform(0.05, 1)),
+    # then the max-entangled state under product noise, where the margin
+    # is about 0 at p = 0 and the threshold small, and under colored noise
+    # with a fixed metric
+    calls = []
+    scalars = MarginBatch.scalars
+
+    def counted(self, p, rows=slice(None)):
+        calls.append(p)
+        return scalars(self, p, rows)
+
+    monkeypatch.setattr(MarginBatch, "scalars", counted)
+    counts = []
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        for d in (3, 6, 10, 16):
+            raw = rng.uniform(0.05, 1.0, size=d)
+            calls.clear()
+            critical_bisection(schmidt_state(d, np.sqrt(raw / raw.sum())),
+                               AD, identity_metric(d))
+            counts.append(len(calls))
+    assert np.median(counts) <= 15, counts
+    for (path, d), bisected in BISECTED_CALLS.items():
+        calls.clear()
+        if path == "product":
+            critical_bisection(max_entangled(d), ChannelKind.PRODUCT)
+        else:
+            critical_bisection(max_entangled(d), ChannelKind.COLORED,
+                               colored_metric(d, 0.5))
+        assert len(calls) <= bisected, (path, d, len(calls))
+
+
+# the batches _solve locates by secant sweeps and certifies
+CERTIFIED_CASES = ("product", "damping, identity metric",
+                   "colored, fixed metric")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(CERTIFIED_CASES))
+def test_located_brackets_equal_bisection(d, seed, case):
+    # bit for bit, _solve's thresholds are the midpoints of bisection's
+    # brackets from [0, 1], on random rows, rows with zero coefficients,
+    # basis rows detected nowhere and the max-entangled row; where the
+    # certificate refuses them, it refuses bisection's brackets too
+    rng = np.random.default_rng(seed)
+    mes = max_entangled(d).coeffs
+    if case == "colored, fixed metric":
+        rows, kind = np.tile(mes, (4, 1)), ChannelKind.COLORED
+        g = colored_metric(d, rng.uniform(0.05, 1.0))
+    else:
+        sparse = rng.uniform(0.1, 1.0, size=(4, d))
+        sparse[np.arange(4), rng.integers(0, d, 4)] = 0.0
+        sparse /= np.linalg.norm(sparse, axis=1, keepdims=True)
+        rows = np.vstack([sampled_rows(rng, d, 24), sparse,
+                          np.eye(d)[[0, d - 1]], mes])
+        kind, g = (ChannelKind.PRODUCT, None) if case == "product" \
+            else (AD, identity_metric(d))
+    batch = MarginBatch(d, rows, kind, g)
+    assert not batch.monotone
+    lo, hi = bisect_bracket(batch.entangled, batch.size)
+    detected = batch.entangled(1.0)
+    try:
+        threshold, got_detected, _ = qnl.criteria._solve(batch)
+    except NonMonotonic:
+        with pytest.raises(NonMonotonic):
+            certify(batch, lo, hi, detected)
+        return
+    assert np.array_equal(got_detected, detected)
+    assert np.array_equal(threshold, 0.5 * (lo + hi))
+
+
 @pytest.mark.parametrize("kind", MONOTONE_KINDS)
 def test_scan_rows_are_all_confirmed(fallbacks, kind):
     # the benchmarked 101 x 101 qutrit-family rows: no switch point falls
@@ -884,7 +1014,7 @@ def test_scan_rows_are_all_confirmed(fallbacks, kind):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 16])
 def test_pinned_rows_are_all_confirmed(fallbacks, d, kind):
     batch = MarginBatch(d, pinned_rows(d), kind)
-    threshold, detected = qnl.criteria._solve(batch)
+    threshold, detected, _ = qnl.criteria._solve(batch)
     assert fallbacks == []
     lo, hi = bisect_bracket(batch.entangled, batch.size)
     assert np.array_equal(threshold[detected], (0.5 * (lo + hi))[detected])
@@ -903,7 +1033,7 @@ def test_subnormal_quartic_coefficient_warns_nothing():
     # input is bisected
     batch = MarginBatch(3, np.array([[0.6, 0.8, 1e-160]]), AD)
     assert np.isnan(batch.switch_points()[0])
-    threshold, detected = qnl.criteria._solve(batch)
+    threshold, detected, _ = qnl.criteria._solve(batch)
     lo, hi = bisect_bracket(batch.entangled, 1)
     assert detected[0] and threshold[0] == 0.5 * (lo[0] + hi[0])
 
@@ -939,7 +1069,7 @@ def test_damping_switch_points_snap_to_the_newton_oracle(fallbacks, family):
     # steps would overshoot where alpha is tiny, and ground coefficients
     # below about 1e-9 would fall back
     def bins(p):
-        return np.floor(np.where(p < 1.0, p, 1.0) * qnl.criteria._BINS)
+        return np.floor(np.where(p < 1.0, p, 1.0) * qnl.solver._BINS)
 
     detected_inputs = 0
     for d in (2, 3, 4, 6, 10, 16, 32):

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from qnl.bell import MeasurementSettings
 from qnl.channels import ChannelKind, ChannelSpec, KrausSet, channel_output
-from qnl.criteria import CERTIFICATE_SLACK
 from qnl.errors import DimensionMismatch, UnsupportedChannel
 from qnl.gellmann import gellmann_basis
+from qnl.solver import CERTIFICATE_SLACK
 from qnl.states import max_entangled, schmidt_state, to_density
-from qnl.tensor import (Metric, block_scalars, block_weights, c_factor,
-                        colored_metric, correlation_tensor, damping_metric,
-                        diagonal_block, diagonal_entries,
-                        identity_metric, norm_sq,
-                        pair_values, schmidt_correlation_tensor,
-                        spectral_norm, spectral_norms, sum_per_input,
+from qnl.tensor import (Metric, block_norms, block_scalars, block_weights,
+                        c_factor, colored_metric, correlation_tensor,
+                        damping_metric, diagonal_block, diagonal_entries,
+                        identity_metric, norm_sq, pair_values,
+                        schmidt_correlation_tensor, spectral_norm,
+                        spectral_norms, sum_per_input,
                         supporting_functionals)
 
 from oracles import einsum_correlation_tensor, loop_basis
@@ -95,9 +95,10 @@ def test_stacked_tensors_and_scalars_equal_loop_forms(d):
     states = [random_schmidt(rng, d) for _ in range(4)]
     c = np.array([s.coeffs for s in states])
     g = colored_metric(d, 0.37)
-    ls, ns = block_scalars(pair_values(c.T), inputs_last(
+    weights = block_weights(d, g.g[:, None])
+    ls, ns = block_scalars(pair_values(c.T), block_norms(inputs_last(
         diagonal_block((c * c)[:, :, None] * np.eye(d), diagonal_entries(d))),
-        block_weights(d, g.g[:, None]))
+        weights[2]), weights)
     for k, psi in enumerate(states):
         t = loop_schmidt_tensor(psi.coeffs)
         closed = schmidt_correlation_tensor(psi)
