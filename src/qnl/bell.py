@@ -21,12 +21,14 @@ m(i - j) = <ii|W|jj> of the Bell operator: 2d - 1 numbers in closed form.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChannelKind
 from .criteria import CriticalResult, describe_state
+from .descent import bfgs
 from .errors import (DimensionMismatch, NonMonotonic, NoViolation,
                      UnsupportedChannel)
 from .gellmann import check_dimension, gellmann_basis
@@ -39,11 +41,11 @@ LOCAL_BOUND = 2.0
 ALPHA_PHASES = (0.0, 0.5)
 BETA_PHASES = (0.25, -0.25)
 ORTHO_TOL = 1e-10
-# settings optimizer (minimize): the gradient stop, a tenth of the usual
-# 1e-5, which leaves end values up to about 1e-7 short; strong-Wolfe constants
-BFGS_GTOL = 1e-6
-WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
-WOLFE_TRIES = 40  # trial steps per line search
+# starts optimize_settings climbs together: each holds an n x n inverse
+# Hessian, n = 4(d^2 - 1), 8 n^2 bytes (0.5 MB at d = 8, 20 MB at d = 20),
+# so at most this many are held however many restarts are asked for; 8 is
+# the CLI's default of two fixed starts and six restarts
+LOCKSTEP_STARTS = 8
 
 
 class MeasurementSettings(Record):
@@ -114,11 +116,12 @@ def probability_table(rho: TwoQuditState,
 
 
 def _projector_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows vec(|v><v|^T) = conj(v) (x) v of the outcome vectors (2, d, d)
-    of one party, shape (2d, d^2), ordered (setting, outcome)."""
+    """Rows vec(|v><v|^T) = conj(v) (x) v of the outcome vectors (..., 2, d,
+    d) of one party, shape (..., 2d, d^2), ordered (setting, outcome)."""
     d = vectors.shape[-1]
-    v = vectors.reshape(2 * d, d)
-    return (v.conj()[:, :, None] * v[:, None, :]).reshape(2 * d, d * d)
+    v = vectors.reshape(*vectors.shape[:-3], 2 * d, d)
+    return (v.conj()[..., :, None] * v[..., None, :]) \
+        .reshape(*vectors.shape[:-3], 2 * d, d * d)
 
 
 def _inequality_value(table: np.ndarray) -> float:
@@ -254,26 +257,28 @@ def critical_lr(state: SchmidtState, kind: ChannelKind) -> CriticalResult:
 
 def _generator_eigh(thetas: np.ndarray,
                     mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, U) with H = U diag(w) U^dagger for the four generators H = sum
-    theta_a B_a, rows of thetas; one matmul and one batched eigh."""
+    """(w, U) with H = U diag(w) U^dagger for the generators H = sum theta_a
+    B_a, rows of thetas (..., 4, d^2 - 1); one matmul per four rows and one
+    batched eigh."""
     d = mats.shape[-1]
-    return np.linalg.eigh((thetas @ mats.reshape(-1, d * d)).reshape(4, d, d))
+    return np.linalg.eigh((thetas @ mats.reshape(-1, d * d))
+                          .reshape(*thetas.shape[:-1], d, d))
 
 
 def _rotated_vectors(v0: np.ndarray, w: np.ndarray, u: np.ndarray,
                      uh: np.ndarray) -> np.ndarray:
-    """Outcome vectors (4, d, d), [slot, a, m] in slot order [A_0, A_1, B_0,
-    B_1], each slot's rows v0 conjugated by exp(iH) = U diag(e^{iw})
+    """Outcome vectors (..., 4, d, d), [slot, a, m] in slot order [A_0, A_1,
+    B_0, B_1], each slot's rows v0 conjugated by exp(iH) = U diag(e^{iw})
     U^dagger of the generators _generator_eigh decomposed; uh = U^dagger."""
-    rot = (u * np.exp(1j * w)[:, None, :]) @ uh
-    return v0 @ rot.transpose(0, 2, 1)  # each row rotated by exp(iH)^T
+    rot = (u * np.exp(1j * w)[..., None, :]) @ uh
+    return v0 @ rot.swapaxes(-1, -2)  # each row rotated by exp(iH)^T
 
 
 def _rotated_settings(base: MeasurementSettings, w: np.ndarray,
                       u: np.ndarray) -> MeasurementSettings:
     """base rotated as _rotated_vectors does it, validated."""
     vecs = _rotated_vectors(np.concatenate((base.a_vectors, base.b_vectors)),
-                            w, u, u.conj().transpose(0, 2, 1))
+                            w, u, u.conj().swapaxes(-1, -2))
     return MeasurementSettings(d=base.d, a_vectors=vecs[:2],
                                b_vectors=vecs[2:])
 
@@ -295,12 +300,16 @@ def _outcome_weights(d: int) -> np.ndarray:
 
 
 def _settings_objective(rho: TwoQuditState, mats: np.ndarray):
-    """value_and_gradient(thetas, v0) -> (I, dI/dtheta): the inequality value
-    at the base outcome vectors v0 (4, d, d) rotated by the angles thetas
-    (4, d^2 - 1) along the generators mats, and its gradient, shape (4,
-    d^2 - 1).  What does not depend on the angles (the realigned rho, its
-    contiguous transpose, the outcome weights, the generators' columns) is
-    built here, once per state; v0 is built once per start.
+    """value_and_gradient(thetas, v0) -> (I, dI/dtheta) for S starts at
+    once: the inequality values, shape (S,), at the base outcome vectors v0
+    (S, 4, d, d) rotated by the angles thetas (S, 4, d^2 - 1) along the
+    generators mats, and their gradients, shape (S, 4, d^2 - 1).  What does
+    not depend on the angles (the realigned rho, its contiguous transpose,
+    the outcome weights, the generators' columns) is built here, once per
+    state.  Each start's numbers are those of a call on that start alone,
+    bit for bit: every product runs per start on the shapes one start has
+    (numpy's stacked matmul and eigh loop over the leading axis), the
+    elementwise steps round per entry, and each value is its own np.vdot.
 
     Each outcome vector v_sa of one party sees the operator E_sa = sum_tb
     G[(s, a), (t, b)] <u_tb| rho |u_tb> that the other party's vectors u
@@ -321,22 +330,25 @@ def _settings_objective(rho: TwoQuditState, mats: np.ndarray):
     mat_cols = mats.reshape(-1, d * d).T
 
     def value_and_gradient(thetas: np.ndarray,
-                           v0: np.ndarray) -> tuple[float, np.ndarray]:
+                           v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        starts = len(thetas)
         w, u = _generator_eigh(thetas, mats)
-        uh = u.conj().transpose(0, 2, 1)
+        uh = u.conj().swapaxes(-1, -2)
         vecs = _rotated_vectors(v0, w, u, uh)
         # E for the A slots, then the B slots
-        e = np.concatenate((weights @ (_projector_rows(vecs[2:]) @ rt),
-                            weights_t @ (_projector_rows(vecs[:2]) @ r)))
-        rows = (e.reshape(4 * d, d, d) @ vecs.reshape(4 * d, d, 1)) \
-            .reshape(4, d, d)
-        value = np.vdot(vecs[:2], rows[:2]).real
-        k = uh @ v0.transpose(0, 2, 1) @ rows.conj() @ u
-        phi = np.exp(0.5j * (w[:, :, None] + w[:, None, :])) \
-            * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
+        e = np.concatenate((weights @ (_projector_rows(vecs[:, 2:]) @ rt),
+                            weights_t @ (_projector_rows(vecs[:, :2]) @ r)),
+                           axis=1)
+        rows = (e.reshape(starts, 4 * d, d, d)
+                @ vecs.reshape(starts, 4 * d, d, 1)).reshape(starts, 4, d, d)
+        values = np.array([np.vdot(a, f).real
+                           for a, f in zip(vecs[:, :2], rows[:, :2])])
+        k = uh @ v0.swapaxes(-1, -2) @ rows.conj() @ u
+        phi = np.exp(0.5j * (w[..., :, None] + w[..., None, :])) \
+            * np.sinc((w[..., :, None] - w[..., None, :]) / (2.0 * np.pi))
         dexp = u @ (phi * k) @ uh
-        grad = dexp.transpose(0, 2, 1).reshape(4, d * d) @ mat_cols
-        return float(value), -2.0 * grad.imag
+        grad = dexp.swapaxes(-1, -2).reshape(starts, 4, d * d) @ mat_cols
+        return values, -2.0 * grad.imag
 
     return value_and_gradient
 
@@ -348,78 +360,19 @@ class MinimizeResult(NamedTuple):
 
 
 def minimize(fun, x0, args) -> MinimizeResult:
-    """BFGS descent of fun, which returns (value, gradient), from x0.
-
-    The inverse Hessian starts at I and takes the BFGS update (Nocedal and
-    Wright, eq. 6.17) as an O(n^2) rank-two correction.  Each step meets
-    the strong Wolfe conditions (_wolfe_step); the first trial step is
-    min(1, 1.01 * 2 (f - f_prev) / g^T p), with f_prev = f + |g| / 2 before
-    the first step.  The descent stops at max|g| <= BFGS_GTOL or after
-    200 n steps, and keeps the current point where the line search fails
-    or H g stops being a descent direction.  nfev counts the calls to fun.
-    """
-    calls = 0
-
-    def evaluate(x):
-        nonlocal calls
-        calls += 1
-        value, grad = fun(x, *args)
-        return float(value), np.asarray(grad, dtype=float)
-
-    x = np.array(x0, dtype=float).ravel()
-    f, g = evaluate(x)
-    h = np.eye(x.size)
-    f_prev = f + float(np.linalg.norm(g)) / 2.0
-    for _ in range(200 * x.size):
-        if np.max(np.abs(g)) <= BFGS_GTOL:
-            break
-        p = -(h @ g)
-        slope = float(g @ p)
-        if not slope < 0.0:
-            break
-        step = 1.01 * 2.0 * (f - f_prev) / slope
-        found = _wolfe_step(evaluate, x, p, f, slope,
-                            min(1.0, step) if step > 0.0 else 1.0)
-        if found is None:
-            break
-        step, f_new, g_new = found
-        s, y = step * p, g_new - g
-        x, f_prev, f, g = x + s, f, f_new, g_new
-        _update_inverse_hessian(h, s, y)
+    """BFGS descent of fun, which returns (value, gradient), from x0: the
+    search descent.bfgs, driven one point at a time.  nfev counts the calls
+    to fun."""
+    search, calls = bfgs(x0), 0
+    x = next(search)
+    try:
+        while True:
+            calls += 1
+            value, grad = fun(x, *args)
+            x = search.send((float(value), np.asarray(grad, dtype=float)))
+    except StopIteration as stop:
+        x, f = stop.value
     return MinimizeResult(x=x, fun=f, nfev=calls)
-
-
-def _update_inverse_hessian(h, s, y):
-    """H <- (I - r s y^T) H (I - r y s^T) + r s s^T, r = 1 / s^T y, in place
-    and in O(n^2): H += s a^T - u s^T with u = r H y, a = r (1 + y^T u) s - u,
-    as one (n, 2) by (2, n) product, which at n = 140-400 takes an eighth of
-    the time of two np.outer.  No update where s^T y <= 0."""
-    sy = float(s @ y)
-    if sy > 0.0:
-        u = (h @ y) / sy
-        a = ((1.0 + float(y @ u)) / sy) * s - u
-        h += np.stack((s, -u), axis=1) @ np.stack((a, s))
-
-
-def _wolfe_step(evaluate, x, p, f0, slope0, step):
-    """(step, f, g) along p meeting the strong Wolfe conditions, or None
-    after WOLFE_TRIES trials: bisection on the Wolfe conditions (Lewis and
-    Overton, Math. Program. 141, 135 (2013), for the weak form).  A step is
-    too long where Armijo fails or the slope exceeds c2 |slope0|, too short
-    where it is below -c2 |slope0|; the trial step doubles until one is too
-    long, then bisects the bracket [lo, hi]."""
-    lo, hi = 0.0, np.inf
-    for _ in range(WOLFE_TRIES):
-        f, g = evaluate(x + step * p)
-        slope = float(g @ p)
-        if f > f0 + WOLFE_C1 * step * slope0 or slope > -WOLFE_C2 * slope0:
-            hi = step
-        elif slope < WOLFE_C2 * slope0:
-            lo = step
-        else:
-            return step, f, g
-        step = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
-    return None
 
 
 def optimize_settings(rho: TwoQuditState, restarts: int,
@@ -429,35 +382,54 @@ def optimize_settings(rho: TwoQuditState, restarts: int,
     Every start is base settings rotated by exp(iH) of angles: the
     standard settings and the two-level embedding of the qubit settings
     at zero angles always, then restarts random angles about the standard
-    settings.  BFGS climbs from each start on the exact gradient of I in
-    the 4(d^2 - 1) angles; the objective (_settings_objective) is built once
-    per call and each start's base vectors once, so an evaluation does only
-    the work that depends on the angles and validates no settings.  Each
-    end point's value is taken again by the Born rule on validated
-    settings, and the best is kept; never returns less than the
-    standard-settings value; deterministic for a fixed seed.
+    settings.  For real Schmidt states both fixed starts are critical
+    points of I (its gradient vanishes there), so they stop after one
+    evaluation and restarts=0 returns the better of the two fixed
+    settings' values; only the random starts climb.  BFGS
+    (descent.bfgs) climbs from each start on the exact gradient of I in
+    the 4(d^2 - 1) angles, LOCKSTEP_STARTS starts at a time: each round
+    evaluates the next point of every start still climbing in one call of
+    the objective (_settings_objective, built once per call), and a start
+    that ends makes room for the next.  Each start's path and end point
+    are those of climbing it alone.  Each end point's value is taken again
+    by the Born rule on validated settings, and the best is kept, the
+    earlier start on a tie; never returns less than the standard-settings
+    value; deterministic for a fixed seed.
     """
     d = rho.d
-    std = cglmp_settings(d)
+    bases = (cglmp_settings(d), _qubit_block_settings(d))
     mats = gellmann_basis(d).matrices
     size = 4 * (d * d - 1)
     rng = np.random.default_rng(seed)
-    starts = [(std, np.zeros(size)),
-              (_qubit_block_settings(d), np.zeros(size))]
-    starts += [(std, rng.normal(scale=0.4, size=size))
+    starts = [(0, np.zeros(size)), (1, np.zeros(size))]  # (base, angles)
+    starts += [(0, rng.normal(scale=0.4, size=size))
                for _ in range(restarts)]
     objective = _settings_objective(rho, mats)
+    v0 = np.stack([np.concatenate((base.a_vectors, base.b_vectors))
+                   for base in bases])
+    searches = [bfgs(x0) for _, x0 in starts]
+    ends = [None] * len(starts)
+    waiting = iter(range(len(starts)))
+    live = {i: next(searches[i]) for i in islice(waiting, LOCKSTEP_STARTS)}
+    while live:
+        climbing = list(live)
+        values, grads = objective(
+            np.stack([live[i] for i in climbing]).reshape(len(climbing), 4, -1),
+            v0.take([starts[i][0] for i in climbing], axis=0))
+        for i, value, grad in zip(climbing, values, grads):
+            try:
+                live[i] = searches[i].send((-float(value), -grad.ravel()))
+            except StopIteration as stop:
+                del live[i]
+                ends[i] = stop.value[0]
+                j = next(waiting, None)
+                if j is not None:
+                    live[j] = next(searches[j])
 
-    def negated(x, v0):
-        value, grad = objective(x.reshape(4, -1), v0)
-        return -value, -grad.ravel()
-
-    best = cglmp_value(rho, std)
-    for base, x0 in starts:
-        v0 = np.concatenate((base.a_vectors, base.b_vectors))
-        res = minimize(negated, x0, (v0,))
+    best = cglmp_value(rho, bases[0])
+    for (base, _), x in zip(starts, ends):
         found = cglmp_value(rho, _rotated_settings(
-            base, *_generator_eigh(res.x.reshape(4, -1), mats)))
+            bases[base], *_generator_eigh(x.reshape(4, -1), mats)))
         if found.i_d > best.i_d:
             best = found
     return best

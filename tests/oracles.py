@@ -22,7 +22,9 @@ block form), damping switch points taken by Newton to a relative step of
 1e-15 (the package takes two steps), the settings objective with
 every operand rebuilt on each call, validated settings included
 (bell._settings_objective builds what does not depend on the angles
-once), the basis CSV written by visiting every entry of every generator
+once), the settings optimizer climbing its starts one after another, each
+in a BFGS loop of its own (the package climbs them in lockstep, one
+batched objective call per round), the basis CSV written by visiting every entry of every generator
 (the package formats only np.nonzero's entries), the damping Kraus
 operators filled one at a time (the package sets them by index
 assignment), the Bell profile's closed form evaluated at 50 digits by a
@@ -34,10 +36,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from qnl.bell import (MeasurementSettings, _bell_profile, _generator_eigh,
-                      _projector_rows)
+from qnl.bell import (MeasurementSettings, MinimizeResult, _bell_profile,
+                      _generator_eigh, _outcome_weights, _projector_rows,
+                      _qubit_block_settings, _rotated_settings, cglmp_settings,
+                      cglmp_value)
 from qnl.channels import ChannelKind, KrausSet
 from qnl.criteria import MarginBatch
+from qnl.descent import BFGS_GTOL, WOLFE_C1, WOLFE_C2, WOLFE_TRIES
 from qnl.errors import DimensionMismatch, NonMonotonic
 from qnl.gellmann import (ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
                           gellmann_basis)
@@ -325,6 +330,98 @@ def settings_value_and_gradient(rho, base, thetas, mats, weights):
     grad = dexp.transpose(0, 2, 1).reshape(4, d * d) \
         @ mats.reshape(-1, d * d).T
     return float(value), -2.0 * grad.imag
+
+
+def sequential_optimize_settings(rho, restarts, seed, minimize=None):
+    """bell.optimize_settings as it climbed its starts one after another,
+    each in a minimize call of its own, on the per-call objective
+    settings_value_and_gradient; minimize (fun, x0, args) -> result with
+    .x may replace the in-house BFGS, sequential_minimize."""
+    minimize = minimize or sequential_minimize
+    d = rho.d
+    std = cglmp_settings(d)
+    mats = gellmann_basis(d).matrices
+    weights = _outcome_weights(d)
+    size = 4 * (d * d - 1)
+    rng = np.random.default_rng(seed)
+    starts = [(std, np.zeros(size)),
+              (_qubit_block_settings(d), np.zeros(size))]
+    starts += [(std, rng.normal(scale=0.4, size=size))
+               for _ in range(restarts)]
+
+    def negated(x, base):
+        value, grad = settings_value_and_gradient(
+            rho, base, x.reshape(4, -1), mats, weights)
+        return -value, -grad.ravel()
+
+    best = cglmp_value(rho, std)
+    for base, x0 in starts:
+        res = minimize(negated, x0, (base,))
+        found = cglmp_value(rho, _rotated_settings(
+            base, *_generator_eigh(res.x.reshape(4, -1), mats)))
+        if found.i_d > best.i_d:
+            best = found
+    return best
+
+
+def sequential_minimize(fun, x0, args):
+    """The in-house BFGS as one loop over fun's calls (descent.bfgs is the
+    same search as a generator); returns (x, fun, nfev)."""
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        calls += 1
+        value, grad = fun(x, *args)
+        return float(value), np.asarray(grad, dtype=float)
+
+    x = np.array(x0, dtype=float).ravel()
+    f, g = evaluate(x)
+    h = np.eye(x.size)
+    f_prev = f + float(np.linalg.norm(g)) / 2.0
+    for _ in range(200 * x.size):
+        if np.max(np.abs(g)) <= BFGS_GTOL:
+            break
+        p = -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            break
+        step = 1.01 * 2.0 * (f - f_prev) / slope
+        found = sequential_wolfe_step(evaluate, x, p, f, slope,
+                                      min(1.0, step) if step > 0.0 else 1.0)
+        if found is None:
+            break
+        step, f_new, g_new = found
+        s, y = step * p, g_new - g
+        x, f_prev, f, g = x + s, f, f_new, g_new
+        stacked_inverse_hessian_update(h, s, y)
+    return MinimizeResult(x=x, fun=f, nfev=calls)
+
+
+def stacked_inverse_hessian_update(h, s, y):
+    """descent.update_inverse_hessian with its (n, 2) and (2, n) factors
+    built by np.stack."""
+    sy = float(s @ y)
+    if sy > 0.0:
+        u = (h @ y) / sy
+        a = ((1.0 + float(y @ u)) / sy) * s - u
+        h += np.stack((s, -u), axis=1) @ np.stack((a, s))
+
+
+def sequential_wolfe_step(evaluate, x, p, f0, slope0, step):
+    """descent.wolfe_step calling evaluate at each trial point."""
+    lo, hi = 0.0, np.inf
+    for _ in range(WOLFE_TRIES):
+        f, g = evaluate(x + step * p)
+        slope = float(g @ p)
+        if f > f0 + WOLFE_C1 * step * slope0 or slope > -WOLFE_C2 * slope0:
+            hi = step
+        elif slope < WOLFE_C2 * slope0:
+            lo = step
+        else:
+            return step, f, g
+        step = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+    return None
 
 
 def catalan_series() -> float:

@@ -13,22 +13,23 @@ from scipy.linalg import expm, logm
 from scipy.optimize import minimize
 
 import qnl.bell
-from qnl.bell import (ALPHA_PHASES, BETA_PHASES, BFGS_GTOL, LOCAL_BOUND,
-                      WOLFE_C1, WOLFE_C2, WOLFE_TRIES,
+from qnl.bell import (ALPHA_PHASES, BETA_PHASES, LOCAL_BOUND,
                       MeasurementSettings, _bell_profile,
                       _damping_quadratic,
                       _generator_eigh, _inequality_value,
                       _outcome_weights, _qubit_block_settings,
                       _rotated_settings, _settings_objective,
-                      _update_inverse_hessian, _wolfe_step,
                       ad_probability_table,
                       catalan_constant, cglmp_ad_infinite, cglmp_ad_value,
                       cglmp_settings, cglmp_value, critical_lr,
                       infinite_threshold, optimize_settings,
                       probability_table)
 from qnl.channels import (ChannelKind, ChannelSpec, amplitude_damping_kraus,
-                          apply_local_channel, channel_output)
+                          apply_local_channel, channel_output,
+                          depolarize_pair)
 from qnl.cli import main
+from qnl.descent import (BFGS_GTOL, WOLFE_C1, WOLFE_C2, WOLFE_TRIES,
+                         update_inverse_hessian, wolfe_step)
 from qnl.errors import (DimensionMismatch, NonMonotonic, NoViolation,
                         UnsupportedChannel)
 from qnl.gellmann import gellmann_basis
@@ -38,6 +39,7 @@ from qnl.states import (TwoQuditState, max_entangled, qutrit_family,
 
 from oracles import (block_damping_quadratic, catalan_series,
                      decimal_bell_profile, profile_block,
+                     sequential_optimize_settings,
                      settings_value_and_gradient)
 
 AD = ChannelKind.AMPLITUDE_DAMPING
@@ -704,7 +706,8 @@ def test_bell_profile_within_8_ulps_of_decimal_oracle(d):
 def objective_at(rho, base, thetas, mats):
     """The optimizer's objective for one state and one start, at thetas."""
     v0 = np.concatenate((base.a_vectors, base.b_vectors))
-    return _settings_objective(rho, mats)(thetas, v0)
+    values, grads = _settings_objective(rho, mats)(thetas[None], v0[None])
+    return values[0], grads[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -746,23 +749,26 @@ def test_gradient_at_zero_angles(d):
                                 st.floats(0.0, 1.5, allow_nan=False)))
 def test_objective_matches_per_call_oracle(d, seed, mixed, qubit_base,
                                            scale):
-    # one objective serves every start and evaluation of a state: its
-    # value and gradient are those of the objective rebuilt on each call,
-    # bit for bit, so nfev and every optimized value stay as they were
+    # one objective serves every start and evaluation of a state, several
+    # starts per call: each start's value and gradient are those of the
+    # objective rebuilt on each call for that start alone, bit for bit, so
+    # nfev and every optimized value stay as they were
     rng = np.random.default_rng(seed)
     rho = random_mixed(rng, d) if mixed \
         else to_density(random_schmidt(rng, d))
     base = _qubit_block_settings(d) if qubit_base else cglmp_settings(d)
+    bases = [base, cglmp_settings(d), _qubit_block_settings(d)]
     mats = gellmann_basis(d).matrices
     objective = _settings_objective(rho, mats)
-    v0 = np.concatenate((base.a_vectors, base.b_vectors))
+    v0 = np.stack([np.concatenate((b.a_vectors, b.b_vectors)) for b in bases])
     for _ in range(2):  # the objective keeps no state between evaluations
-        thetas = scale * rng.standard_normal((4, d * d - 1))
-        value, grad = objective(thetas, v0)
-        want_value, want_grad = settings_value_and_gradient(
-            rho, base, thetas, mats, _outcome_weights(d))
-        assert value == want_value
-        assert np.array_equal(grad, want_grad)
+        thetas = scale * rng.standard_normal((len(bases), 4, d * d - 1))
+        values, grads = objective(thetas, v0)
+        for b, angles, value, grad in zip(bases, thetas, values, grads):
+            want_value, want_grad = settings_value_and_gradient(
+                rho, b, angles, mats, _outcome_weights(d))
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
 
 
 def test_optimizer_validates_settings_once_per_start(monkeypatch):
@@ -800,7 +806,7 @@ def test_optimizer_at_least_powell(d, sample):
 
 
 def scipy_bfgs(fun, x0, args):
-    """The BFGS that qnl.bell.minimize replaced: scipy's, on the same
+    """The BFGS that the in-house one replaced: scipy's, on the same
     (value, gradient) objective."""
     return minimize(fun, x0, args=args, jac=True, method="BFGS")
 
@@ -817,15 +823,47 @@ def oracle_state(d, kind, k):
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("kind", ["white", "ad", "mixed"])
 @pytest.mark.parametrize("d", range(3, 7))
-def test_optimizer_at_least_scipy_bfgs(d, kind, k, monkeypatch):
-    # the same starts climbed by scipy's BFGS; a different local maximum
-    # could end either search higher, and on this list neither ends lower
-    # than the other by more than 1e-9
+def test_optimizer_at_least_scipy_bfgs(d, kind, k):
+    # the same starts climbed by scipy's BFGS, one after another; a
+    # different local maximum could end either search higher, and on this
+    # list neither ends lower than the other by more than 1e-9
     rho = oracle_state(d, kind, k)
     found = optimize_settings(rho, restarts=1, seed=k).i_d
-    monkeypatch.setattr(qnl.bell, "minimize", scipy_bfgs)
-    assert found >= optimize_settings(rho, restarts=1, seed=k).i_d - 1e-9
+    assert found >= sequential_optimize_settings(
+        rho, restarts=1, seed=k, minimize=scipy_bfgs).i_d - 1e-9
     assert found >= cglmp_value(rho).i_d
+
+
+def noisy_state(rng, d, mixed, kind, x):
+    """A random Schmidt state or a random mixed state under white noise of
+    visibility 1 - x or depolarizing or damping noise of strength x."""
+    v = 1.0 - x if kind is ChannelKind.WHITE else x
+    if not mixed:
+        return channel_output(random_schmidt(rng, d), ChannelSpec(kind, v))
+    rho = random_mixed(rng, d)
+    if kind is ChannelKind.DEPOLARIZING:
+        return depolarize_pair(rho, v)
+    if kind is AD:
+        return apply_local_channel(rho, amplitude_damping_kraus(d, v))
+    return TwoQuditState(d, v * rho.rho + (1.0 - v) * np.eye(d * d) / d ** 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from([ChannelKind.WHITE,
+                                       ChannelKind.DEPOLARIZING, AD]),
+       st.floats(0.0, 0.4), st.integers(1, 8))
+def test_lockstep_optimizer_matches_sequential_oracle(d, restarts, seed, mixed,
+                                                      kind, x, lockstep):
+    # starts climbed together, lockstep at a time, end where each climbed
+    # alone ends: the same value and probability table, bit for bit
+    rho = noisy_state(np.random.default_rng(seed), d, mixed, kind, x)
+    want = sequential_optimize_settings(rho, restarts=restarts, seed=seed)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(qnl.bell, "LOCKSTEP_STARTS", lockstep)
+        got = optimize_settings(rho, restarts=restarts, seed=seed)
+    assert got.i_d == want.i_d
+    assert np.array_equal(got.probabilities, want.probabilities)
 
 
 def test_benchmark_optimizer_values_pinned(capsys):
@@ -873,8 +911,19 @@ def test_minimize_stops_at_a_zero_gradient_start():
     assert len(calls) == 1
 
 
+def drive(search, evaluate):
+    """Run the search generator to its end, sending it evaluate(x) for each
+    point x it yields; its return value."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(evaluate(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def wolfe_line(fun, x):
-    """The arguments of _wolfe_step along -grad fun at x, and the list of
+    """The arguments of wolfe_step along -grad fun at x, and the list of
     points it evaluates."""
     calls = []
 
@@ -899,8 +948,8 @@ def settings_line_objective():
     v0 = np.concatenate((std.a_vectors, std.b_vectors))
 
     def negated(x):
-        value, grad = objective(x.reshape(4, -1), v0)
-        return -value, -grad.ravel()
+        values, grads = objective(x.reshape(1, 4, -1), v0[None])
+        return -values[0], -grads[0].ravel()
 
     return negated, np.random.default_rng(3).normal(scale=0.4, size=60)
 
@@ -917,7 +966,7 @@ def test_wolfe_step_meets_strong_wolfe(case, first_step):
     else:
         fun, x = settings_line_objective()
     evaluate, _, p, f0, slope0 = wolfe_line(fun, x)
-    step, f, g = _wolfe_step(evaluate, x, p, f0, slope0, first_step)
+    step, f, g = drive(wolfe_step(x, p, f0, slope0, first_step), evaluate)
     value, grad = fun(x + step * p)
     assert step > 0.0 and f == value and np.array_equal(g, grad)
     assert f <= f0 + WOLFE_C1 * step * slope0
@@ -929,7 +978,8 @@ def test_wolfe_step_gives_up_on_an_unbounded_line():
     # the trials run out
     evaluate, calls, p, f0, slope0 = wolfe_line(
         lambda y: (-float(y[0]), np.array([-1.0])), np.zeros(1))
-    assert _wolfe_step(evaluate, np.zeros(1), p, f0, slope0, 1.0) is None
+    assert drive(wolfe_step(np.zeros(1), p, f0, slope0, 1.0),
+                 evaluate) is None
     assert len(calls) == WOLFE_TRIES
 
 
@@ -948,9 +998,9 @@ def test_inverse_hessian_update_matches_product_form(n, seed):
     want = (np.eye(n) - r * np.outer(s, y)) @ h \
         @ (np.eye(n) - r * np.outer(y, s)) + r * np.outer(s, s)
     got = h.copy()
-    _update_inverse_hessian(got, s, y)
+    update_inverse_hessian(got, s, y)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-    _update_inverse_hessian(got, s, -y)  # s^T y < 0: no update
+    update_inverse_hessian(got, s, -y)  # s^T y < 0: no update
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
